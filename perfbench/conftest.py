@@ -1,0 +1,10 @@
+"""Lets the benchmark's tests import the benchmark modules and the
+checkout's own ``src/`` package: ``python3 -m pytest perfbench``."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
