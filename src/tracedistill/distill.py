@@ -49,38 +49,25 @@ def extract_keywords(text: str) -> list[str]:
     return sorted(t for t in tokens if t and t not in STOPWORDS)
 
 
-def emit_dataset(kept, queries: list[Query], path: str | Path) -> int:
-    """Write dataset.jsonl: one row per query, rationale attached where a
-    kept rationale exists, absent (masked) otherwise. The first line is a
-    metadata header so even an empty dataset carries its counts.
-
-    ``kept`` is a list of ScoredRationale (anything with .rationale.query_id
-    and .rationale.text works). Returns the number of example rows.
+def emit_dataset(texts: dict[str, str], queries: list[Query], path: str | Path) -> int:
+    """Write dataset.jsonl: one row per query, rationale attached where
+    ``texts`` (kept rationale text by query id) has one, absent (masked)
+    otherwise. The first line is a metadata header so even an empty dataset
+    carries its counts. Returns the number of example rows.
     """
-    by_query = {}
-    known = {q.query_id for q in queries}
-    dangling = []
-    for scored in kept:
-        qid = scored.rationale.query_id
-        if qid not in known:
-            dangling.append(qid)
-        by_query[qid] = scored.rationale.text
+    dangling = sorted(set(texts) - {q.query_id for q in queries})
     if dangling:
-        raise EmissionError(f"kept rationales reference unknown queries: {sorted(dangling)}")
-    rows = []
-    masked = 0
-    for q in queries:
-        rationale = by_query.get(q.query_id)
-        if rationale is None:
-            masked += 1
-        rows.append(
-            {
-                "query_id": q.query_id,
-                "question": q.question,
-                "label": normalize_answer(q.expected_answer),
-                "rationale": rationale,
-            }
-        )
+        raise EmissionError(f"kept rationales reference unknown queries: {dangling}")
+    rows = [
+        {
+            "query_id": q.query_id,
+            "question": q.question,
+            "label": normalize_answer(q.expected_answer),
+            "rationale": texts.get(q.query_id),
+        }
+        for q in queries
+    ]
+    masked = sum(1 for row in rows if row["rationale"] is None)
     header = {"__meta__": {"rows": len(rows), "masked": masked}}
     write_jsonl(path, [header] + rows)
     return len(rows)
@@ -275,7 +262,9 @@ def _loss_and_grads(model, batch):
         R = X @ Wk.T  # (N, K)
         bce = _bce_with_logits(R, T)  # (N, K)
         # Per-row loss sums the per-keyword BCEs (one generation task per
-        # row), so the two task losses carry comparable weight at lambda=1.
+        # row). The sum grows with the keyword count, so at lambda=1 this
+        # term dominates: L_rationale / L_label is 14.0 for run-all at
+        # n=2000, corruption 0.2.
         per_row = bce.sum(axis=1)
         rationale_loss = float(per_row[mask].mean())
         for i in range(n):

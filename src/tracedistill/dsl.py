@@ -173,9 +173,6 @@ class Ast:
     def edges(self) -> list[tuple[int, int]]:
         return [(n.id, c) for n in self.nodes for c in n.children]
 
-    def parent_map(self) -> dict[int, int]:
-        return {c: p for p, c in self.edges}
-
     def validate(self) -> None:
         """Check tree shape: unique ids, |E| = |V| - 1, all reachable, arity."""
         ids = [n.id for n in self.nodes]

@@ -37,9 +37,6 @@ class PrunedTrace:
     kept_seqs: list[int]  # ascending
     slice_root: int  # seq of the return event
 
-    def kept_events(self) -> list[TraceEvent]:
-        return [self.base.events[s] for s in self.kept_seqs]
-
 
 def _return_seq(trace: ExecutionTrace) -> int:
     if not trace.events or trace.events[-1].kind != "return":
@@ -47,7 +44,7 @@ def _return_seq(trace: ExecutionTrace) -> int:
     return trace.events[-1].seq
 
 
-def prune(trace: ExecutionTrace, ast: Ast) -> PrunedTrace:
+def prune(trace: ExecutionTrace) -> PrunedTrace:
     """Backward dynamic slice from the return event.
 
     An event survives if a kept event uses one of its bindings (data

@@ -51,9 +51,6 @@ class ExecutionTrace:
     status: str  # ok, runtime_error, step_limit
     error: dict | None = None  # {node_id, message} when status == runtime_error
 
-    def event_by_seq(self, seq: int) -> TraceEvent:
-        return self.events[seq]
-
 
 class _Fault(Exception):
     def __init__(self, node_id: int, message: str):
@@ -582,11 +579,14 @@ def normalize_answer(raw: str) -> str:
     return " ".join(_NUMBER_WORDS.get(w, w) for w in words)
 
 
+REJECT_REASONS = ("wrong_answer", "runtime_error", "step_limit")
+
+
 @dataclass
 class RejectedTrace:
     trace: ExecutionTrace
     query: Query
-    reason: str  # wrong_answer | runtime_error | step_limit
+    reason: str  # one of REJECT_REASONS
 
 
 def faithfulness_filter(
@@ -611,10 +611,13 @@ def faithfulness_filter(
 # ---------------------------------------------------------------------------
 # trace (de)serialization for traces.jsonl
 
-def trace_to_record(trace: ExecutionTrace, query_id: str) -> dict:
+def trace_to_record(trace: ExecutionTrace, query_id: str, reject_reason: str | None) -> dict:
+    """``reject_reason`` is the faithfulness filter's verdict: None for a
+    kept trace, otherwise one of REJECT_REASONS."""
     return {
         "program_id": trace.program_id,
         "query_id": query_id,
+        "reject_reason": reject_reason,
         "status": trace.status,
         "error": trace.error,
         "result": value_to_json(trace.result),

@@ -10,6 +10,7 @@ filter funnel (generated, executed, faithful-kept, score-kept, emitted).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from . import codegen, distill, editing, scenes as sw, students as st
@@ -17,12 +18,11 @@ from .config import PipelineConfig
 from .dsl import parse
 from .errors import StageError
 from .interp import (
+    REJECT_REASONS,
     ExecutionTrace,
     StepLimits,
     execute,
     faithfulness_filter,
-    normalize_answer,
-    plain_text,
     trace_from_record,
     trace_to_record,
 )
@@ -84,7 +84,8 @@ def load_or_new_manifest(config: PipelineConfig) -> RunManifest:
 
 
 def _map_rows(stage: str, rows, fn, strict: bool):
-    """Order-preserving per-row map with crash isolation."""
+    """Order-preserving per-row map with crash isolation. A recorded error
+    names the row by index and by its query and program ids."""
     out = []
     errors = []
     for i, row in enumerate(rows):
@@ -93,7 +94,13 @@ def _map_rows(stage: str, rows, fn, strict: bool):
         except Exception as exc:
             if strict:
                 raise StageError(stage, str(exc), row=i) from exc
-            errors.append({"row": i, "error": str(exc)})
+            ids = row if isinstance(row, dict) else {}
+            errors.append({
+                "row": i,
+                "query_id": ids.get("query_id"),
+                "program_id": ids.get("program_id"),
+                "error": str(exc),
+            })
     return out, errors
 
 
@@ -154,31 +161,40 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest) -> None:
         query = queries[row["query_id"]]
         scene = scenes_by_id[query.scene_id]
         trace = execute(parse(row["source"]), scene, limits, tools, program_id=row["program_id"])
-        return trace_to_record(trace, query.query_id)
+        return trace, query
 
     rows = list(read_jsonl(config.path("programs")))
-    out, errors = _map_rows("exec", rows, run_row, config["strict"])
-    write_jsonl(config.path("traces"), out)
-
-    pairs = [(trace_from_record(rec), queries[rec["query_id"]]) for rec in out]
-    kept, _ = faithfulness_filter(pairs)
-    manifest.counts["executed"] = len(out)
+    pairs, errors = _map_rows("exec", rows, run_row, config["strict"])
+    kept, rejected = faithfulness_filter(pairs)
+    reason_of = {id(r.trace): r.reason for r in rejected}
+    write_jsonl(
+        config.path("traces"),
+        (trace_to_record(trace, query.query_id, reason_of.get(id(trace))) for trace, query in pairs),
+    )
+    reasons = Counter(reason_of.values())
+    manifest.counts["executed"] = len(pairs)
     manifest.counts["faithful_kept"] = len(kept)
     manifest.record(
-        "exec", started, rows_in=len(rows), rows_out=len(out), errors=errors,
-        extra={"faithful_kept": len(kept)},
+        "exec", started, rows_in=len(rows), rows_out=len(pairs), errors=errors,
+        extra={
+            "faithful_kept": len(kept),
+            "rejected": {reason: reasons[reason] for reason in REJECT_REASONS},
+        },
     )
+
+
+def rationale_tokens(text: str) -> int:
+    return len(text.split())
 
 
 def edit_one(
     trace: ExecutionTrace,
-    ast,
     query_id: str,
     flags: dict,
     bridger=None,
 ) -> editing.CotRationale:
     """Run the requested subset of prune/merge/bridge on one kept trace."""
-    pruned = editing.prune(trace, ast) if flags["prune"] else editing.keep_all(trace)
+    pruned = editing.prune(trace) if flags["prune"] else editing.keep_all(trace)
     symbolic = editing.merge(pruned) if flags["merge"] else editing.raw_records(pruned)
     sentences = editing.render(symbolic)
     tagged = editing.tag_gaps(sentences, symbolic)
@@ -189,30 +205,20 @@ def edit_one(
 
 
 def stage_edit(config: PipelineConfig, manifest: RunManifest, flags: dict | None = None) -> None:
+    """Edit the traces exec kept; reads traces.jsonl and nothing else."""
     started = time.monotonic()
     flags = flags or config.edit_flags
     external = config["external_bridger"]
     bridger = None
     if external["enabled"]:
         bridger = editing.HttpBridger(external["endpoint"], float(external.get("timeout", 5.0)))
-    queries = {q.query_id: q for q in sw.load_queries(config.path("queries"))}
-    sources = {row["program_id"]: row["source"] for row in read_jsonl(config.path("programs"))}
     rows = list(read_jsonl(config.path("traces")))
+    if any("reject_reason" not in rec for rec in rows):
+        raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
+    kept_rows = [rec for rec in rows if rec["reject_reason"] is None]
 
-    kept_rows = []
-    for rec in rows:
-        trace = trace_from_record(rec)
-        query = queries[rec["query_id"]]
-        if trace.status != "ok":
-            continue
-        if normalize_answer(plain_text(trace.result)) != normalize_answer(query.expected_answer):
-            continue
-        kept_rows.append((rec, trace))
-
-    def run_row(i, pair):
-        rec, trace = pair
-        ast = parse(sources[rec["program_id"]])
-        rationale = edit_one(trace, ast, rec["query_id"], flags, bridger)
+    def run_row(i, rec):
+        rationale = edit_one(trace_from_record(rec), rec["query_id"], flags, bridger)
         return {
             "query_id": rationale.query_id,
             "program_id": rationale.program_id,
@@ -225,9 +231,10 @@ def stage_edit(config: PipelineConfig, manifest: RunManifest, flags: dict | None
 
     out, errors = _map_rows("edit", kept_rows, run_row, config["strict"])
     write_jsonl(config.path("rationales"), out)
+    tokens = [rationale_tokens(row["text"]) for row in out]
     manifest.record(
         "edit", started, rows_in=len(rows), rows_out=len(out), errors=errors,
-        extra={"flags": dict(flags)},
+        extra={"flags": dict(flags), "mean_tokens": sum(tokens) / len(tokens) if tokens else 0.0},
     )
 
 
@@ -249,20 +256,11 @@ def stage_score(config: PipelineConfig, manifest: RunManifest) -> None:
     rows = list(read_jsonl(config.path("rationales")))
 
     def run_row(i, row):
-        rationale = editing.CotRationale(
-            query_id=row["query_id"],
-            program_id=row["program_id"],
-            text=row["text"],
-            lineage=editing.Lineage(**row["lineage"]),
-            sentences=row["sentences"],
-            joints=row["joints"],
-            source_records=[],
-        )
         scored = st.utility_score(
-            rationale, by_id[row["query_id"]], ensemble, harm_value=int(config["harm_verdict"])
+            row["text"], by_id[row["query_id"]], ensemble, harm_value=int(config["harm_verdict"])
         )
         return {
-            "query_id": scored.rationale.query_id,
+            "query_id": scored.query_id,
             "score": scored.score,
             "outcomes": [
                 {
@@ -285,28 +283,16 @@ def stage_score(config: PipelineConfig, manifest: RunManifest) -> None:
     )
 
 
-@dataclass
-class _KeptRationale:
-    rationale: editing.CotRationale
-
-
 def stage_emit(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
     queries = sw.load_queries(config.path("queries"))
     texts = {row["query_id"]: row["text"] for row in read_jsonl(config.path("rationales"))}
-    kept = []
-    for row in read_jsonl(config.path("scored")):
-        if row["score"] >= int(config["min_score"]):
-            rationale = editing.CotRationale(
-                query_id=row["query_id"],
-                program_id="",
-                text=texts[row["query_id"]],
-                lineage=editing.Lineage(True, True, True),
-                sentences=[],
-                joints=[],
-                source_records=[],
-            )
-            kept.append(_KeptRationale(rationale=rationale))
+    min_score = int(config["min_score"])
+    kept = {
+        row["query_id"]: texts[row["query_id"]]
+        for row in read_jsonl(config.path("scored"))
+        if row["score"] >= min_score
+    }
     emitted = distill.emit_dataset(kept, queries, config.path("dataset"))
     manifest.counts["emitted"] = emitted
     manifest.record(
@@ -368,14 +354,11 @@ def run_all(config: PipelineConfig) -> RunManifest:
 # ---------------------------------------------------------------------------
 # ablation driver: the 8-cell prune/merge/bridge toggle grid
 
-def rationale_tokens(text: str) -> int:
-    return len(text.split())
-
-
 def run_ablation(config: PipelineConfig) -> dict:
     """Re-run edit->score->emit->train for every toggle combination on the
-    already-built base corpus; one failed cell is recorded, not fatal."""
-    for stage in ("scenes", "queries", "programs", "traces"):
+    already-built base corpus; one failed cell is recorded, not fatal. Each
+    cell's figures come from the stage entries of its own manifest."""
+    for stage in ("scenes", "queries", "traces"):
         if not config.path(stage).exists():
             raise StageError("ablate", f"missing base corpus file: {config.path(stage)}")
     cells = {}
@@ -400,16 +383,12 @@ def run_ablation(config: PipelineConfig) -> dict:
                     stage_score(cell_config, sub_manifest)
                     stage_emit(cell_config, sub_manifest)
                     stage_train(cell_config, sub_manifest)
-                    texts = [row["text"] for row in read_jsonl(cell_config.path("rationales"))]
-                    scored_rows = list(read_jsonl(cell_config.path("scored")))
-                    kept = sum(1 for r in scored_rows if r["score"] >= int(config["min_score"]))
-                    metrics = read_json(cell_config.path("metrics"))
+                    entry = {e["stage"]: e for e in sub_manifest.stages}
+                    scored = entry["score"]["rows_out"]
                     cells[key] = {
-                        "mean_tokens": (
-                            sum(rationale_tokens(t) for t in texts) / len(texts) if texts else 0.0
-                        ),
-                        "keep_rate": kept / len(scored_rows) if scored_rows else 0.0,
-                        "accuracy_heldout": metrics["accuracy_heldout"],
+                        "mean_tokens": entry["edit"]["extra"]["mean_tokens"],
+                        "keep_rate": sub_manifest.counts["score_kept"] / scored if scored else 0.0,
+                        "accuracy_heldout": entry["train"]["extra"]["accuracy_heldout"],
                     }
                 except Exception as exc:
                     cells[key] = {"error": str(exc)}

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Protocol
 
-from .editing import CotRationale
 from .errors import ConfigError
 from .interp import normalize_answer
 from .scenes import Query, Scene, answer_oracle
@@ -41,7 +40,7 @@ class UtilityOutcome:
 
 @dataclass
 class ScoredRationale:
-    rationale: CotRationale
+    query_id: str
     outcomes: list[UtilityOutcome]
     score: int
 
@@ -58,12 +57,13 @@ def verdict_for(before: bool, after: bool, harm_value: int = -1) -> tuple[str, i
 
 
 def utility_score(
-    rationale: CotRationale,
+    text: str,
     query: Query,
     students: list[StudentOracle],
     harm_value: int = -1,
 ) -> ScoredRationale:
-    """Probe each student before/after seeing the rationale and sum verdicts.
+    """Probe each student before/after seeing the rationale ``text`` and sum
+    verdicts.
 
     A student that raises scores 0 and is recorded as abstained.
     """
@@ -74,14 +74,14 @@ def utility_score(
     for student in students:
         try:
             before = normalize_answer(student.answer(query.question)) == expected
-            after = normalize_answer(student.answer(query.question, rationale.text)) == expected
+            after = normalize_answer(student.answer(query.question, text)) == expected
         except Exception:
             outcomes.append(UtilityOutcome(student.name, False, False, "abstained", 0))
             continue
         verdict, value = verdict_for(before, after, harm_value)
         outcomes.append(UtilityOutcome(student.name, before, after, verdict, value))
     return ScoredRationale(
-        rationale=rationale,
+        query_id=query.query_id,
         outcomes=outcomes,
         score=sum(o.value for o in outcomes),
     )

@@ -22,8 +22,6 @@ from tracedistill.config import load_config
 from tracedistill.distill import TrainConfig, build_model, grad_check, loss, train
 from tracedistill.dsl import parse
 from tracedistill.editing import (
-    CotRationale,
-    Lineage,
     keep_all,
     merge,
     prune,
@@ -84,7 +82,7 @@ def test_slice_soundness(faithful_corpus):
     assert forms == {"count", "exists", "attribute", "spatial", "relation"}
     replayed = 0
     for program, query, scene, trace in rows:
-        pruned = prune(trace, program.ast)
+        pruned = prune(trace)
         replay = execute(parse(slice_source(program.ast, pruned)), scene)
         assert replay.status == "ok", (program.source, slice_source(program.ast, pruned))
         assert plain_text(replay.result) == plain_text(trace.result)
@@ -101,7 +99,7 @@ def test_merge_correctness(faithful_corpus):
         loops = [e for e in trace.events if e.kind == "loop_exit"]
         if not loops or all(e.detail["iterations"] < 2 for e in loops):
             continue
-        pruned = prune(trace, program.ast)
+        pruned = prune(trace)
         sym = merge(pruned)
         assert len(sym.records) < len(pruned.kept_seqs)
         _, _, env = evaluate(program.ast, scene)
@@ -140,14 +138,13 @@ def test_verdict_table_and_brute_force():
             right = self.combo[1] if context is not None else self.combo[0]
             return "3" if right else "7"
 
-    rationale = CotRationale("q", "p", "text", Lineage(True, True, True), ["text"], [], [[0]])
     query = Query("q", "s", "how many muffins", "3")
     values = {(False, True): 1, (False, False): -1, (True, True): 0, (True, False): -1}
     cases = list(product(values, repeat=3))
     assert len(cases) == 64
     for combo in cases:
         students = [Scripted(f"s{i}", c) for i, c in enumerate(combo)]
-        scored = utility_score(rationale, query, students)
+        scored = utility_score("text", query, students)
         expected = sum(values[c] for c in combo)
         assert scored.score == expected
         kept, rejected = filter_by_score([scored])
@@ -185,11 +182,7 @@ def test_directional_distillation_effect():
             if example.rationale is None:
                 filtered.append(example)
                 continue
-            rationale = CotRationale(
-                example.query_id, "p", example.rationale, Lineage(True, True, True),
-                [example.rationale], [], [[0]],
-            )
-            scored = utility_score(rationale, query, [student])
+            scored = utility_score(example.rationale, query, [student])
             kept, _ = filter_by_score([scored])
             if kept:
                 filtered.append(example)

@@ -24,21 +24,6 @@ from tracedistill.scenes import Query
 from .conftest import build_correlation_task
 
 
-class _Kept:
-    def __init__(self, query_id, text):
-        from tracedistill.editing import CotRationale, Lineage
-
-        self.rationale = CotRationale(
-            query_id=query_id,
-            program_id="p",
-            text=text,
-            lineage=Lineage(True, True, True),
-            sentences=[text],
-            joints=[],
-            source_records=[[0]],
-        )
-
-
 def make_queries(n, prefix="q"):
     return [Query(f"{prefix}{i}", f"s{i}", f"how many muffins {i}", str(i % 4)) for i in range(n)]
 
@@ -46,7 +31,7 @@ def make_queries(n, prefix="q"):
 class TestEmitDataset:
     def test_row_and_mask_counts(self, tmp_path):
         queries = make_queries(15)
-        kept = [_Kept(f"q{i}", f"the answer is {i % 4}") for i in range(10)]
+        kept = {f"q{i}": f"the answer is {i % 4}" for i in range(10)}
         path = tmp_path / "dataset.jsonl"
         assert emit_dataset(kept, queries, path) == 15
         rows = [r for r in read_jsonl(path) if "__meta__" not in r]
@@ -55,17 +40,17 @@ class TestEmitDataset:
 
     def test_empty_kept_header_only_when_no_queries(self, tmp_path):
         path = tmp_path / "dataset.jsonl"
-        assert emit_dataset([], [], path) == 0
+        assert emit_dataset({}, [], path) == 0
         lines = path.read_text().splitlines()
         assert len(lines) == 1 and "__meta__" in lines[0]
 
     def test_dangling_query_listed(self, tmp_path):
         with pytest.raises(EmissionError, match="ghost"):
-            emit_dataset([_Kept("ghost", "t")], make_queries(2), tmp_path / "d.jsonl")
+            emit_dataset({"ghost": "t"}, make_queries(2), tmp_path / "d.jsonl")
 
     def test_re_emission_byte_identical(self, tmp_path):
         queries = make_queries(8)
-        kept = [_Kept(f"q{i}", "…") for i in range(4)]
+        kept = {f"q{i}": "…" for i in range(4)}
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         emit_dataset(kept, queries, a)
         emit_dataset(kept, queries, b)
@@ -73,7 +58,7 @@ class TestEmitDataset:
 
     def test_load_round_trip(self, tmp_path):
         queries = make_queries(6)
-        kept = [_Kept(f"q{i}", f"text {i}") for i in range(3)]
+        kept = {f"q{i}": f"text {i}" for i in range(3)}
         path = tmp_path / "dataset.jsonl"
         emit_dataset(kept, queries, path)
         examples = load_dataset(path)

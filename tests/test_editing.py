@@ -59,7 +59,7 @@ def corpus_traces(n, seed):
 class TestPrune:
     def test_unused_assign_dropped(self, muffins3):
         ast, trace = run("x = 1\ny = 2\nreturn x", muffins3)
-        pruned = prune(trace, ast)
+        pruned = prune(trace)
         kept_bindings = [
             name for s in pruned.kept_seqs for name in trace.events[s].bindings
         ]
@@ -67,17 +67,17 @@ class TestPrune:
 
     def test_straight_line_identity(self, muffins3):
         ast, trace = run("x = 1\ny = x + 1\nreturn y", muffins3)
-        pruned = prune(trace, ast)
+        pruned = prune(trace)
         assert pruned.kept_seqs == [e.seq for e in trace.events]
 
     def test_requires_ok_status(self, muffins3):
         trace = execute(parse("return missing"), muffins3)
         with pytest.raises(TraceDistillError):
-            prune(trace, parse("return missing"))
+            prune(trace)
 
     def test_slice_replay_corpus(self):
         for program, scene, trace in corpus_traces(60, seed=41):
-            pruned = prune(trace, program.ast)
+            pruned = prune(trace)
             replay = execute(parse(slice_source(program.ast, pruned)), scene)
             assert replay.status == "ok"
             assert plain_text(replay.result) == plain_text(trace.result)
@@ -102,11 +102,11 @@ class TestPrune:
 
     def test_minimality_every_kept_event_needed(self):
         ast, trace = run(COUNTING, make_muffin_scene(3))
-        self.assert_minimal(trace, prune(trace, ast))
+        self.assert_minimal(trace, prune(trace))
 
     def test_minimality_over_corpus(self):
         for program, _, trace in corpus_traces(40, seed=43):
-            self.assert_minimal(trace, prune(trace, program.ast))
+            self.assert_minimal(trace, prune(trace))
 
     def test_branch_kept_for_dependent_return(self, table_scene):
         source = (
@@ -119,7 +119,7 @@ class TestPrune:
             "return answer"
         )
         ast, trace = run(source, table_scene)
-        pruned = prune(trace, ast)
+        pruned = prune(trace)
         kept_kinds = {trace.events[s].kind for s in pruned.kept_seqs}
         assert "branch_taken" in kept_kinds
 
@@ -133,7 +133,7 @@ class TestMerge:
 
     def test_counter_collapses_to_final_value(self, muffins3):
         ast, trace = run(COUNTING, make_muffin_scene(3))
-        sym = merge(prune(trace, ast))
+        sym = merge(prune(trace))
         count_records = [
             r for r in sym.records if r.operation == "assigned" and "count" in r.arguments
         ]
@@ -145,7 +145,7 @@ class TestMerge:
 
     def test_merged_value_matches_environment(self):
         for program, scene, trace in corpus_traces(40, seed=61):
-            pruned = prune(trace, program.ast)
+            pruned = prune(trace)
             sym = merge(pruned)
             _, _, env = evaluate(program.ast, scene)
             last_record_for = {}
@@ -158,13 +158,13 @@ class TestMerge:
 
     def test_no_loops_one_record_per_event(self, muffins3):
         ast, trace = run("x = 1\ny = x + 1\nreturn y", muffins3)
-        pruned = prune(trace, ast)
+        pruned = prune(trace)
         sym = merge(pruned)
         assert len(sym.records) == len(pruned.kept_seqs)
 
     def test_conciseness_on_loops(self):
         ast, trace = run(COUNTING, make_muffin_scene(4))
-        pruned = prune(trace, ast)
+        pruned = prune(trace)
         assert len(merge(pruned).records) < len(pruned.kept_seqs)
 
     def test_repeated_tool_calls_annotated(self, muffins3):
@@ -189,7 +189,7 @@ class TestMerge:
 
     def test_one_assigned_record_per_node_and_variable(self):
         for program, _, trace in corpus_traces(40, seed=63):
-            pruned = prune(trace, program.ast)
+            pruned = prune(trace)
             sym = merge(pruned)
             seen = set()
             for record in sym.records:
@@ -204,7 +204,7 @@ class TestMerge:
 class TestLineGrammar:
     def test_round_trip_over_corpus(self):
         for program, scene, trace in corpus_traces(30, seed=71):
-            for sym in (merge(prune(trace, program.ast)), raw_records(keep_all(trace))):
+            for sym in (merge(prune(trace)), raw_records(keep_all(trace))):
                 for record in sym.records:
                     line = record_to_line(record)
                     assert record_from_line(line) == record
@@ -247,7 +247,7 @@ class TestRenderGoldens:
             "return str(count)",
             muffins8,
         )
-        sym = merge(prune(trace, ast))
+        sym = merge(prune(trace))
         sentences = render(sym)
         assert sentences == golden.read_text().splitlines()
 
@@ -265,7 +265,7 @@ class TestRenderGoldens:
 
     def test_render_injective_on_corpus(self):
         for program, _, trace in corpus_traces(20, seed=81):
-            sym = merge(prune(trace, program.ast))
+            sym = merge(prune(trace))
             sentences = render(sym)
             distinct_records = []
             distinct_sentences = []
@@ -279,7 +279,7 @@ class TestRenderGoldens:
 class TestTagGaps:
     def _sym(self, source, scene):
         ast, trace = run(source, scene)
-        return merge(prune(trace, ast))
+        return merge(prune(trace))
 
     def test_def_use_continuity_is_no_gap(self, muffins8):
         sym = self._sym(
@@ -302,7 +302,7 @@ class TestTagGaps:
 
     def test_totality_and_idempotence(self):
         for program, _, trace in corpus_traces(20, seed=91):
-            sym = merge(prune(trace, program.ast))
+            sym = merge(prune(trace))
             sentences = render(sym)
             tagged = tag_gaps(sentences, sym)
             assert len(tagged.joints) == len(sentences) - 1
@@ -330,7 +330,7 @@ class TestTagGaps:
 class TestBridge:
     def _tagged(self, scene):
         ast, trace = run(COUNTING, scene)
-        sym = merge(prune(trace, ast))
+        sym = merge(prune(trace))
         sentences = render(sym)
         return sym, tag_gaps(sentences, sym)
 
@@ -345,7 +345,6 @@ class TestBridge:
         sym = merge(
             prune(
                 execute(parse("patches = image.find('muffin')\nnum = len(patches)\nreturn str(num)"), muffins8),
-                parse("patches = image.find('muffin')\nnum = len(patches)\nreturn str(num)"),
             )
         )
         sentences = render(sym)
@@ -356,7 +355,7 @@ class TestBridge:
 
     def test_conservativeness_removing_insertions_recovers_draft(self):
         for program, scene, trace in corpus_traces(20, seed=95):
-            sym = merge(prune(trace, program.ast))
+            sym = merge(prune(trace))
             sentences = render(sym)
             tagged = tag_gaps(sentences, sym)
             rationale = bridge(tagged, sym, query_id=program.query_id)

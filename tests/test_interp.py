@@ -145,7 +145,7 @@ class TestDefUseAndCompleteness:
 
     def test_trace_record_round_trip(self):
         for _, _, trace in self._corpus_traces(n=10, seed=77):
-            rec = trace_to_record(trace, "q")
+            rec = trace_to_record(trace, "q", None)
             assert trace_from_record(rec) == trace
 
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
-from tracedistill import cli
+from tracedistill import cli, pipeline
 from tracedistill.config import default_config, load_config
 from tracedistill.editing import keep_all, raw_records, render
 from tracedistill.errors import StageError
@@ -70,6 +71,62 @@ class TestRunAll:
             assert len(row["joints"]) >= 0
 
 
+class TestStageHandoff:
+    def test_exec_records_reject_reasons(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        manifest = run_all(config)
+        rejected = next(e for e in manifest.stages if e["stage"] == "exec")["extra"]["rejected"]
+        assert set(rejected) == {"wrong_answer", "runtime_error", "step_limit"}
+        counts = manifest.counts
+        assert sum(rejected.values()) == counts["executed"] - counts["faithful_kept"] == 5
+        reasons = Counter(r["reject_reason"] for r in read_jsonl(config.path("traces")))
+        assert reasons.pop(None) == counts["faithful_kept"]
+        assert reasons == {k: v for k, v in rejected.items() if v}
+
+    def test_edit_reads_only_traces(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        before = config.path("rationales").read_bytes()
+        config.path("programs").unlink()
+        config.path("queries").unlink()
+
+        def no_parse(source):
+            raise AssertionError("edit parsed a program")
+
+        monkeypatch.setattr(pipeline, "parse", no_parse)
+        stage_edit(config, new_manifest(config))
+        assert config.path("rationales").read_bytes() == before
+
+    def test_rejected_trace_gets_no_rationale(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        rows = list(read_jsonl(config.path("traces")))
+        target = next(r for r in rows if r["reject_reason"] is None)
+        target["reject_reason"] = "wrong_answer"
+        write_jsonl(config.path("traces"), rows)
+        stage_edit(config, new_manifest(config))
+        edited = {r["query_id"] for r in read_jsonl(config.path("rationales"))}
+        assert target["query_id"] not in edited
+        assert len(edited) == 14
+
+    def test_edit_rejects_traces_without_verdicts(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        rows = list(read_jsonl(config.path("traces")))
+        for row in rows:
+            del row["reject_reason"]
+        write_jsonl(config.path("traces"), rows)
+        with pytest.raises(StageError, match="rerun exec"):
+            stage_edit(config, new_manifest(config))
+
+    def test_edit_reports_mean_tokens(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        manifest = run_all(config)
+        extra = next(e for e in manifest.stages if e["stage"] == "edit")["extra"]
+        texts = [r["text"] for r in read_jsonl(config.path("rationales"))]
+        assert extra["mean_tokens"] == sum(len(t.split()) for t in texts) / len(texts)
+
+
 class TestEditToggles:
     def test_identity_edit_equals_rendered_raw_trace(self, tmp_path):
         config = load_config(write_config(tmp_path, corruption_rate=0.0))
@@ -108,6 +165,8 @@ class TestCrashIsolation:
         entry = manifest.stages[-1]
         assert entry["rows_out"] == len(rows) - 1
         assert entry["row_errors"][0]["row"] == 3
+        assert entry["row_errors"][0]["program_id"] == rows[3]["program_id"]
+        assert entry["row_errors"][0]["query_id"] == rows[3]["query_id"]
 
     def test_strict_aborts(self, tmp_path):
         config = load_config(write_config(tmp_path, strict=True))

@@ -5,7 +5,6 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from tracedistill.editing import CotRationale, Lineage
 from tracedistill.errors import ConfigError
 from tracedistill.scenes import Query, generate_queries, generate_scenes
 from tracedistill.students import (
@@ -18,18 +17,6 @@ from tracedistill.students import (
     utility_score,
     verdict_for,
 )
-
-
-def make_rationale(text, query_id="q"):
-    return CotRationale(
-        query_id=query_id,
-        program_id="p",
-        text=text,
-        lineage=Lineage(True, True, True),
-        sentences=[text],
-        joints=[],
-        source_records=[[0]],
-    )
 
 
 class FixedStudent:
@@ -63,7 +50,7 @@ class TestVerdicts:
             FixedStudent("b", before_right=False, after_right=False),  # -1
             FixedStudent("c", before_right=True, after_right=True),    # 0
         ]
-        scored = utility_score(make_rationale("whatever"), query, students)
+        scored = utility_score("whatever", query, students)
         assert scored.score == 0
         kept, _ = filter_by_score([scored])
         assert kept  # retained at the default threshold
@@ -71,7 +58,7 @@ class TestVerdicts:
     def test_all_wrong_rejected(self):
         query = Query("q", "s", "how many muffins", "3")
         students = [FixedStudent(str(i), False, False) for i in range(4)]
-        scored = utility_score(make_rationale("whatever"), query, students)
+        scored = utility_score("whatever", query, students)
         assert scored.score == -4
         kept, rejected = filter_by_score([scored])
         assert not kept and rejected
@@ -84,14 +71,14 @@ class TestVerdicts:
                 raise TimeoutError("slow model")
 
         query = Query("q", "s", "how many muffins", "3")
-        scored = utility_score(make_rationale("x"), query, [Exploding()])
+        scored = utility_score("x", query, [Exploding()])
         assert scored.score == 0
         assert scored.outcomes[0].verdict == "abstained"
 
     def test_requires_students(self):
         query = Query("q", "s", "how many muffins", "3")
         with pytest.raises(ValueError):
-            utility_score(make_rationale("x"), query, [])
+            utility_score("x", query, [])
 
     def test_score_additivity(self):
         query = Query("q", "s", "how many muffins", "3")
@@ -100,9 +87,9 @@ class TestVerdicts:
             FixedStudent("b", True, False),
             FixedStudent("c", True, True),
         ]
-        ensemble = utility_score(make_rationale("x"), query, students).score
+        ensemble = utility_score("x", query, students).score
         singles = sum(
-            utility_score(make_rationale("x"), query, [s]).score for s in students
+            utility_score("x", query, [s]).score for s in students
         )
         assert ensemble == singles
 
@@ -117,7 +104,7 @@ class TestVerdicts:
                 FixedStudent(f"s{i}", before_right=c[0] == "T", after_right=c[1] == "T")
                 for i, c in enumerate(combo)
             ]
-            scored = utility_score(make_rationale("x"), query, students)
+            scored = utility_score("x", query, students)
             expected_score = sum(values[c] for c in combo)
             assert scored.score == expected_score
             kept, _ = filter_by_score([scored])
@@ -127,22 +114,22 @@ class TestVerdicts:
 class TestFilter:
     def test_threshold_partition(self):
         rows = [
-            ScoredRationale(make_rationale("a"), [], -2),
-            ScoredRationale(make_rationale("b"), [], 0),
-            ScoredRationale(make_rationale("c"), [], 3),
+            ScoredRationale("a", [], -2),
+            ScoredRationale("b", [], 0),
+            ScoredRationale("c", [], 3),
         ]
         kept, rejected = filter_by_score(rows, min_score=0)
         assert [s.score for s in kept] == [0, 3]
         assert [s.score for s in rejected] == [-2]
 
     def test_strict_threshold(self):
-        rows = [ScoredRationale(make_rationale("a"), [], s) for s in (-1, 0, 1)]
+        rows = [ScoredRationale("a", [], s) for s in (-1, 0, 1)]
         kept, _ = filter_by_score(rows, min_score=1)
         assert [s.score for s in kept] == [1]
 
     @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=30), st.integers(-5, 5))
     def test_partition_exhaustive_disjoint(self, scores, threshold):
-        rows = [ScoredRationale(make_rationale(str(i)), [], s) for i, s in enumerate(scores)]
+        rows = [ScoredRationale(str(i), [], s) for i, s in enumerate(scores)]
         kept, rejected = filter_by_score(rows, min_score=threshold)
         assert len(kept) + len(rejected) == len(rows)
         assert all(s.score >= threshold for s in kept)
@@ -150,7 +137,7 @@ class TestFilter:
 
     @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=30), st.integers(-4, 4))
     def test_monotone_and_idempotent(self, scores, threshold):
-        rows = [ScoredRationale(make_rationale(str(i)), [], s) for i, s in enumerate(scores)]
+        rows = [ScoredRationale(str(i), [], s) for i, s in enumerate(scores)]
         kept_low, _ = filter_by_score(rows, min_score=threshold)
         kept_high, _ = filter_by_score(rows, min_score=threshold + 1)
         assert set(id(s) for s in kept_high) <= set(id(s) for s in kept_low)
@@ -170,7 +157,7 @@ class TestBuiltinStudents:
             [{"kind": "stubborn"}], scenes_by_id=scenes_by_id, queries=queries
         )[0]
         for query in queries:
-            scored = utility_score(make_rationale("text", query.query_id), query, [student])
+            scored = utility_score("text", query, [student])
             assert scored.outcomes[0].value in (0, -1)
 
     def test_rationale_sensitive_empty_rationale(self):
@@ -179,7 +166,7 @@ class TestBuiltinStudents:
             [{"kind": "rationale_sensitive"}], scenes_by_id=scenes_by_id, queries=queries
         )[0]
         query = queries[0]
-        scored = utility_score(make_rationale("", query.query_id), query, [student])
+        scored = utility_score("", query, [student])
         assert scored.outcomes[0].verdict == "non_useful"
         assert scored.score == -1
 
@@ -190,7 +177,7 @@ class TestBuiltinStudents:
         )[0]
         query = queries[0]
         text = f"Therefore the answer is {query.expected_answer}."
-        scored = utility_score(make_rationale(text, query.query_id), query, [student])
+        scored = utility_score(text, query, [student])
         assert scored.outcomes[0].verdict == "useful"
         assert scored.score == 1
 
