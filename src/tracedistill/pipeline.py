@@ -137,7 +137,9 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
             try:
                 programs.append(codegen.external_generate(gen_config, query, summary))
             except Exception as exc:  # transport or parse failure: record, skip row
-                errors.append({"row": i, "error": str(exc)})
+                errors.append({
+                    "row": i, "query_id": query.query_id, "program_id": None, "error": str(exc),
+                })
     else:
         bank = codegen.TemplateBank(corruption_rate=float(config["corruption_rate"]))
         programs = codegen.generate_programs(queries, bank, config.seeds["program_gen"])
@@ -325,7 +327,12 @@ def stage_train(config: PipelineConfig, manifest: RunManifest) -> None:
     )
     manifest.record(
         "train", started, rows_in=len(examples), rows_out=1,
-        extra={"accuracy_heldout": report.accuracy_heldout, "diverged": report.diverged},
+        extra={
+            "accuracy_heldout": report.accuracy_heldout,
+            "diverged": report.diverged,
+            "epochs_run": report.epochs_run,
+            "loss_curve": report.loss_curve,
+        },
     )
 
 

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tracedistill import distill
 from tracedistill.distill import (
     DistillExample,
     TrainConfig,
     build_model,
     emit_dataset,
+    encode,
     extract_keywords,
     grad_check,
     load_dataset,
@@ -136,6 +139,105 @@ class TestLoss:
         with pytest.raises(ValueError):
             loss(model, [])
 
+    def test_unknown_label_rejected(self):
+        model = build_model(small_batch(), seed=0)
+        with pytest.raises(ValueError, match="green"):
+            encode(model, [DistillExample("x", "what color is the cup", "green", None)])
+
+
+def dense_reference(model, examples):
+    """The all-rows formula: keyword targets from an N x K loop, BCE and
+    sigmoid over every row of R, masked rows of dR zeroed afterwards."""
+    X = np.stack([model.featurize(e.question) for e in examples])
+    y = np.array([model.label_vocab.index(e.label) for e in examples])
+    mask = np.array([e.rationale is not None for e in examples])
+    n, K = len(examples), len(model.keywords)
+    T = np.zeros((n, K))
+    for i, e in enumerate(examples):
+        if e.rationale is None:
+            continue
+        present = set(extract_keywords(e.rationale))
+        for j, k in enumerate(model.keywords):
+            if k in present:
+                T[i, j] = 1.0
+
+    Z = X @ model.W_label.T
+    Z = Z - Z.max(axis=1, keepdims=True)
+    E = np.exp(Z)
+    P = E / E.sum(axis=1, keepdims=True)
+    label_loss = float((-np.log(np.clip(P[np.arange(n), y], 1e-12, None))).mean())
+    dZ = P.copy()
+    dZ[np.arange(n), y] -= 1.0
+    dW_label = (dZ.T @ X) / n
+    dW_extra = np.zeros_like(model.W_extra)
+    unmasked = int(mask.sum())
+    rationale_loss = 0.0
+    if K > 0 and unmasked > 0:
+        R = X @ model.keyword_matrix().T
+        bce = np.maximum(R, 0.0) - R * T + np.log1p(np.exp(-np.abs(R)))
+        rationale_loss = float(bce.sum(axis=1)[mask].mean())
+        sig = np.empty_like(R)
+        pos = R >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-R[pos]))
+        e = np.exp(R[~pos])
+        sig[~pos] = e / (1.0 + e)
+        dR = (sig - T) / unmasked
+        dR[~mask] = 0.0
+        dWk = dR.T @ X
+        for j, (where, idx) in enumerate(model.key_rows):
+            if where == "label":
+                dW_label[idx] += model.lam * dWk[j]
+            else:
+                dW_extra[idx] += model.lam * dWk[j]
+    total = label_loss + model.lam * rationale_loss
+    return label_loss, rationale_loss, total, dW_label, dW_extra
+
+
+WORDS = ["cup", "box", "red", "blue", "2", "mug", "left", "count"]
+
+
+@st.composite
+def masked_batches(draw):
+    n = draw(st.integers(1, 10))
+    rows = [
+        DistillExample(
+            f"q{i}",
+            " ".join(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=4))),
+            draw(st.sampled_from(["red", "blue", "2"])),
+            " ".join(draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=5))),
+        )
+        for i in range(n)
+    ]
+    kind = draw(st.sampled_from(["all_masked", "none_masked", "random"]))
+    if kind == "random":
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    else:
+        keep = [kind == "none_masked"] * n
+    batch = [e if k else DistillExample(e.query_id, e.question, e.label, None) for e, k in zip(rows, keep)]
+    return rows, batch
+
+
+class TestMaskedHead:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        masked_batches(),
+        st.sampled_from([0.0, 0.25, 1.0]),
+        st.integers(0, 5),
+        st.sampled_from([0.01, 1.0, 8.0]),
+    )
+    def test_matches_dense_reference_exactly(self, drawn, lam, seed, scale):
+        corpus, batch = drawn
+        # the model's keywords come from the unmasked corpus, so an
+        # all-masked batch still has a non-empty rationale head
+        model = build_model(corpus, lam=lam, seed=seed, init_scale=scale)
+        report, dW_label, dW_extra = loss_and_grads(model, encode(model, batch))
+        label_loss, rationale_loss, total, ref_label, ref_extra = dense_reference(model, batch)
+        assert report.label_loss == label_loss
+        assert report.rationale_loss == rationale_loss
+        assert report.total == total
+        assert np.array_equal(dW_label, ref_label)
+        assert np.array_equal(dW_extra, ref_extra)
+
 
 class TestGradCheck:
     def test_seeded_batches_pass_tolerance(self):
@@ -147,13 +249,13 @@ class TestGradCheck:
     def test_single_class_label_gradient_zero(self):
         batch = [DistillExample(str(i), f"q {i}", "only", None) for i in range(4)]
         model = build_model(batch, lam=1.0, seed=1)
-        _, dW_label, _ = loss_and_grads(model, batch)
+        _, dW_label, _ = loss_and_grads(model, encode(model, batch))
         assert np.allclose(dW_label, 0.0)
 
     def test_lambda_zero_rationale_gradient_zero(self):
         batch = small_batch()
         model = build_model(batch, lam=0.0, seed=2)
-        _, _, dW_extra = loss_and_grads(model, batch)
+        _, _, dW_extra = loss_and_grads(model, encode(model, batch))
         assert np.allclose(dW_extra, 0.0)
 
     def test_epsilon_validated(self):
@@ -172,6 +274,25 @@ class TestGradCheck:
 
 
 class TestTrain:
+    def test_encodes_once(self, monkeypatch):
+        calls = {"encode": 0, "loss_and_grads": 0}
+
+        def counted(name):
+            fn = getattr(distill, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(distill, "encode", counted("encode"))
+        monkeypatch.setattr(distill, "loss_and_grads", counted("loss_and_grads"))
+        examples = build_correlation_task(0, n=60)
+        _, report = train(examples, TrainConfig(lam=1.0, epochs=7, step_size=0.5, seed=1))
+        assert calls == {"encode": 1, "loss_and_grads": 8}
+        assert report.epochs_run == 7
+
     def test_deterministic_rerun(self):
         examples = build_correlation_task(0, n=80)
         config = TrainConfig(lam=1.0, epochs=8, step_size=0.8, seed=4)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -69,6 +70,16 @@ class TestRunAll:
         for row in rationales:
             assert row["lineage"] == {"pruned": True, "merged": True, "bridged": True}
             assert len(row["joints"]) >= 0
+
+    def test_train_records_loss_curve(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        manifest = run_all(config)
+        extra = next(e for e in manifest.stages if e["stage"] == "train")["extra"]
+        curve = extra["loss_curve"]
+        assert extra["epochs_run"] == 5
+        assert len(curve) == extra["epochs_run"] + 1
+        assert all(math.isfinite(x) for x in curve)
+        assert curve[-1] == read_json(config.path("metrics"))["L"]
 
 
 class TestStageHandoff:
@@ -277,6 +288,9 @@ class TestExternalEndpoints:
         entry = manifest.stages[-1]
         assert entry["rows_out"] == 0
         assert len(entry["row_errors"]) == 3
+        queries = [row["query_id"] for row in read_jsonl(config.path("queries"))]
+        assert [e["query_id"] for e in entry["row_errors"]] == queries
+        assert all(e["program_id"] is None for e in entry["row_errors"])
 
     def test_external_bridger_used_in_edit(self, tmp_path, stub_server):
         config = load_config(
