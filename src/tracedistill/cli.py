@@ -45,6 +45,13 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         config = apply_seed_override(config, args.seed)
     if args.strict:
         config = config.with_overrides(strict=True)
+    if args.command == "edit":
+        flags = config.edit_flags
+        config = config.with_overrides(edit={
+            "prune": flags["prune"] and not args.no_prune,
+            "merge": flags["merge"] and not args.no_merge,
+            "bridge": flags["bridge"] and not args.no_bridge,
+        })
     return config
 
 
@@ -60,17 +67,8 @@ def main(argv: list[str] | None = None) -> int:
             report = run_ablation(config)
             print(f"ablation grid complete: {len(report['cells'])} cells")
             return 0
-        if args.command == "edit":
-            flags = {
-                "prune": config.edit_flags["prune"] and not args.no_prune,
-                "merge": config.edit_flags["merge"] and not args.no_merge,
-                "bridge": config.edit_flags["bridge"] and not args.no_bridge,
-            }
-            manifest = load_or_new_manifest(config)
-            STAGES["edit"](config, manifest, flags)
-        else:
-            manifest = load_or_new_manifest(config)
-            STAGES[args.command](config, manifest)
+        manifest = load_or_new_manifest(config)
+        STAGES[args.command](config, manifest)
         write_json(config.path("manifest"), manifest.to_dict())
         print(json.dumps({"stage": args.command, "counts": manifest.counts}))
         return 0

@@ -14,28 +14,22 @@ import json
 import math
 import random
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import scenes as sw
-from .dsl import Ast, parse
+from .dsl import parse
 from .errors import GenerationError
 from .scenes import Query, Scene
 
 
 @dataclass
 class Program:
+    """A generated program as source text; exec is the stage that parses it."""
+
     program_id: str
     query_id: str
     source: str
-    ast: Ast = field(repr=False, compare=False, default=None)
     corrupted: bool = False
-
-
-@dataclass
-class TemplateBank:
-    """Knobs for the offline generator; the sketches themselves are fixed."""
-
-    corruption_rate: float = 0.0
 
 
 def _count_source(name: str, corrupted: bool) -> str:
@@ -141,34 +135,26 @@ def template_source(question: str, corrupted: bool = False) -> str:
     raise GenerationError(f"no template matches question {question!r}")
 
 
-def generate_program(
-    query: Query, bank: TemplateBank, seed: int, *, corrupted: bool = False
-) -> Program:
+def generate_program(query: Query, *, corrupted: bool = False) -> Program:
     """Deterministic program for one query. Whether a query in a batch is
     corrupted is decided by generate_programs so the corrupted count over a
     batch is exact; the flag here makes a single corrupted instance."""
-    del bank, seed  # sketches are deterministic in the question alone
-    source = template_source(query.question, corrupted)
     return Program(
         program_id=f"p{query.query_id}",
         query_id=query.query_id,
-        source=source,
-        ast=parse(source),
+        source=template_source(query.question, corrupted),
         corrupted=corrupted,
     )
 
 
-def generate_programs(queries: list[Query], bank: TemplateBank, seed: int) -> list[Program]:
+def generate_programs(queries: list[Query], corruption_rate: float, seed: int) -> list[Program]:
     """Batch generation with exactly ceil(corruption_rate * n) corrupted
     programs, chosen by seeded sampling."""
     n = len(queries)
-    k = math.ceil(bank.corruption_rate * n) if bank.corruption_rate > 0 else 0
+    k = math.ceil(corruption_rate * n) if corruption_rate > 0 else 0
     rng = random.Random(seed)
     corrupted_idx = set(rng.sample(range(n), k)) if k else set()
-    return [
-        generate_program(q, bank, seed, corrupted=(i in corrupted_idx))
-        for i, q in enumerate(queries)
-    ]
+    return [generate_program(q, corrupted=(i in corrupted_idx)) for i, q in enumerate(queries)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +196,7 @@ def external_generate(config: ExternalGeneratorConfig, query: Query, summary: st
         raise GenerationError(f"external generator transport failure: {exc}") from exc
     source = payload.get("source", "")
     try:
-        ast = parse(source)
+        parse(source)
     except Exception as exc:
         raise GenerationError(f"external generator returned unparseable source: {exc}") from exc
-    return Program(
-        program_id=f"p{query.query_id}",
-        query_id=query.query_id,
-        source=source,
-        ast=ast,
-    )
+    return Program(program_id=f"p{query.query_id}", query_id=query.query_id, source=source)

@@ -121,6 +121,10 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError("noise_p must lie in [0, 1]")
     if merged["harm_verdict"] not in (-1, 0):
         raise ConfigError("harm_verdict must be -1 or 0")
+    if int(merged["max_steps"]) < 1:
+        raise ConfigError("max_steps must be >= 1")
+    if not merged["students"]:
+        raise ConfigError("students must name at least one student")
     return PipelineConfig(raw=merged, base_dir=path.parent)
 
 

@@ -588,7 +588,7 @@ class HttpBridger:
 
     Wire contract: POST {prev, next, facts: [...]} and read {bridge_text}.
     Any failure raises, which bridge() turns into a default-bridger fallback
-    recorded in the lineage.
+    recorded as bridge_fallback.
     """
 
     name = "http"
@@ -617,22 +617,11 @@ class HttpBridger:
 
 
 @dataclass
-class Lineage:
-    pruned: bool
-    merged: bool
-    bridged: bool
-    bridge_fallback: bool = False
-
-    def to_dict(self) -> dict:
-        return {"pruned": self.pruned, "merged": self.merged, "bridged": self.bridged}
-
-
-@dataclass
 class CotRationale:
     query_id: str
     program_id: str
     text: str
-    lineage: Lineage
+    bridge_fallback: bool  # an external bridger failed and the default one filled in
     sentences: list[str]
     joints: list[str]
     source_records: list[list[int]]  # record indices per sentence; [] marks a bridge insertion
@@ -644,16 +633,14 @@ def bridge(
     bridger=None,
     *,
     query_id: str = "",
-    lineage: Lineage | None = None,
 ) -> CotRationale:
     """Insert connective text at every <gap> joint.
 
     External bridger failures fall back to the default bridger and are
-    recorded in the lineage.
+    recorded as bridge_fallback.
     """
     primary = bridger or DefaultBridger()
     fallback = DefaultBridger()
-    lineage = lineage or Lineage(pruned=False, merged=False, bridged=True)
     facts = [record_to_line(r) for r in trace.records]
     sentences: list[str] = [tagged.sentences[0]]
     source_records: list[list[int]] = [[0]]
@@ -678,12 +665,11 @@ def bridge(
             source_records.append([])
         sentences.append(tagged.sentences[i + 1])
         source_records.append([i + 1])
-    lineage.bridge_fallback = fell_back
     return CotRationale(
         query_id=query_id,
         program_id=trace.program_id,
         text=" ".join(sentences),
-        lineage=lineage,
+        bridge_fallback=fell_back,
         sentences=sentences,
         joints=list(tagged.joints),
         source_records=source_records,
@@ -695,15 +681,13 @@ def no_bridge(
     trace: SymbolicTrace,
     *,
     query_id: str = "",
-    lineage: Lineage | None = None,
 ) -> CotRationale:
     """Assemble a rationale without filling gaps (bridge toggled off)."""
-    lineage = lineage or Lineage(pruned=False, merged=False, bridged=False)
     return CotRationale(
         query_id=query_id,
         program_id=trace.program_id,
         text=" ".join(tagged.sentences),
-        lineage=lineage,
+        bridge_fallback=False,
         sentences=list(tagged.sentences),
         joints=list(tagged.joints),
         source_records=[[i] for i in range(len(tagged.sentences))],

@@ -141,8 +141,9 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
                     "row": i, "query_id": query.query_id, "program_id": None, "error": str(exc),
                 })
     else:
-        bank = codegen.TemplateBank(corruption_rate=float(config["corruption_rate"]))
-        programs = codegen.generate_programs(queries, bank, config.seeds["program_gen"])
+        programs = codegen.generate_programs(
+            queries, float(config["corruption_rate"]), config.seeds["program_gen"]
+        )
     write_jsonl(
         config.path("programs"),
         ({"program_id": p.program_id, "query_id": p.query_id, "source": p.source} for p in programs),
@@ -200,16 +201,16 @@ def edit_one(
     symbolic = editing.merge(pruned) if flags["merge"] else editing.raw_records(pruned)
     sentences = editing.render(symbolic)
     tagged = editing.tag_gaps(sentences, symbolic)
-    lineage = editing.Lineage(pruned=flags["prune"], merged=flags["merge"], bridged=flags["bridge"])
     if flags["bridge"]:
-        return editing.bridge(tagged, symbolic, bridger, query_id=query_id, lineage=lineage)
-    return editing.no_bridge(tagged, symbolic, query_id=query_id, lineage=lineage)
+        return editing.bridge(tagged, symbolic, bridger, query_id=query_id)
+    return editing.no_bridge(tagged, symbolic, query_id=query_id)
 
 
-def stage_edit(config: PipelineConfig, manifest: RunManifest, flags: dict | None = None) -> None:
+def stage_edit(config: PipelineConfig, manifest: RunManifest) -> None:
     """Edit the traces exec kept; reads traces.jsonl and nothing else."""
     started = time.monotonic()
-    flags = flags or config.edit_flags
+    flags = config.edit_flags
+    lineage = {"pruned": flags["prune"], "merged": flags["merge"], "bridged": flags["bridge"]}
     external = config["external_bridger"]
     bridger = None
     if external["enabled"]:
@@ -225,8 +226,8 @@ def stage_edit(config: PipelineConfig, manifest: RunManifest, flags: dict | None
             "query_id": rationale.query_id,
             "program_id": rationale.program_id,
             "text": rationale.text,
-            "lineage": rationale.lineage.to_dict(),
-            "bridge_fallback": rationale.lineage.bridge_fallback,
+            "lineage": lineage,
+            "bridge_fallback": rationale.bridge_fallback,
             "sentences": rationale.sentences,
             "joints": rationale.joints,
         }

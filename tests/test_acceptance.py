@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from tracedistill.codegen import TemplateBank, generate_programs
+from tracedistill.codegen import generate_programs
 from tracedistill.config import load_config
 from tracedistill.distill import TrainConfig, build_model, grad_check, loss, train
 from tracedistill.dsl import parse
@@ -51,12 +51,12 @@ def faithful_corpus():
     scenes = generate_scenes(520, seed=2024)
     queries = generate_queries(scenes, seed=2025)
     by_id = {s.scene_id: s for s in scenes}
-    programs = generate_programs(queries, TemplateBank(), seed=2026)
+    programs = generate_programs(queries, 0.0, seed=2026)
     started = time.monotonic()
     rows = []
     for program, query in zip(programs, queries):
         scene = by_id[query.scene_id]
-        trace = execute(program.ast, scene, program_id=program.program_id)
+        trace = execute(parse(program.source), scene, program_id=program.program_id)
         rows.append((program, query, scene, trace))
     kept, _ = faithfulness_filter([(t, q) for _, q, _, t in rows])
     assert len(kept) == len(rows)  # corruption 0, noise 0
@@ -83,8 +83,9 @@ def test_slice_soundness(faithful_corpus):
     replayed = 0
     for program, query, scene, trace in rows:
         pruned = prune(trace)
-        replay = execute(parse(slice_source(program.ast, pruned)), scene)
-        assert replay.status == "ok", (program.source, slice_source(program.ast, pruned))
+        sliced = slice_source(parse(program.source), pruned)
+        replay = execute(parse(sliced), scene)
+        assert replay.status == "ok", (program.source, sliced)
         assert plain_text(replay.result) == plain_text(trace.result)
         replayed += 1
     elapsed = time.monotonic() - started
@@ -102,7 +103,7 @@ def test_merge_correctness(faithful_corpus):
         pruned = prune(trace)
         sym = merge(pruned)
         assert len(sym.records) < len(pruned.kept_seqs)
-        _, _, env = evaluate(program.ast, scene)
+        _, _, env = evaluate(parse(program.source), scene)
         from tracedistill.interp import value_text
 
         last_value = {}

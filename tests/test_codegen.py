@@ -9,7 +9,6 @@ import pytest
 
 from tracedistill.codegen import (
     ExternalGeneratorConfig,
-    TemplateBank,
     external_generate,
     generate_program,
     generate_programs,
@@ -25,42 +24,42 @@ from tracedistill.scenes import Query, generate_queries, generate_scenes
 class TestTemplates:
     def test_counting_template_shape(self, muffins3):
         query = Query("q1", "muffins", "how many muffins", "3")
-        program = generate_program(query, TemplateBank(), seed=0)
+        program = generate_program(query)
         assert "image.find('muffin')" in program.source
         assert "for p in patches:" in program.source
         assert "return str(count)" in program.source
-        trace = execute(program.ast, muffins3)
+        trace = execute(parse(program.source), muffins3)
         assert trace.result == "3"
 
     def test_existence_template(self, table_scene):
         query = Query("q2", "table", "is there a dog", "no")
-        program = generate_program(query, TemplateBank(), seed=0)
+        program = generate_program(query)
         assert "image.exists('dog')" in program.source
         assert "bool_to_yesno" in program.source
-        assert execute(program.ast, table_scene).result == "no"
+        assert execute(parse(program.source), table_scene).result == "no"
 
     def test_attribute_template(self, table_scene):
         query = Query("q3", "table", "what color is the cup", "red")
-        program = generate_program(query, TemplateBank(), seed=0)
+        program = generate_program(query)
         assert "best_text_match" in program.source
-        assert execute(program.ast, table_scene).result == "red"
+        assert execute(parse(program.source), table_scene).result == "red"
 
     def test_spatial_template(self, table_scene):
         query = Query("q4", "table", "is the cup left of the plate", "yes")
-        program = generate_program(query, TemplateBank(), seed=0)
+        program = generate_program(query)
         assert "horizontal_center" in program.source
-        assert execute(program.ast, table_scene).result == "yes"
+        assert execute(parse(program.source), table_scene).result == "yes"
 
     def test_relation_template(self, table_scene):
         query = Query("q5", "table", "what is the cup on", "plate")
-        program = generate_program(query, TemplateBank(), seed=0)
+        program = generate_program(query)
         assert "simple_query" in program.source
-        assert execute(program.ast, table_scene).result == "plate"
+        assert execute(parse(program.source), table_scene).result == "plate"
 
     def test_unmatched_question_raises(self):
         query = Query("q6", "s", "describe the mood of the image", "?")
         with pytest.raises(GenerationError, match="no template"):
-            generate_program(query, TemplateBank(), seed=0)
+            generate_program(query)
 
     def test_every_template_parses(self):
         scenes = generate_scenes(60, seed=1)
@@ -74,15 +73,14 @@ class TestCorruption:
     def test_exact_corrupted_count(self, rate, n):
         scenes = generate_scenes(n, seed=5)
         queries = generate_queries(scenes, seed=6)
-        programs = generate_programs(queries, TemplateBank(corruption_rate=rate), seed=7)
+        programs = generate_programs(queries, rate, seed=7)
         assert sum(p.corrupted for p in programs) == math.ceil(rate * n)
 
     def test_corrupted_selection_is_seeded(self):
         scenes = generate_scenes(20, seed=5)
         queries = generate_queries(scenes, seed=6)
-        bank = TemplateBank(corruption_rate=0.5)
-        a = generate_programs(queries, bank, seed=7)
-        b = generate_programs(queries, bank, seed=7)
+        a = generate_programs(queries, 0.5, seed=7)
+        b = generate_programs(queries, 0.5, seed=7)
         assert [p.corrupted for p in a] == [p.corrupted for p in b]
         assert [p.source for p in a] == [p.source for p in b]
 
@@ -91,8 +89,8 @@ class TestCorruption:
         queries = generate_queries(scenes, seed=16)
         by_id = {s.scene_id: s for s in scenes}
         for query in queries:
-            program = generate_program(query, TemplateBank(), seed=0, corrupted=True)
-            trace = execute(program.ast, by_id[query.scene_id])
+            program = generate_program(query, corrupted=True)
+            trace = execute(parse(program.source), by_id[query.scene_id])
             assert trace.status != "ok" or trace.result != query.expected_answer
 
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracedistill.codegen import TemplateBank, generate_program
+from tracedistill.codegen import generate_program
 from tracedistill.dsl import ast_equal, parse, render_source
 from tracedistill.errors import DslSyntaxError, LexError
 from tracedistill.scenes import generate_queries, generate_scenes
@@ -92,18 +92,15 @@ class TestRender:
     def test_round_trip_generated_corpus(self):
         scenes = generate_scenes(100, seed=21)
         queries = generate_queries(scenes, seed=22)
-        bank = TemplateBank()
         for query in queries:
-            program = generate_program(query, bank, seed=1)
-            again = parse(render_source(program.ast))
-            assert ast_equal(program.ast, again)
+            ast = parse(generate_program(query).source)
+            assert ast_equal(ast, parse(render_source(ast)))
 
     def test_generator_determinism(self):
         scenes = generate_scenes(5, seed=3)
         query = generate_queries(scenes, seed=4)[0]
-        bank = TemplateBank()
-        a = generate_program(query, bank, seed=9)
-        b = generate_program(query, bank, seed=9)
+        a = generate_program(query)
+        b = generate_program(query)
         assert a.source == b.source
 
 

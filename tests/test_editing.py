@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from tracedistill.codegen import TemplateBank, generate_program
+from tracedistill.codegen import generate_program
 from tracedistill.dsl import parse
 from tracedistill.editing import (
     GAP,
@@ -47,11 +47,10 @@ def corpus_traces(n, seed):
     scenes = generate_scenes(n, seed=seed)
     queries = generate_queries(scenes, seed=seed + 1)
     by_id = {s.scene_id: s for s in scenes}
-    bank = TemplateBank()
     for query in queries:
-        program = generate_program(query, bank, seed=1)
+        program = generate_program(query)
         scene = by_id[query.scene_id]
-        trace = execute(program.ast, scene, program_id=program.program_id)
+        trace = execute(parse(program.source), scene, program_id=program.program_id)
         assert trace.status == "ok"
         yield program, scene, trace
 
@@ -78,7 +77,7 @@ class TestPrune:
     def test_slice_replay_corpus(self):
         for program, scene, trace in corpus_traces(60, seed=41):
             pruned = prune(trace)
-            replay = execute(parse(slice_source(program.ast, pruned)), scene)
+            replay = execute(parse(slice_source(parse(program.source), pruned)), scene)
             assert replay.status == "ok"
             assert plain_text(replay.result) == plain_text(trace.result)
 
@@ -147,7 +146,7 @@ class TestMerge:
         for program, scene, trace in corpus_traces(40, seed=61):
             pruned = prune(trace)
             sym = merge(pruned)
-            _, _, env = evaluate(program.ast, scene)
+            _, _, env = evaluate(parse(program.source), scene)
             last_record_for = {}
             for record in sym.records:
                 if record.operation == "assigned":
@@ -376,14 +375,14 @@ class TestBridge:
         with_default = bridge(tagged, sym, DefaultBridger(), query_id="q")
         with_fallback = bridge(tagged, sym, Exploding(), query_id="q")
         assert with_fallback.sentences == with_default.sentences
-        assert with_fallback.lineage.bridge_fallback is True
-        assert with_default.lineage.bridge_fallback is False
+        assert with_fallback.bridge_fallback is True
+        assert with_default.bridge_fallback is False
 
     def test_no_bridge_keeps_draft(self, muffins3):
         sym, tagged = self._tagged(make_muffin_scene(3))
         rationale = no_bridge(tagged, sym, query_id="q")
         assert rationale.sentences == tagged.sentences
-        assert rationale.lineage.bridged is False
+        assert rationale.bridge_fallback is False
 
     def test_http_bridger_round_trip(self):
         import json
@@ -413,7 +412,7 @@ class TestBridge:
             bridger = HttpBridger(f"http://127.0.0.1:{server.server_port}/")
             rationale = bridge(tagged, sym, bridger, query_id="q")
             assert "And so the count follows." in rationale.sentences
-            assert rationale.lineage.bridge_fallback is False
+            assert rationale.bridge_fallback is False
             assert set(Handler.last_request) == {"prev", "next", "facts"}
         finally:
             server.shutdown()

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from tracedistill.codegen import TemplateBank, generate_program, generate_programs
+from tracedistill.codegen import generate_program, generate_programs
 from tracedistill.dsl import parse
 from tracedistill.interp import (
     StepLimits,
@@ -120,12 +120,12 @@ class TestDefUseAndCompleteness:
         scenes = generate_scenes(n, seed=seed)
         queries = generate_queries(scenes, seed=seed + 1)
         by_id = {s.scene_id: s for s in scenes}
-        bank = TemplateBank()
         out = []
         for query in queries:
-            program = generate_program(query, bank, seed=1)
+            program = generate_program(query)
             scene = by_id[query.scene_id]
-            out.append((program, scene, execute(program.ast, scene, program_id=program.program_id)))
+            trace = execute(parse(program.source), scene, program_id=program.program_id)
+            out.append((program, scene, trace))
         return out
 
     def test_def_use_soundness(self):
@@ -135,12 +135,12 @@ class TestDefUseAndCompleteness:
 
     def test_assign_event_completeness(self):
         for program, scene, trace in self._corpus_traces():
-            _, assign_count, _ = evaluate(program.ast, scene)
+            _, assign_count, _ = evaluate(parse(program.source), scene)
             assert sum(1 for e in trace.events if e.kind == "assign") == assign_count
 
     def test_results_match_independent_evaluator(self):
         for program, scene, trace in self._corpus_traces():
-            expected, _, _ = evaluate(program.ast, scene)
+            expected, _, _ = evaluate(parse(program.source), scene)
             assert trace.result == expected
 
     def test_trace_record_round_trip(self):
@@ -172,10 +172,11 @@ class TestFaithfulnessFilter:
         scenes = generate_scenes(n, seed=seed)
         queries = generate_queries(scenes, seed=seed + 1)
         by_id = {s.scene_id: s for s in scenes}
-        programs = generate_programs(queries, TemplateBank(corruption_rate=corruption_rate), seed=seed)
+        programs = generate_programs(queries, corruption_rate, seed=seed)
         pairs = []
         for program, query in zip(programs, queries):
-            trace = execute(program.ast, by_id[query.scene_id], program_id=program.program_id)
+            scene = by_id[query.scene_id]
+            trace = execute(parse(program.source), scene, program_id=program.program_id)
             pairs.append((trace, query))
         return pairs, programs
 

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 
 import pytest
 
-from tracedistill import cli, pipeline
+from tracedistill import cli, codegen, dsl, pipeline
 from tracedistill.config import default_config, load_config
 from tracedistill.editing import keep_all, raw_records, render
 from tracedistill.errors import StageError
@@ -130,6 +131,29 @@ class TestStageHandoff:
         with pytest.raises(StageError, match="rerun exec"):
             stage_edit(config, new_manifest(config))
 
+    def test_only_exec_parses(self, tmp_path, monkeypatch):
+        real_parse = dsl.parse
+        bound = [
+            module for name, module in list(sys.modules.items())
+            if name.startswith("tracedistill") and getattr(module, "parse", None) is real_parse
+        ]
+        assert {dsl, codegen, pipeline} <= set(bound)
+        calls = []
+
+        def counted(source):
+            calls.append(source)
+            return real_parse(source)
+
+        for module in bound:
+            monkeypatch.setattr(module, "parse", counted)
+        config = load_config(write_config(tmp_path))
+        manifest = new_manifest(config)
+        pipeline.stage_scene_gen(config, manifest)
+        pipeline.stage_program_gen(config, manifest)
+        assert len(calls) == 0
+        pipeline.stage_exec(config, manifest)
+        assert len(calls) == 20
+
     def test_edit_reports_mean_tokens(self, tmp_path):
         config = load_config(write_config(tmp_path))
         manifest = run_all(config)
@@ -142,9 +166,9 @@ class TestEditToggles:
     def test_identity_edit_equals_rendered_raw_trace(self, tmp_path):
         config = load_config(write_config(tmp_path, corruption_rate=0.0))
         run_all(config)
-        flags = {"prune": False, "merge": False, "bridge": False}
+        config = config.with_overrides(edit={"prune": False, "merge": False, "bridge": False})
         manifest = new_manifest(config)
-        stage_edit(config, manifest, flags)
+        stage_edit(config, manifest)
         texts = {row["query_id"]: row["text"] for row in read_jsonl(config.path("rationales"))}
         for rec in read_jsonl(config.path("traces")):
             trace = trace_from_record(rec)
@@ -160,6 +184,10 @@ class TestEditToggles:
         assert rc == 0
         for row in read_jsonl(tmp_path / "rationales.jsonl"):
             assert row["lineage"] == {"pruned": False, "merged": False, "bridged": False}
+        ran_with = load_config(config_path).with_overrides(
+            edit={"prune": False, "merge": False, "bridge": False}
+        )
+        assert read_json(tmp_path / "manifest.json")["config_hash"] == ran_with.config_hash()
 
 
 class TestCrashIsolation:
@@ -206,6 +234,18 @@ class TestCli:
         rc = cli.main(["--config", str(path), "run-all"])
         assert rc == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [({"max_steps": 0}, "max_steps must be >= 1"), ({"students": []}, "at least one student")],
+    )
+    def test_config_that_fails_every_row_rejected(self, tmp_path, capsys, override, message):
+        rc = cli.main(["--config", str(write_config(tmp_path, **override)), "run-all"])
+        assert rc == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "ConfigError"
+        assert message in report["message"]
+        assert not (tmp_path / "scenes.json").exists()
 
     def test_stage_by_stage_matches_run_all(self, tmp_path):
         all_dir, step_dir = tmp_path / "all", tmp_path / "step"
