@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .jsonlio import dumps_canonical, read_json
+from .students import builtin_students
 
 DEFAULT_STAGE_FILES = {
     "scenes": "scenes.json",
@@ -125,6 +126,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError("max_steps must be >= 1")
     if not merged["students"]:
         raise ConfigError("students must name at least one student")
+    # Build the ensemble once without a corpus so a bad student spec fails
+    # here, before any stage writes a file.
+    builtin_students(merged["students"], scenes_by_id={}, queries=[])
     return PipelineConfig(raw=merged, base_dir=path.parent)
 
 

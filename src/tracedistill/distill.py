@@ -5,7 +5,8 @@ label head (softmax cross-entropy against the answer vocabulary) and a
 rationale head (independent per-keyword logistic outputs against the
 keyword set extracted from the rationale). Keywords that are themselves
 answer-vocabulary tokens share their output row with the label head (tied
-output embedding); that sharing is what lets rationale supervision move
+output embedding): the model keeps one weight matrix, and each keyword
+names its row in it. That sharing is what lets rationale supervision move
 label accuracy, which a pair of disjoint matrices could not.
 
 The combined objective is ``L = L_label + lambda * L_rationale`` with the
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -101,11 +102,12 @@ class ToyModel:
     feature_index: dict[str, int]
     label_vocab: list[str]
     keywords: list[str]
-    W_label: np.ndarray  # (V, F)
-    W_extra: np.ndarray  # rows for keywords outside the answer vocabulary
+    # (V + E, F): the V label rows, then one row for each of the E keywords
+    # outside the answer vocabulary
+    W: np.ndarray
+    # (K,) row of W for each keyword; an answer token's keyword uses its label row
+    key_rows: np.ndarray
     lam: float = 1.0
-    # keyword row i lives in W_label when keywords[i] is an answer token
-    key_rows: list[tuple[str, int]] = field(default_factory=list)
 
     @property
     def n_features(self) -> int:
@@ -119,24 +121,8 @@ class ToyModel:
                 x[idx] = 1.0
         return x
 
-    def keyword_matrix(self) -> np.ndarray:
-        rows = []
-        for where, idx in self.key_rows:
-            rows.append(self.W_label[idx] if where == "label" else self.W_extra[idx])
-        if not rows:
-            return np.zeros((0, self.n_features))
-        return np.stack(rows)
-
-    def parameters(self) -> np.ndarray:
-        return np.concatenate([self.W_label.ravel(), self.W_extra.ravel()])
-
-    def set_parameters(self, flat: np.ndarray) -> None:
-        nl = self.W_label.size
-        self.W_label = flat[:nl].reshape(self.W_label.shape).copy()
-        self.W_extra = flat[nl:].reshape(self.W_extra.shape).copy()
-
     def predict_label(self, question: str) -> str:
-        logits = self.W_label @ self.featurize(question)
+        logits = self.W[: len(self.label_vocab)] @ self.featurize(question)
         return self.label_vocab[int(np.argmax(logits))]
 
 
@@ -151,24 +137,23 @@ def build_model(
         {k for e in examples if e.rationale is not None for k in extract_keywords(e.rationale)}
     )
     label_pos = {lab: i for i, lab in enumerate(labels)}
-    key_rows: list[tuple[str, int]] = []
-    extra = 0
+    key_rows = []
+    n_rows = len(labels)
     for k in keywords:
         if k in label_pos:
-            key_rows.append(("label", label_pos[k]))
+            key_rows.append(label_pos[k])
         else:
-            key_rows.append(("extra", extra))
-            extra += 1
+            key_rows.append(n_rows)
+            n_rows += 1
     rng = np.random.default_rng(seed)
     feature_index = {tok: i for i, tok in enumerate(features)}
     return ToyModel(
         feature_index=feature_index,
         label_vocab=labels,
         keywords=keywords,
-        W_label=rng.normal(0.0, init_scale, size=(len(labels), len(features))),
-        W_extra=rng.normal(0.0, init_scale, size=(extra, len(features))),
+        W=rng.normal(0.0, init_scale, size=(n_rows, len(features))),
+        key_rows=np.array(key_rows, dtype=np.intp),
         lam=lam,
-        key_rows=key_rows,
     )
 
 
@@ -237,8 +222,8 @@ def _bce_and_sigmoid(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return bce, sig
 
 
-def loss_and_grads(model: ToyModel, batch: Batch) -> tuple[LossReport, np.ndarray, np.ndarray]:
-    """LossReport plus analytic gradients for (W_label, W_extra).
+def loss_and_grads(model: ToyModel, batch: Batch) -> tuple[LossReport, np.ndarray]:
+    """LossReport plus the analytic gradient for ``model.W``.
 
     Overflow is not trapped: a diverged model yields a non-finite loss,
     which train() detects and grad_check() rejects.
@@ -251,19 +236,20 @@ def _loss_and_grads(model: ToyModel, batch: Batch):
     X, y, mask = batch.X, batch.y, batch.mask
     n = len(y)
     rows = np.arange(n)
+    V = len(model.label_vocab)
 
-    Z = X @ model.W_label.T  # (N, V)
+    Z = X @ model.W[:V].T  # (N, V)
     dZ = _softmax(Z)
     label_loss = float((-np.log(np.clip(dZ[rows, y], 1e-12, None))).mean())
     dZ[rows, y] -= 1.0
-    dW_label = (dZ.T @ X) / n
-    dW_extra = np.zeros_like(model.W_extra)
+    dW = np.zeros_like(model.W)
+    dW[:V] = (dZ.T @ X) / n
 
     unmasked = len(batch.T)
     rationale_loss = 0.0
     if model.keywords and unmasked > 0:
-        Wk = model.keyword_matrix()  # (K, F)
-        # R and dWk stay full-matrix products, so BLAS sums in the same
+        Wk = model.W[model.key_rows]  # (K, F)
+        # R and dR.T @ X stay full-matrix products, so BLAS sums in the same
         # order whatever the mask; only the elementwise head is row-selected.
         R = X @ Wk.T  # (N, K)
         bce, sig = _bce_and_sigmoid(R[mask], batch.T)
@@ -278,12 +264,8 @@ def _loss_and_grads(model: ToyModel, batch: Batch):
         dR = R
         dR[~mask] = 0.0
         dR[mask] = (sig - batch.T) / unmasked
-        dWk = dR.T @ X  # (K, F)
-        for j, (where, idx) in enumerate(model.key_rows):
-            if where == "label":
-                dW_label[idx] += model.lam * dWk[j]
-            else:
-                dW_extra[idx] += model.lam * dWk[j]
+        # key_rows holds distinct rows, so this adds to each row once
+        dW[model.key_rows] += model.lam * (dR.T @ X)
 
     report = LossReport(
         label_loss=label_loss,
@@ -291,12 +273,11 @@ def _loss_and_grads(model: ToyModel, batch: Batch):
         total=label_loss + model.lam * rationale_loss,
         lam=model.lam,
     )
-    return report, dW_label, dW_extra
+    return report, dW
 
 
 def loss(model: ToyModel, examples: list[DistillExample]) -> LossReport:
-    report, _, _ = loss_and_grads(model, encode(model, examples))
-    return report
+    return loss_and_grads(model, encode(model, examples))[0]
 
 
 def grad_check(model: ToyModel, examples: list[DistillExample], epsilon: float = 1e-5) -> float:
@@ -306,21 +287,19 @@ def grad_check(model: ToyModel, examples: list[DistillExample], epsilon: float =
     if not (0.0 < epsilon <= 1e-2):
         raise ValueError("epsilon must be in (0, 1e-2]")
     batch = encode(model, examples)
-    report, dW_label, dW_extra = loss_and_grads(model, batch)
+    report, analytic = loss_and_grads(model, batch)
     if not math.isfinite(report.total):
         raise GradCheckError("loss is non-finite; cannot check gradients")
-    analytic = np.concatenate([dW_label.ravel(), dW_extra.ravel()])
-    theta = model.parameters()
-    numeric = np.zeros_like(theta)
-    for i in range(theta.size):
-        bump = np.zeros_like(theta)
-        bump[i] = epsilon
-        model.set_parameters(theta + bump)
+    W = model.W
+    numeric = np.zeros_like(W)
+    for i in np.ndindex(W.shape):
+        saved = W[i]
+        W[i] = saved + epsilon
         hi = loss_and_grads(model, batch)[0].total
-        model.set_parameters(theta - bump)
+        W[i] = saved - epsilon
         lo = loss_and_grads(model, batch)[0].total
+        W[i] = saved
         numeric[i] = (hi - lo) / (2.0 * epsilon)
-    model.set_parameters(theta)
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
 
@@ -377,17 +356,16 @@ def train(examples: list[DistillExample], config: TrainConfig) -> tuple[ToyModel
     train_rows, held_rows = split_dataset(examples, config.seed, config.heldout_fraction)
     model = build_model(examples, lam=config.lam, seed=config.seed)
     batch = encode(model, train_rows)
-    report, dW_label, dW_extra = loss_and_grads(model, batch)
+    report, dW = loss_and_grads(model, batch)
     loss_curve = [report.total]
     diverged = False
     epochs_run = 0
     for _ in range(config.epochs):
-        prev = (model.W_label, model.W_extra)
-        model.W_label = model.W_label - config.step_size * dW_label
-        model.W_extra = model.W_extra - config.step_size * dW_extra
-        candidate, dW_label, dW_extra = loss_and_grads(model, batch)
+        prev = model.W
+        model.W = model.W - config.step_size * dW
+        candidate, dW = loss_and_grads(model, batch)
         if not math.isfinite(candidate.total):
-            model.W_label, model.W_extra = prev
+            model.W = prev
             diverged = True
             break
         report = candidate

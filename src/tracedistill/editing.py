@@ -520,32 +520,23 @@ class TaggedDraft:
     joints: list[str]  # len == len(sentences) - 1
 
 
-class ReferentialTagger:
-    """Default deterministic tagger: a joint is <no-gap> when the later
-    record references a variable or entity the earlier record defined or
-    mentioned, or is directly control-dependent on it."""
-
-    name = "referential"
-
-    def tag(self, sentences: list[str], records: list[SymbolicRecord]) -> list[str]:
-        joints = []
-        for earlier, later in zip(records, records[1:]):
-            refs = later.reads | later.mentions
-            anchors = earlier.defines | earlier.reads | earlier.mentions
-            ctrl_link = bool(later.ctrl_seqs & set(earlier.source_seqs))
-            joints.append(NO_GAP if (refs & anchors) or ctrl_link else GAP)
-        return joints
-
-
-def tag_gaps(sentences: list[str], context: SymbolicTrace, tagger=None) -> TaggedDraft:
+def tag_gaps(sentences: list[str], context: SymbolicTrace) -> TaggedDraft:
     """Tag each adjacent sentence pair; sentences must align 1:1 with the
-    context records (the pre-bridge draft)."""
+    context records (the pre-bridge draft). A joint is <no-gap> when the
+    later record references a variable or entity the earlier record defined
+    or mentioned, or is directly control-dependent on it."""
     if not sentences:
         raise ValueError("tag_gaps needs at least one sentence")
-    if len(sentences) != len(context.records):
+    records = context.records
+    if len(sentences) != len(records):
         raise ValueError("draft sentences must align with symbolic records")
-    tagger = tagger or ReferentialTagger()
-    return TaggedDraft(sentences=list(sentences), joints=tagger.tag(sentences, context.records))
+    joints = []
+    for earlier, later in zip(records, records[1:]):
+        refs = later.reads | later.mentions
+        anchors = earlier.defines | earlier.reads | earlier.mentions
+        ctrl_link = bool(later.ctrl_seqs & set(earlier.source_seqs))
+        joints.append(NO_GAP if (refs & anchors) or ctrl_link else GAP)
+    return TaggedDraft(sentences=list(sentences), joints=joints)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +548,6 @@ class BridgeRequest:
     next: str
     facts: list[str]
     next_index: int = -1  # record index of the sentence after the gap
-    prev_record: SymbolicRecord | None = None
     next_record: SymbolicRecord | None = None
     trace: SymbolicTrace | None = None
 
@@ -652,7 +642,6 @@ def bridge(
                 next=tagged.sentences[i + 1],
                 facts=facts,
                 next_index=i + 1,
-                prev_record=trace.records[i],
                 next_record=trace.records[i + 1],
                 trace=trace,
             )

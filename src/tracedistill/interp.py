@@ -13,7 +13,6 @@ runtime_error / step_limit) for the faithfulness filter to consume.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -68,9 +67,11 @@ class _Return(Exception):
 
 
 def _snapshot(value: Value, cap: int) -> Value:
+    """Copy of ``value`` with lists capped at ``cap`` items. Lists are the only
+    mutable runtime values; every other value is returned as it is."""
     if isinstance(value, list):
         return [_snapshot(v, cap) for v in value[:cap]]
-    return copy.deepcopy(value)
+    return value
 
 
 def value_text(value: Value) -> str:
@@ -241,7 +242,7 @@ class _Interp:
         for arm_index, (cond, stmts) in enumerate(arms):
             self._begin_stmt()
             value = self.eval_expr(cond, top=True)
-            cond_uses.extend(self._dedup_uses())
+            cond_uses.extend(self._uses)
             if _truthy(value):
                 event = self.emit(
                     node.id,
@@ -255,7 +256,9 @@ class _Interp:
                     self.exec_stmt(stmt, ctrl=event.seq)
                 return
         if else_stmts:
-            event = self.emit(node.id, "branch_taken", ctrl, uses=_dedup(cond_uses))
+            # the else arm is reached through every condition tested above
+            self._uses = cond_uses
+            event = self.emit(node.id, "branch_taken", ctrl, uses=self._dedup_uses())
             event.detail["arm"] = len(arms)
             for stmt in else_stmts:
                 self.exec_stmt(stmt, ctrl=event.seq)
@@ -491,14 +494,6 @@ class _Interp:
         except (ValueError, sw.SceneLookupError) as exc:
             raise _Fault(node.id, str(exc))
         raise _Fault(node.id, f"unknown or misused tool method {method!r}")
-
-
-def _dedup(pairs: list[tuple[str, int]]) -> list[tuple[str, int]]:
-    out = []
-    for p in pairs:
-        if p not in out:
-            out.append(p)
-    return out
 
 
 def _is_num(v: Value) -> bool:

@@ -85,7 +85,8 @@ def load_or_new_manifest(config: PipelineConfig) -> RunManifest:
 
 def _map_rows(stage: str, rows, fn, strict: bool):
     """Order-preserving per-row map with crash isolation. A recorded error
-    names the row by index and by its query and program ids."""
+    names the row by index and by its query and program ids, read from a
+    dict row's keys or a dataclass row's fields."""
     out = []
     errors = []
     for i, row in enumerate(rows):
@@ -94,7 +95,7 @@ def _map_rows(stage: str, rows, fn, strict: bool):
         except Exception as exc:
             if strict:
                 raise StageError(stage, str(exc), row=i) from exc
-            ids = row if isinstance(row, dict) else {}
+            ids = row if isinstance(row, dict) else vars(row)
             errors.append({
                 "row": i,
                 "query_id": ids.get("query_id"),
@@ -131,15 +132,12 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
             timeout=float(external.get("timeout", 5.0)),
         )
         scenes_by_id = {s.scene_id: s for s in sw.load_scenes(config.path("scenes"))}
-        programs = []
-        for i, query in enumerate(queries):
+
+        def run_row(i, query):
             summary = codegen.scene_summary(scenes_by_id[query.scene_id])
-            try:
-                programs.append(codegen.external_generate(gen_config, query, summary))
-            except Exception as exc:  # transport or parse failure: record, skip row
-                errors.append({
-                    "row": i, "query_id": query.query_id, "program_id": None, "error": str(exc),
-                })
+            return codegen.external_generate(gen_config, query, summary)
+
+        programs, errors = _map_rows("program_gen", queries, run_row, config["strict"])
     else:
         programs = codegen.generate_programs(
             queries, float(config["corruption_rate"]), config.seeds["program_gen"]

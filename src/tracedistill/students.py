@@ -18,9 +18,6 @@ from .errors import ConfigError
 from .interp import normalize_answer
 from .scenes import Query, Scene, answer_oracle
 
-VERDICT_VALUES = {"useful": 1, "non_useful": -1, "unsure": 0, "harmful": -1, "abstained": 0}
-
-
 class StudentOracle(Protocol):
     name: str
 
@@ -142,6 +139,13 @@ class RationaleSensitiveStudent:
     token_budget: int | None = None
     name: str = "rationale_sensitive"
 
+    def __post_init__(self) -> None:
+        if self.trigger_mode not in ("answer", "fact"):
+            raise ConfigError(f"unknown trigger_mode {self.trigger_mode!r}")
+        budget = self.token_budget
+        if budget is not None and (not isinstance(budget, int) or budget < 0):
+            raise ConfigError(f"token_budget must be null or an integer >= 0, got {budget!r}")
+
     def answer(self, question: str, context: str | None = None) -> str:
         expected = self.expected_by_question.get(question)
         if expected is None or not context:
@@ -152,10 +156,8 @@ class RationaleSensitiveStudent:
         seen = _tokens(" ".join(window))
         if self.trigger_mode == "answer":
             hit = normalize_answer(expected) in seen
-        elif self.trigger_mode == "fact":
-            hit = bool(_tokens(question) & seen)
         else:
-            raise ConfigError(f"unknown trigger_mode {self.trigger_mode!r}")
+            hit = bool(_tokens(question) & seen)
         return expected if hit else "unknown"
 
 

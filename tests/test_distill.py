@@ -161,19 +161,20 @@ def dense_reference(model, examples):
             if k in present:
                 T[i, j] = 1.0
 
-    Z = X @ model.W_label.T
+    V = len(model.label_vocab)
+    Z = X @ model.W[:V].T
     Z = Z - Z.max(axis=1, keepdims=True)
     E = np.exp(Z)
     P = E / E.sum(axis=1, keepdims=True)
     label_loss = float((-np.log(np.clip(P[np.arange(n), y], 1e-12, None))).mean())
     dZ = P.copy()
     dZ[np.arange(n), y] -= 1.0
-    dW_label = (dZ.T @ X) / n
-    dW_extra = np.zeros_like(model.W_extra)
+    dW = np.zeros_like(model.W)
+    dW[:V] = (dZ.T @ X) / n
     unmasked = int(mask.sum())
     rationale_loss = 0.0
     if K > 0 and unmasked > 0:
-        R = X @ model.keyword_matrix().T
+        R = X @ np.stack([model.W[r] for r in model.key_rows]).T
         bce = np.maximum(R, 0.0) - R * T + np.log1p(np.exp(-np.abs(R)))
         rationale_loss = float(bce.sum(axis=1)[mask].mean())
         sig = np.empty_like(R)
@@ -184,13 +185,10 @@ def dense_reference(model, examples):
         dR = (sig - T) / unmasked
         dR[~mask] = 0.0
         dWk = dR.T @ X
-        for j, (where, idx) in enumerate(model.key_rows):
-            if where == "label":
-                dW_label[idx] += model.lam * dWk[j]
-            else:
-                dW_extra[idx] += model.lam * dWk[j]
+        for j, r in enumerate(model.key_rows):
+            dW[r] += model.lam * dWk[j]
     total = label_loss + model.lam * rationale_loss
-    return label_loss, rationale_loss, total, dW_label, dW_extra
+    return label_loss, rationale_loss, total, dW
 
 
 WORDS = ["cup", "box", "red", "blue", "2", "mug", "left", "count"]
@@ -230,13 +228,12 @@ class TestMaskedHead:
         # the model's keywords come from the unmasked corpus, so an
         # all-masked batch still has a non-empty rationale head
         model = build_model(corpus, lam=lam, seed=seed, init_scale=scale)
-        report, dW_label, dW_extra = loss_and_grads(model, encode(model, batch))
-        label_loss, rationale_loss, total, ref_label, ref_extra = dense_reference(model, batch)
+        report, dW = loss_and_grads(model, encode(model, batch))
+        label_loss, rationale_loss, total, ref_dW = dense_reference(model, batch)
         assert report.label_loss == label_loss
         assert report.rationale_loss == rationale_loss
         assert report.total == total
-        assert np.array_equal(dW_label, ref_label)
-        assert np.array_equal(dW_extra, ref_extra)
+        assert np.array_equal(dW, ref_dW)
 
 
 class TestGradCheck:
@@ -249,14 +246,14 @@ class TestGradCheck:
     def test_single_class_label_gradient_zero(self):
         batch = [DistillExample(str(i), f"q {i}", "only", None) for i in range(4)]
         model = build_model(batch, lam=1.0, seed=1)
-        _, dW_label, _ = loss_and_grads(model, encode(model, batch))
-        assert np.allclose(dW_label, 0.0)
+        _, dW = loss_and_grads(model, encode(model, batch))
+        assert np.allclose(dW[: len(model.label_vocab)], 0.0)
 
     def test_lambda_zero_rationale_gradient_zero(self):
         batch = small_batch()
         model = build_model(batch, lam=0.0, seed=2)
-        _, _, dW_extra = loss_and_grads(model, encode(model, batch))
-        assert np.allclose(dW_extra, 0.0)
+        _, dW = loss_and_grads(model, encode(model, batch))
+        assert np.allclose(dW[len(model.label_vocab) :], 0.0)
 
     def test_epsilon_validated(self):
         batch = small_batch()
@@ -268,9 +265,7 @@ class TestGradCheck:
         batch = small_batch()
         model = build_model(batch, seed=0)
         assert "red" in model.label_vocab and "red" in model.keywords
-        where, idx = model.key_rows[model.keywords.index("red")]
-        assert where == "label"
-        assert idx == model.label_vocab.index("red")
+        assert model.key_rows[model.keywords.index("red")] == model.label_vocab.index("red")
 
 
 class TestTrain:
@@ -304,8 +299,7 @@ class TestTrain:
         examples = build_correlation_task(1, n=40)
         model, report = train(examples, TrainConfig(lam=1.0, epochs=1, step_size=0.0, seed=0))
         fresh = build_model(examples, lam=1.0, seed=0)
-        assert np.array_equal(model.W_label, fresh.W_label)
-        assert np.array_equal(model.W_extra, fresh.W_extra)
+        assert np.array_equal(model.W, fresh.W)
 
     def test_divergence_aborts_with_last_finite_state(self):
         # A step this size overflows the logits on the first update.

@@ -237,7 +237,19 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "override,message",
-        [({"max_steps": 0}, "max_steps must be >= 1"), ({"students": []}, "at least one student")],
+        [
+            ({"max_steps": 0}, "max_steps must be >= 1"),
+            ({"students": []}, "at least one student"),
+            ({"students": [{"kind": "bogus"}]}, "unknown student kind 'bogus'"),
+            (
+                {"students": [{"kind": "rationale_sensitive", "trigger_mode": "bogus"}]},
+                "unknown trigger_mode 'bogus'",
+            ),
+            (
+                {"students": [{"kind": "rationale_sensitive", "token_budget": "abc"}]},
+                "token_budget must be null or an integer >= 0",
+            ),
+        ],
     )
     def test_config_that_fails_every_row_rejected(self, tmp_path, capsys, override, message):
         rc = cli.main(["--config", str(write_config(tmp_path, **override)), "run-all"])
@@ -331,6 +343,23 @@ class TestExternalEndpoints:
         queries = [row["query_id"] for row in read_jsonl(config.path("queries"))]
         assert [e["query_id"] for e in entry["row_errors"]] == queries
         assert all(e["program_id"] is None for e in entry["row_errors"])
+
+    def test_external_generator_failure_aborts_under_strict(self, tmp_path):
+        config = load_config(
+            write_config(
+                tmp_path,
+                scene_count=5,
+                strict=True,
+                external_generator={"enabled": True, "endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
+            )
+        )
+        from tracedistill.pipeline import stage_program_gen, stage_scene_gen
+
+        manifest = new_manifest(config)
+        stage_scene_gen(config, manifest)
+        with pytest.raises(StageError, match="program_gen row 0"):
+            stage_program_gen(config, manifest)
+        assert not config.path("programs").exists()
 
     def test_external_bridger_used_in_edit(self, tmp_path, stub_server):
         config = load_config(
