@@ -42,6 +42,7 @@ class RunManifest:
         self.stages.append(
             {
                 "stage": name,
+                "config_hash": self.config_hash,
                 "duration_s": round(time.monotonic() - started, 6),
                 "rows_in": rows_in,
                 "rows_out": rows_out,
@@ -83,26 +84,53 @@ def load_or_new_manifest(config: PipelineConfig) -> RunManifest:
     return new_manifest(config)
 
 
-def _map_rows(stage: str, rows, fn, strict: bool):
-    """Order-preserving per-row map with crash isolation. A recorded error
-    names the row by index and by its query and program ids, read from a
-    dict row's keys or a dataclass row's fields."""
-    out = []
-    errors = []
-    for i, row in enumerate(rows):
+class _Rows:
+    """One stage's output rows with per-row crash isolation. A failed row is
+    recorded by index and by its query and program ids, read from a dict
+    row's keys or a dataclass row's fields; under strict the first failure
+    becomes ``error`` instead, and the stage must stop."""
+
+    def __init__(self, stage: str, strict: bool):
+        self.stage = stage
+        self.strict = strict
+        self.rows: list = []
+        self.errors: list[dict] = []
+        self.error: StageError | None = None
+
+    def fail(self, i: int, row, exc: Exception) -> None:
+        if self.strict:
+            self.error = StageError(self.stage, str(exc), row=i)
+            self.error.__cause__ = exc
+            return
+        ids = row if isinstance(row, dict) else vars(row)
+        self.errors.append({
+            "row": i,
+            "query_id": ids.get("query_id"),
+            "program_id": ids.get("program_id"),
+            "error": str(exc),
+        })
+
+    def run(self, i: int, row, fn, *args) -> None:
+        """Append ``fn(*args)``, or record its exception against ``row``."""
         try:
-            out.append(fn(i, row))
+            self.rows.append(fn(*args))
         except Exception as exc:
-            if strict:
-                raise StageError(stage, str(exc), row=i) from exc
-            ids = row if isinstance(row, dict) else vars(row)
-            errors.append({
-                "row": i,
-                "query_id": ids.get("query_id"),
-                "program_id": ids.get("program_id"),
-                "error": str(exc),
-            })
-    return out, errors
+            self.fail(i, row, exc)
+
+
+def _map_rows(stage: str, rows, fn, strict: bool):
+    """Order-preserving per-row map with crash isolation; under strict the
+    first failed row aborts the stage."""
+    out = _Rows(stage, strict)
+    for i, row in enumerate(rows):
+        out.run(i, row, fn, i, row)
+        if out.error is not None:
+            raise out.error
+    return out.rows, out.errors
+
+
+def _scenes_by_id(config: PipelineConfig) -> dict:
+    return {s.scene_id: s for s in sw.load_scenes(config.path("scenes"))}
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +159,7 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
             api_doc_version=external.get("api_doc_version", "v1"),
             timeout=float(external.get("timeout", 5.0)),
         )
-        scenes_by_id = {s.scene_id: s for s in sw.load_scenes(config.path("scenes"))}
+        scenes_by_id = _scenes_by_id(config)
 
         def run_row(i, query):
             summary = codegen.scene_summary(scenes_by_id[query.scene_id])
@@ -153,7 +181,7 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
 
 def stage_exec(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
-    scenes_by_id = {s.scene_id: s for s in sw.load_scenes(config.path("scenes"))}
+    scenes_by_id = _scenes_by_id(config)
     queries = {q.query_id: q for q in sw.load_queries(config.path("queries"))}
     tools = ToolConfig(noise_p=float(config["noise_p"]), noise_seed=config.seeds["scene_gen"])
     limits = StepLimits(max_steps=int(config["max_steps"]))
@@ -184,59 +212,120 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest) -> None:
     )
 
 
+# ---------------------------------------------------------------------------
+# edit, score and emit: each stage loads its inputs, then hands them to the
+# row code below, which the ablation pass calls with rows held in memory
+
 def rationale_tokens(text: str) -> int:
     return len(text.split())
 
 
-def edit_one(
-    trace: ExecutionTrace,
-    query_id: str,
-    flags: dict,
-    bridger=None,
-) -> editing.CotRationale:
-    """Run the requested subset of prune/merge/bridge on one kept trace."""
+def _bridger(config: PipelineConfig):
+    external = config["external_bridger"]
+    if not external["enabled"]:
+        return None
+    return editing.HttpBridger(external["endpoint"], float(external.get("timeout", 5.0)))
+
+
+def _decode_kept(rec: dict):
+    """A kept traces.jsonl row's ids, and its (query_id, trace) or the
+    exception decoding it raised, which each edit of the row reports."""
+    ids = {"query_id": rec.get("query_id"), "program_id": rec.get("program_id")}
+    try:
+        return ids, (rec["query_id"], trace_from_record(rec))
+    except Exception as exc:
+        return ids, exc
+
+
+def _kept_traces(config: PipelineConfig):
+    """The number of trace rows, and a lazy stream of the decoded traces
+    exec kept (see ``_decode_kept``)."""
+    rows = list(read_jsonl(config.path("traces")))
+    if any("reject_reason" not in rec for rec in rows):
+        raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
+    kept = [rec for rec in rows if rec["reject_reason"] is None]
+
+    def decoded():
+        # Drop each raw row once it is decoded, so that the raw and the
+        # decoded corpus are never held in full at the same time.
+        for i, rec in enumerate(kept):
+            kept[i] = None
+            yield _decode_kept(rec)
+
+    return len(rows), decoded()
+
+
+def edit_draft(trace: ExecutionTrace, flags: dict) -> tuple[editing.TaggedDraft, editing.SymbolicTrace]:
+    """The bridge-independent part of editing one kept trace: prune (or keep
+    every event), merge (or keep raw records), render and tag the gaps."""
     pruned = editing.prune(trace) if flags["prune"] else editing.keep_all(trace)
     symbolic = editing.merge(pruned) if flags["merge"] else editing.raw_records(pruned)
-    sentences = editing.render(symbolic)
-    tagged = editing.tag_gaps(sentences, symbolic)
+    return editing.tag_gaps(editing.render(symbolic), symbolic), symbolic
+
+
+def rationale_row(draft, query_id: str, flags: dict, bridger) -> dict:
+    """Finish a draft with or without bridging, as ``flags`` say, into its
+    rationales.jsonl row."""
+    tagged, symbolic = draft
     if flags["bridge"]:
-        return editing.bridge(tagged, symbolic, bridger, query_id=query_id)
-    return editing.no_bridge(tagged, symbolic, query_id=query_id)
+        rationale = editing.bridge(tagged, symbolic, bridger, query_id=query_id)
+    else:
+        rationale = editing.no_bridge(tagged, symbolic, query_id=query_id)
+    return {
+        "query_id": rationale.query_id,
+        "program_id": rationale.program_id,
+        "text": rationale.text,
+        "lineage": {"pruned": flags["prune"], "merged": flags["merge"], "bridged": flags["bridge"]},
+        "bridge_fallback": rationale.bridge_fallback,
+        "sentences": rationale.sentences,
+        "joints": rationale.joints,
+    }
+
+
+def _edit_rows(kept, flag_sets: list[dict], bridger, strict: bool) -> list[_Rows]:
+    """Edit each kept trace once up to its draft, then finish that draft once
+    per flag set; the sets may differ only in "bridge". A failed decode or
+    draft fails the row in every set."""
+    outs = [_Rows("edit", strict) for _ in flag_sets]
+    for i, (ids, decoded) in enumerate(kept):
+        live = [(out, flags) for out, flags in zip(outs, flag_sets) if out.error is None]
+        if not live:
+            break
+        try:
+            if isinstance(decoded, Exception):
+                raise decoded
+            query_id, trace = decoded
+            draft = edit_draft(trace, flag_sets[0])
+        except Exception as exc:
+            for out, _ in live:
+                out.fail(i, ids, exc)
+            continue
+        for out, flags in live:
+            out.run(i, ids, rationale_row, draft, query_id, flags, bridger)
+    return outs
+
+
+def _write_edit(config: PipelineConfig, manifest: RunManifest, started: float,
+                rows_in: int, out: _Rows) -> None:
+    if out.error is not None:
+        raise out.error
+    write_jsonl(config.path("rationales"), out.rows)
+    tokens = [rationale_tokens(row["text"]) for row in out.rows]
+    manifest.record(
+        "edit", started, rows_in=rows_in, rows_out=len(out.rows), errors=out.errors,
+        extra={
+            "flags": dict(config.edit_flags),
+            "mean_tokens": sum(tokens) / len(tokens) if tokens else 0.0,
+        },
+    )
 
 
 def stage_edit(config: PipelineConfig, manifest: RunManifest) -> None:
     """Edit the traces exec kept; reads traces.jsonl and nothing else."""
     started = time.monotonic()
-    flags = config.edit_flags
-    lineage = {"pruned": flags["prune"], "merged": flags["merge"], "bridged": flags["bridge"]}
-    external = config["external_bridger"]
-    bridger = None
-    if external["enabled"]:
-        bridger = editing.HttpBridger(external["endpoint"], float(external.get("timeout", 5.0)))
-    rows = list(read_jsonl(config.path("traces")))
-    if any("reject_reason" not in rec for rec in rows):
-        raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
-    kept_rows = [rec for rec in rows if rec["reject_reason"] is None]
-
-    def run_row(i, rec):
-        rationale = edit_one(trace_from_record(rec), rec["query_id"], flags, bridger)
-        return {
-            "query_id": rationale.query_id,
-            "program_id": rationale.program_id,
-            "text": rationale.text,
-            "lineage": lineage,
-            "bridge_fallback": rationale.bridge_fallback,
-            "sentences": rationale.sentences,
-            "joints": rationale.joints,
-        }
-
-    out, errors = _map_rows("edit", kept_rows, run_row, config["strict"])
-    write_jsonl(config.path("rationales"), out)
-    tokens = [rationale_tokens(row["text"]) for row in out]
-    manifest.record(
-        "edit", started, rows_in=len(rows), rows_out=len(out), errors=errors,
-        extra={"flags": dict(flags), "mean_tokens": sum(tokens) / len(tokens) if tokens else 0.0},
-    )
+    rows_in, kept = _kept_traces(config)
+    [out] = _edit_rows(kept, [config.edit_flags], _bridger(config), config["strict"])
+    _write_edit(config, manifest, started, rows_in, out)
 
 
 def _load_students(config: PipelineConfig, scenes_by_id, queries) -> list:
@@ -248,51 +337,60 @@ def _load_students(config: PipelineConfig, scenes_by_id, queries) -> list:
     return st.builtin_students(specs, scenes_by_id=scenes_by_id, queries=queries)
 
 
-def stage_score(config: PipelineConfig, manifest: RunManifest) -> None:
-    started = time.monotonic()
-    scenes_by_id = {s.scene_id: s for s in sw.load_scenes(config.path("scenes"))}
-    queries = sw.load_queries(config.path("queries"))
-    by_id = {q.query_id: q for q in queries}
-    ensemble = _load_students(config, scenes_by_id, queries)
-    rows = list(read_jsonl(config.path("rationales")))
+def scored_row(text: str, query, ensemble: list, harm_value: int) -> dict:
+    """Score one rationale text into its scored.jsonl row."""
+    scored = st.utility_score(text, query, ensemble, harm_value=harm_value)
+    return {
+        "query_id": scored.query_id,
+        "score": scored.score,
+        "outcomes": [
+            {
+                "student": o.student,
+                "before_correct": o.before_correct,
+                "after_correct": o.after_correct,
+                "verdict": o.verdict,
+            }
+            for o in scored.outcomes
+        ],
+    }
 
-    def run_row(i, row):
-        scored = st.utility_score(
-            row["text"], by_id[row["query_id"]], ensemble, harm_value=int(config["harm_verdict"])
-        )
-        return {
-            "query_id": scored.query_id,
-            "score": scored.score,
-            "outcomes": [
-                {
-                    "student": o.student,
-                    "before_correct": o.before_correct,
-                    "after_correct": o.after_correct,
-                    "verdict": o.verdict,
-                }
-                for o in scored.outcomes
-            ],
-        }
 
-    out, errors = _map_rows("score", rows, run_row, config["strict"])
+def _score(config: PipelineConfig, manifest: RunManifest, started: float,
+           rationales: list[dict], by_id: dict, ensemble: list) -> list[dict]:
+    harm_value = int(config["harm_verdict"])
+    out, errors = _map_rows(
+        "score", rationales,
+        lambda i, row: scored_row(row["text"], by_id[row["query_id"]], ensemble, harm_value),
+        config["strict"],
+    )
     write_jsonl(config.path("scored"), out)
-    kept = sum(1 for row in out if row["score"] >= int(config["min_score"]))
+    min_score = int(config["min_score"])
+    kept = sum(1 for row in out if st.keeps(row["score"], min_score))
     manifest.counts["score_kept"] = kept
     manifest.record(
-        "score", started, rows_in=len(rows), rows_out=len(out), errors=errors,
+        "score", started, rows_in=len(rationales), rows_out=len(out), errors=errors,
         extra={"score_kept": kept},
     )
+    return out
 
 
-def stage_emit(config: PipelineConfig, manifest: RunManifest) -> None:
+def stage_score(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
+    scenes_by_id = _scenes_by_id(config)
     queries = sw.load_queries(config.path("queries"))
-    texts = {row["query_id"]: row["text"] for row in read_jsonl(config.path("rationales"))}
+    ensemble = _load_students(config, scenes_by_id, queries)
+    rationales = list(read_jsonl(config.path("rationales")))
+    _score(config, manifest, started, rationales, {q.query_id: q for q in queries}, ensemble)
+
+
+def _emit(config: PipelineConfig, manifest: RunManifest, started: float,
+          queries: list, rationales, scored) -> None:
+    texts = {row["query_id"]: row["text"] for row in rationales}
     min_score = int(config["min_score"])
     kept = {
         row["query_id"]: texts[row["query_id"]]
-        for row in read_jsonl(config.path("scored"))
-        if row["score"] >= min_score
+        for row in scored
+        if st.keeps(row["score"], min_score)
     }
     emitted = distill.emit_dataset(kept, queries, config.path("dataset"))
     manifest.counts["emitted"] = emitted
@@ -300,6 +398,13 @@ def stage_emit(config: PipelineConfig, manifest: RunManifest) -> None:
         "emit", started, rows_in=len(queries), rows_out=emitted,
         extra={"with_rationale": len(kept), "masked": emitted - len(kept)},
     )
+
+
+def stage_emit(config: PipelineConfig, manifest: RunManifest) -> None:
+    started = time.monotonic()
+    queries = sw.load_queries(config.path("queries"))
+    _emit(config, manifest, started, queries,
+          read_jsonl(config.path("rationales")), read_jsonl(config.path("scored")))
 
 
 def stage_train(config: PipelineConfig, manifest: RunManifest) -> None:
@@ -360,44 +465,71 @@ def run_all(config: PipelineConfig) -> RunManifest:
 # ---------------------------------------------------------------------------
 # ablation driver: the 8-cell prune/merge/bridge toggle grid
 
+CELL_FILES = {
+    "rationales": "rationales.jsonl",
+    "scored": "scored.jsonl",
+    "dataset": "dataset.jsonl",
+    "metrics": "metrics.json",
+}
+
+
+def _cell_figures(manifest: RunManifest) -> dict:
+    entry = {e["stage"]: e for e in manifest.stages}
+    scored = entry["score"]["rows_out"]
+    return {
+        "mean_tokens": entry["edit"]["extra"]["mean_tokens"],
+        "keep_rate": manifest.counts["score_kept"] / scored if scored else 0.0,
+        "accuracy_heldout": entry["train"]["extra"]["accuracy_heldout"],
+    }
+
+
 def run_ablation(config: PipelineConfig) -> dict:
-    """Re-run edit->score->emit->train for every toggle combination on the
-    already-built base corpus; one failed cell is recorded, not fatal. Each
-    cell's figures come from the stage entries of its own manifest."""
+    """Run edit->score->emit->train for every toggle combination on the
+    already-built base corpus, in one pass: scenes, queries, the student
+    ensemble and the decoded kept traces are loaded once, each (prune,
+    merge) draft is built once and finished with and without bridging, and
+    a cell's rows reach score and emit in memory. Each cell writes its stage
+    files and its own manifest under ``ablation/<cell>/``; one failed cell
+    is recorded, not fatal. Each cell's figures come from that manifest's
+    stage entries."""
     for stage in ("scenes", "queries", "traces"):
         if not config.path(stage).exists():
             raise StageError("ablate", f"missing base corpus file: {config.path(stage)}")
+    scenes_by_id = _scenes_by_id(config)
+    queries = sw.load_queries(config.path("queries"))
+    by_id = {q.query_id: q for q in queries}
+    ensemble = _load_students(config, scenes_by_id, queries)
+    bridger = _bridger(config)
+    rows_in, kept = _kept_traces(config)
+    kept = list(kept)
     cells = {}
     for prune_on in (False, True):
         for merge_on in (False, True):
+            pair = []
             for bridge_on in (False, True):
                 key = f"prune={int(prune_on)},merge={int(merge_on)},bridge={int(bridge_on)}"
                 cell_dir = config.workdir / "ablation" / key.replace(",", "_").replace("=", "")
                 cell_config = config.with_overrides(
                     edit={"prune": prune_on, "merge": merge_on, "bridge": bridge_on},
-                    paths={
-                        **config.raw["paths"],
-                        "rationales": str(cell_dir / "rationales.jsonl"),
-                        "scored": str(cell_dir / "scored.jsonl"),
-                        "dataset": str(cell_dir / "dataset.jsonl"),
-                        "metrics": str(cell_dir / "metrics.json"),
-                    },
+                    paths={**config.raw["paths"],
+                           **{stage: str(cell_dir / name) for stage, name in CELL_FILES.items()}},
                 )
-                sub_manifest = new_manifest(cell_config)
+                pair.append((key, cell_dir, cell_config))
+            started = time.monotonic()
+            edited = _edit_rows(kept, [c.edit_flags for _, _, c in pair], bridger, config["strict"])
+            edit_s = time.monotonic() - started
+            for (key, cell_dir, cell_config), out in zip(pair, edited):
+                manifest = new_manifest(cell_config)
                 try:
-                    stage_edit(cell_config, sub_manifest)
-                    stage_score(cell_config, sub_manifest)
-                    stage_emit(cell_config, sub_manifest)
-                    stage_train(cell_config, sub_manifest)
-                    entry = {e["stage"]: e for e in sub_manifest.stages}
-                    scored = entry["score"]["rows_out"]
-                    cells[key] = {
-                        "mean_tokens": entry["edit"]["extra"]["mean_tokens"],
-                        "keep_rate": sub_manifest.counts["score_kept"] / scored if scored else 0.0,
-                        "accuracy_heldout": entry["train"]["extra"]["accuracy_heldout"],
-                    }
+                    # Both cells of the pair record the whole shared edit pass.
+                    _write_edit(cell_config, manifest, time.monotonic() - edit_s, rows_in, out)
+                    scored = _score(cell_config, manifest, time.monotonic(), out.rows, by_id, ensemble)
+                    _emit(cell_config, manifest, time.monotonic(), queries, out.rows, scored)
+                    stage_train(cell_config, manifest)
+                    cells[key] = _cell_figures(manifest)
                 except Exception as exc:
                     cells[key] = {"error": str(exc)}
+                write_json(cell_dir / "manifest.json", manifest.to_dict())
     report = {"cells": cells}
     write_json(config.path("ablation"), report)
     return report

@@ -84,12 +84,18 @@ def utility_score(
     )
 
 
+def keeps(score: int, min_score: int = 0) -> bool:
+    """The keep rule: a rationale is retained when its ensemble score
+    reaches ``min_score``."""
+    return score >= min_score
+
+
 def filter_by_score(
     scored: list[ScoredRationale], min_score: int = 0
 ) -> tuple[list[ScoredRationale], list[ScoredRationale]]:
     """Exhaustive, disjoint partition into (kept, rejected)."""
-    kept = [s for s in scored if s.score >= min_score]
-    rejected = [s for s in scored if s.score < min_score]
+    kept = [s for s in scored if keeps(s.score, min_score)]
+    rejected = [s for s in scored if not keeps(s.score, min_score)]
     return kept, rejected
 
 

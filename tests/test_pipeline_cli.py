@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -7,7 +8,8 @@ from collections import Counter
 
 import pytest
 
-from tracedistill import cli, codegen, dsl, pipeline
+from tracedistill import cli, codegen, dsl, interp, pipeline, students
+from tracedistill import scenes as sw
 from tracedistill.config import default_config, load_config
 from tracedistill.editing import keep_all, raw_records, render
 from tracedistill.errors import StageError
@@ -25,6 +27,10 @@ STAGE_FILES = [
     "dataset.jsonl",
     "metrics.json",
 ]
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_config(tmp_path, **overrides):
@@ -154,6 +160,19 @@ class TestStageHandoff:
         pipeline.stage_exec(config, manifest)
         assert len(calls) == 20
 
+    def test_score_emit_and_ablate_share_one_keep_rule(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(students, "keeps", lambda score, min_score=0: score > min_score)
+        config = load_config(write_config(tmp_path))
+        manifest = run_all(config)
+        scores = [r["score"] for r in read_jsonl(config.path("scored"))]
+        strict_kept = sum(score > 0 for score in scores)
+        assert strict_kept < sum(score >= 0 for score in scores)
+        extra = {e["stage"]: e["extra"] for e in manifest.stages}
+        assert extra["score"]["score_kept"] == extra["emit"]["with_rationale"] == strict_kept
+        report = run_ablation(config)
+        scores = [r["score"] for r in read_jsonl(tmp_path / "ablation/prune1_merge1_bridge1/scored.jsonl")]
+        assert report["cells"]["prune=1,merge=1,bridge=1"]["keep_rate"] == strict_kept / len(scores)
+
     def test_edit_reports_mean_tokens(self, tmp_path):
         config = load_config(write_config(tmp_path))
         manifest = run_all(config)
@@ -188,6 +207,20 @@ class TestEditToggles:
             edit={"prune": False, "merge": False, "bridge": False}
         )
         assert read_json(tmp_path / "manifest.json")["config_hash"] == ran_with.config_hash()
+
+    def test_rerun_keeps_each_stage_entrys_config_hash(self, tmp_path):
+        config_path = write_config(tmp_path)
+        assert cli.main(["--config", str(config_path), "run-all"]) == 0
+        assert cli.main(["--config", str(config_path), "edit", "--no-prune"]) == 0
+        first = load_config(config_path)
+        toggled = first.with_overrides(edit={**first.edit_flags, "prune": False})
+        saved = read_json(tmp_path / "manifest.json")
+        *run, rerun = saved["stages"]
+        assert [e["stage"] for e in run] == [v.replace("-", "_") for v in pipeline.RUN_ALL_ORDER]
+        assert {e["config_hash"] for e in run} == {first.config_hash()}
+        assert rerun["stage"] == "edit"
+        assert rerun["config_hash"] == toggled.config_hash() != first.config_hash()
+        assert saved["config_hash"] == toggled.config_hash()
 
 
 class TestCrashIsolation:
@@ -414,3 +447,91 @@ class TestAblate:
         config = default_config(tmp_path)
         with pytest.raises(StageError, match="missing base corpus"):
             run_ablation(config)
+
+    def test_matches_the_stages_byte_for_byte(self, tmp_path):
+        base, ref = tmp_path / "base", tmp_path / "ref"
+        base.mkdir(), ref.mkdir()
+        students_ = [*default_config()["students"], {"kind": "rationale_sensitive", "token_budget": 28}]
+        config = load_config(write_config(
+            base, scene_count=60, corruption_rate=0.2, students=students_,
+            train={"epochs": 60, "step_size": 0.5},
+        ))
+        run_all(config)
+        report = run_ablation(config)
+        assert len({cell["keep_rate"] for cell in report["cells"].values()}) > 1
+        for p in (0, 1):
+            for m in (0, 1):
+                for b in (0, 1):
+                    key = f"prune={p},merge={m},bridge={b}"
+                    assert "error" not in report["cells"][key], key
+                    cell = base / "ablation" / f"prune{p}_merge{m}_bridge{b}"
+                    paths = {stage: str(ref / key / name) for stage, name in pipeline.CELL_FILES.items()}
+                    staged = config.with_overrides(
+                        edit={"prune": bool(p), "merge": bool(m), "bridge": bool(b)},
+                        paths={**config.raw["paths"], **paths},
+                    )
+                    manifest = new_manifest(staged)
+                    for stage in ("edit", "score", "emit", "train"):
+                        pipeline.STAGES[stage](staged, manifest)
+                    for stage, name in pipeline.CELL_FILES.items():
+                        assert sha256_of(cell / name) == sha256_of(staged.path(stage)), (key, name)
+
+    def test_shared_work_runs_once(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path, scene_count=16))
+        run_all(config)
+        calls = Counter()
+        for module, name in [(interp, "trace_from_record"), (sw, "load_scenes"),
+                             (sw, "load_queries")]:
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            bound = [m for key, m in list(sys.modules.items())
+                     if key.startswith("tracedistill") and getattr(m, name, None) is real]
+            assert module in bound
+            for m in bound:
+                monkeypatch.setattr(m, name, counted)
+        run_ablation(config)
+        kept = sum(r["reject_reason"] is None for r in read_jsonl(config.path("traces")))
+        assert calls == {"trace_from_record": kept, "load_scenes": 1, "load_queries": 1}
+
+    def _break_one_kept_trace(self, config):
+        rows = list(read_jsonl(config.path("traces")))
+        kept = [i for i, r in enumerate(rows) if r["reject_reason"] is None]
+        broken = rows[kept[2]]
+        del broken["events"]
+        write_jsonl(config.path("traces"), rows)
+        return len(kept), broken
+
+    def test_broken_trace_dropped_from_every_cell_and_recorded(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        kept, broken = self._break_one_kept_trace(config)
+        report = run_ablation(config)
+        for key, figures in report["cells"].items():
+            assert "error" not in figures, key
+            cell = tmp_path / "ablation" / key.replace(",", "_").replace("=", "")
+            manifest = read_json(cell / "manifest.json")
+            assert manifest["config_hash"] != config.config_hash()
+            entries = {e["stage"]: e for e in manifest["stages"]}
+            assert list(entries) == ["edit", "score", "emit", "train"]
+            assert entries["edit"]["rows_out"] == kept - 1
+            assert entries["edit"]["row_errors"] == [{
+                "row": 2, "query_id": broken["query_id"],
+                "program_id": broken["program_id"], "error": "'events'",
+            }]
+            edited = [r["query_id"] for r in read_jsonl(cell / "rationales.jsonl")]
+            assert len(edited) == kept - 1 and broken["query_id"] not in edited
+            assert entries["score"]["rows_in"] == kept - 1
+
+    def test_broken_trace_fails_every_cell_under_strict(self, tmp_path):
+        config = load_config(write_config(tmp_path, strict=True))
+        run_all(config)
+        self._break_one_kept_trace(config)
+        report = run_ablation(config)
+        assert report["cells"] == {
+            key: {"error": "[edit row 2] 'events'"} for key in report["cells"]
+        }
+        assert len(report["cells"]) == 8
