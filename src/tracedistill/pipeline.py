@@ -185,11 +185,18 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest) -> None:
     queries = {q.query_id: q for q in sw.load_queries(config.path("queries"))}
     tools = ToolConfig(noise_p=float(config["noise_p"]), noise_seed=config.seeds["scene_gen"])
     limits = StepLimits(max_steps=int(config["max_steps"]))
+    # One AST per distinct source, shared by every row that carries it:
+    # execute only reads the AST. A source that fails to parse is not kept,
+    # so each of its rows fails with the same error.
+    asts = {}
 
     def run_row(i, row):
         query = queries[row["query_id"]]
         scene = scenes_by_id[query.scene_id]
-        trace = execute(parse(row["source"]), scene, limits, tools, program_id=row["program_id"])
+        source = row["source"]
+        if source not in asts:
+            asts[source] = parse(source)
+        trace = execute(asts[source], scene, limits, tools, program_id=row["program_id"])
         return trace, query
 
     rows = list(read_jsonl(config.path("programs")))
@@ -206,6 +213,7 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest) -> None:
     manifest.record(
         "exec", started, rows_in=len(rows), rows_out=len(pairs), errors=errors,
         extra={
+            "distinct_sources": len(asts),
             "faithful_kept": len(kept),
             "rejected": {reason: reasons[reason] for reason in REJECT_REASONS},
         },

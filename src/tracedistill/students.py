@@ -31,7 +31,7 @@ class UtilityOutcome:
     student: str
     before_correct: bool
     after_correct: bool
-    verdict: str  # useful | non_useful | unsure | harmful | abstained
+    verdict: str  # useful | non_useful | unsure | harmful
     value: int
 
 
@@ -62,19 +62,16 @@ def utility_score(
     """Probe each student before/after seeing the rationale ``text`` and sum
     verdicts.
 
-    A student that raises scores 0 and is recorded as abstained.
+    An exception a student raises propagates: the caller records it as a
+    row error, or aborts under --strict.
     """
     if not students:
         raise ValueError("utility_score needs at least one student")
     expected = normalize_answer(query.expected_answer)
     outcomes = []
     for student in students:
-        try:
-            before = normalize_answer(student.answer(query.question)) == expected
-            after = normalize_answer(student.answer(query.question, text)) == expected
-        except Exception:
-            outcomes.append(UtilityOutcome(student.name, False, False, "abstained", 0))
-            continue
+        before = normalize_answer(student.answer(query.question)) == expected
+        after = normalize_answer(student.answer(query.question, text)) == expected
         verdict, value = verdict_for(before, after, harm_value)
         outcomes.append(UtilityOutcome(student.name, before, after, verdict, value))
     return ScoredRationale(
@@ -174,6 +171,10 @@ class StubbornStudent:
 
     fixed_answer: str = "yes"
     name: str = "stubborn"
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.fixed_answer, str) or not self.fixed_answer:
+            raise ConfigError(f"fixed_answer must be a non-empty string, got {self.fixed_answer!r}")
 
     def answer(self, question: str, context: str | None = None) -> str:
         return self.fixed_answer

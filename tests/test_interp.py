@@ -115,6 +115,40 @@ class TestExecute:
         assert "non-finite" in trace.error["message"]
 
 
+class TestSharedAst:
+    """Exec runs one AST for every row that carries its source, so execute
+    must leave the AST exactly as parse built it."""
+
+    PROGRAMS = [
+        COUNTING,
+        "x = 1\nif x == 2:\n    y = 3\nelif x == 1:\n    y = 5\nelse:\n    y = 4\nreturn y",
+        "patches = image.find('cup')\nreturn patches[0]",
+        "xs = [1, 2]\nys = xs + xs\nreturn len(ys)",
+    ]
+
+    def test_execution_leaves_the_ast_as_parsed(self, muffins3, muffins8, table_scene):
+        scenes = [muffins3, muffins8, table_scene, muffins3]
+        for source in self.PROGRAMS:
+            shared = parse(source)
+            for scene in scenes:
+                for limits in (StepLimits(), StepLimits(max_steps=4)):
+                    trace = execute(shared, scene, limits)
+                    assert trace == execute(parse(source), scene, limits)
+            assert shared == parse(source)
+
+    def test_corpus_sources_survive_every_scene(self):
+        scenes = generate_scenes(40, seed=13)
+        queries = generate_queries(scenes, seed=14)
+        by_id = {s.scene_id: s for s in scenes}
+        programs = generate_programs(queries, 0.3, seed=15)
+        shared = {}
+        for program, query in zip(programs, queries):
+            ast = shared.setdefault(program.source, parse(program.source))
+            for scene in scenes[:5] + [by_id[query.scene_id]]:
+                assert execute(ast, scene) == execute(parse(program.source), scene)
+        assert all(ast == parse(source) for source, ast in shared.items())
+
+
 class TestDefUseAndCompleteness:
     def _corpus_traces(self, n=60, seed=31):
         scenes = generate_scenes(n, seed=seed)

@@ -152,13 +152,39 @@ class TestStageHandoff:
 
         for module in bound:
             monkeypatch.setattr(module, "parse", counted)
-        config = load_config(write_config(tmp_path))
+        config = load_config(write_config(tmp_path, scene_count=60))
         manifest = new_manifest(config)
         pipeline.stage_scene_gen(config, manifest)
         pipeline.stage_program_gen(config, manifest)
         assert len(calls) == 0
+        sources = [row["source"] for row in read_jsonl(config.path("programs"))]
+        assert len(set(sources)) < len(sources)
         pipeline.stage_exec(config, manifest)
-        assert len(calls) == 20
+        assert sorted(calls) == sorted(set(sources))
+        assert manifest.stages[-1]["extra"]["distinct_sources"] == len(set(sources))
+
+    def test_shared_asts_give_the_traces_of_a_parse_per_row(self, tmp_path):
+        config = load_config(write_config(tmp_path, scene_count=60))
+        manifest = run_all(config)
+        rows = list(read_jsonl(config.path("programs")))
+        assert len({row["source"] for row in rows}) < len(rows)
+        scenes_by_id = {s.scene_id: s for s in sw.load_scenes(config.path("scenes"))}
+        queries = {q.query_id: q for q in sw.load_queries(config.path("queries"))}
+        tools = sw.ToolConfig(noise_p=float(config["noise_p"]), noise_seed=config.seeds["scene_gen"])
+        limits = interp.StepLimits(max_steps=int(config["max_steps"]))
+        pairs = []
+        for row in rows:
+            query = queries[row["query_id"]]
+            trace = interp.execute(dsl.parse(row["source"]), scenes_by_id[query.scene_id],
+                                   limits, tools, program_id=row["program_id"])
+            pairs.append((trace, query))
+        _, rejected = interp.faithfulness_filter(pairs)
+        reason_of = {id(r.trace): r.reason for r in rejected}
+        fresh = tmp_path / "fresh_traces.jsonl"
+        write_jsonl(fresh, (interp.trace_to_record(t, q.query_id, reason_of.get(id(t)))
+                            for t, q in pairs))
+        assert fresh.read_bytes() == config.path("traces").read_bytes()
+        assert manifest.counts["faithful_kept"] == len(pairs) - len(rejected)
 
     def test_score_emit_and_ablate_share_one_keep_rule(self, tmp_path, monkeypatch):
         monkeypatch.setattr(students, "keeps", lambda score, min_score=0: score > min_score)
@@ -251,6 +277,69 @@ class TestCrashIsolation:
         with pytest.raises(StageError, match="exec row 0"):
             stage_exec(config, new_manifest(config))
 
+    def _share_one_bad_source(self, config):
+        rows = list(read_jsonl(config.path("programs")))
+        for i in (2, 7):
+            rows[i]["source"] = "this is (not valid"
+        write_jsonl(config.path("programs"), rows)
+        return rows
+
+    def test_rows_sharing_a_bad_source_each_fail(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        rows = self._share_one_bad_source(config)
+        manifest = new_manifest(config)
+        pipeline.stage_exec(config, manifest)
+        entry = manifest.stages[-1]
+        assert entry["rows_out"] == len(rows) - 2
+        errors = entry["row_errors"]
+        assert [(e["row"], e["program_id"]) for e in errors] == [
+            (i, rows[i]["program_id"]) for i in (2, 7)
+        ]
+        assert errors[0]["error"] == errors[1]["error"]
+        assert entry["extra"]["distinct_sources"] == len({r["source"] for r in rows}) - 1
+
+    def test_strict_aborts_at_the_first_row_of_a_shared_bad_source(self, tmp_path):
+        config = load_config(write_config(tmp_path, strict=True))
+        run_all(config)
+        self._share_one_bad_source(config)
+        with pytest.raises(StageError, match="exec row 2"):
+            pipeline.stage_exec(config, new_manifest(config))
+
+    @pytest.fixture
+    def broken_student(self, monkeypatch):
+        def answer(self, question, context=None):
+            raise RuntimeError("student broke")
+
+        monkeypatch.setattr(students.StubbornStudent, "answer", answer)
+
+    def test_student_exception_is_a_score_row_error(self, tmp_path, broken_student):
+        config = load_config(write_config(tmp_path))
+        manifest = run_all(config)
+        entry = next(e for e in manifest.stages if e["stage"] == "score")
+        rationales = list(read_jsonl(config.path("rationales")))
+        assert entry["rows_out"] == 0 and manifest.counts["score_kept"] == 0
+        assert entry["row_errors"] == [
+            {"row": i, "query_id": r["query_id"], "program_id": r["program_id"],
+             "error": "student broke"}
+            for i, r in enumerate(rationales)
+        ]
+        report = run_ablation(config)
+        for key in report["cells"]:
+            cell_dir = tmp_path / "ablation" / key.replace(",", "_").replace("=", "")
+            entries = {e["stage"]: e for e in read_json(cell_dir / "manifest.json")["stages"]}
+            assert entries["score"]["rows_out"] == 0, key
+            assert len(entries["score"]["row_errors"]) == entries["edit"]["rows_out"] > 0, key
+
+    def test_student_exception_aborts_score_under_strict(self, tmp_path, broken_student):
+        config = load_config(write_config(tmp_path, strict=True))
+        with pytest.raises(StageError, match=r"\[score row 0\] student broke"):
+            run_all(config)
+        report = run_ablation(config)
+        assert report["cells"] == {
+            key: {"error": "[score row 0] student broke"} for key in report["cells"]
+        }
+
 
 class TestCli:
     def test_missing_input_exits_nonzero(self, tmp_path, capsys):
@@ -281,6 +370,10 @@ class TestCli:
             (
                 {"students": [{"kind": "rationale_sensitive", "token_budget": "abc"}]},
                 "token_budget must be null or an integer >= 0",
+            ),
+            (
+                {"students": [{"kind": "stubborn", "fixed_answer": 5}]},
+                "fixed_answer must be a non-empty string",
             ),
         ],
     )

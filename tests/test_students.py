@@ -63,7 +63,7 @@ class TestVerdicts:
         kept, rejected = filter_by_score([scored])
         assert not kept and rejected
 
-    def test_student_failure_abstains(self):
+    def test_student_failure_propagates(self):
         class Exploding:
             name = "exploding"
 
@@ -71,9 +71,8 @@ class TestVerdicts:
                 raise TimeoutError("slow model")
 
         query = Query("q", "s", "how many muffins", "3")
-        scored = utility_score("x", query, [Exploding()])
-        assert scored.score == 0
-        assert scored.outcomes[0].verdict == "abstained"
+        with pytest.raises(TimeoutError, match="slow model"):
+            utility_score("x", query, [FixedStudent("a", False, True), Exploding()])
 
     def test_requires_students(self):
         query = Query("q", "s", "how many muffins", "3")
