@@ -120,10 +120,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError("corruption_rate must lie in [0, 1]")
     if not (0.0 <= merged["noise_p"] <= 1.0):
         raise ConfigError("noise_p must lie in [0, 1]")
-    if merged["harm_verdict"] not in (-1, 0):
+    if isinstance(merged["harm_verdict"], bool) or merged["harm_verdict"] not in (-1, 0):
         raise ConfigError("harm_verdict must be -1 or 0")
-    if int(merged["max_steps"]) < 1:
-        raise ConfigError("max_steps must be >= 1")
+    max_steps = merged["max_steps"]
+    if isinstance(max_steps, bool) or int(max_steps) < 1:
+        raise ConfigError(f"max_steps must be >= 1, got {max_steps!r}")
     if not merged["students"]:
         raise ConfigError("students must name at least one student")
     # Build the ensemble once without a corpus so a bad student spec fails

@@ -411,15 +411,7 @@ class _Parser:
         return self.parse_comparison()
 
     def parse_comparison(self) -> int:
-        left = self.parse_arith()
-        while (self.peek().kind == "OP" and self.peek().value in _COMPARISONS) or self.at(
-            "KEYWORD", "in"
-        ):
-            op = self.advance()
-            right = self.parse_arith()
-            ls, rs = self.span_of(left), self.span_of(right)
-            left = self.make("Binary", [left, right], {"op": op.value}, (ls[0], ls[1], rs[2], rs[3]))
-        return left
+        return self._binary_chain(self.parse_arith, _COMPARISONS, ("OP", "KEYWORD"))
 
     def parse_arith(self) -> int:
         return self._binary_chain(self.parse_term, {"+", "-"}, ("OP",))
@@ -573,13 +565,13 @@ def _render_stmt(ast: Ast, node_id: int, depth: int, lines: list[str]) -> None:
     node = ast.node(node_id)
     pad = " " * (_INDENT_WIDTH * depth)
     if node.kind == "Assign":
-        lines.append(f"{pad}{node.payload['target']} = {_render_expr(ast, node.children[0])}")
+        lines.append(f"{pad}{node.payload['target']} = {render_expr(ast, node.children[0])}")
     elif node.kind == "Return":
-        lines.append(f"{pad}return {_render_expr(ast, node.children[0])}")
+        lines.append(f"{pad}return {render_expr(ast, node.children[0])}")
     elif node.kind == "ExprStmt":
-        lines.append(f"{pad}{_render_expr(ast, node.children[0])}")
+        lines.append(f"{pad}{render_expr(ast, node.children[0])}")
     elif node.kind == "For":
-        iterable = _render_expr(ast, node.children[0])
+        iterable = render_expr(ast, node.children[0])
         lines.append(f"{pad}for {node.payload['var']} in {iterable}:")
         for child in node.children[1:]:
             _render_stmt(ast, child, depth + 1, lines)
@@ -587,7 +579,7 @@ def _render_stmt(ast: Ast, node_id: int, depth: int, lines: list[str]) -> None:
         arms, else_stmts = if_arms(ast, node)
         for i, (cond, stmts) in enumerate(arms):
             keyword = "if" if i == 0 else "elif"
-            lines.append(f"{pad}{keyword} {_render_expr(ast, cond)}:")
+            lines.append(f"{pad}{keyword} {render_expr(ast, cond)}:")
             for s in stmts:
                 _render_stmt(ast, s, depth + 1, lines)
         if else_stmts:
@@ -596,11 +588,6 @@ def _render_stmt(ast: Ast, node_id: int, depth: int, lines: list[str]) -> None:
                 _render_stmt(ast, s, depth + 1, lines)
     else:
         raise ValueError(f"not a statement kind: {node.kind}")
-
-
-def render_expr(ast: Ast, node_id: int) -> str:
-    """Render a single expression subtree (used by the slice rebuilder)."""
-    return _render_expr(ast, node_id)
 
 
 def _literal_text(value: Any) -> str:
@@ -612,7 +599,8 @@ def _literal_text(value: Any) -> str:
     return f"'{escaped}'"
 
 
-def _render_expr(ast: Ast, node_id: int) -> str:
+def render_expr(ast: Ast, node_id: int) -> str:
+    """Render a single expression subtree."""
     text, _ = _render_prec(ast, node_id)
     return text
 
@@ -625,21 +613,21 @@ def _render_prec(ast: Ast, node_id: int) -> tuple[str, int]:
     if node.kind == "Name":
         return node.payload["id"], atom
     if node.kind == "ListLit":
-        items = ", ".join(_render_expr(ast, c) for c in node.children)
+        items = ", ".join(render_expr(ast, c) for c in node.children)
         return f"[{items}]", atom
     if node.kind == "Call":
-        args = ", ".join(_render_expr(ast, c) for c in node.children)
+        args = ", ".join(render_expr(ast, c) for c in node.children)
         return f"{node.payload['func']}({args})", _PREC["postfix"]
     if node.kind == "MethodCall":
         recv = _wrap(ast, node.children[0], _PREC["postfix"])
-        args = ", ".join(_render_expr(ast, c) for c in node.children[1:])
+        args = ", ".join(render_expr(ast, c) for c in node.children[1:])
         return f"{recv}.{node.payload['method']}({args})", _PREC["postfix"]
     if node.kind == "Attribute":
         recv = _wrap(ast, node.children[0], _PREC["postfix"])
         return f"{recv}.{node.payload['attr']}", _PREC["postfix"]
     if node.kind == "Index":
         recv = _wrap(ast, node.children[0], _PREC["postfix"])
-        return f"{recv}[{_render_expr(ast, node.children[1])}]", _PREC["postfix"]
+        return f"{recv}[{render_expr(ast, node.children[1])}]", _PREC["postfix"]
     if node.kind == "Unary":
         op = node.payload["op"]
         prec = _PREC["not"] if op == "not" else _PREC["neg"]

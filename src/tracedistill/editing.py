@@ -15,7 +15,9 @@ A symbolic record renders to one line of the fixed grammar::
     returned <value>
 
 and to one English sentence via the fixed template table (frozen by golden
-files under tests/).
+files under tests/). The line is an output format only: it fills an
+external bridger's facts and gives gap tagging the words each record
+mentions; nothing parses it back.
 """
 
 from __future__ import annotations
@@ -183,39 +185,25 @@ def _emit_if_slice(ast, node, depth, kept_stmts, kept_arms, kept_loops, taken_ar
 # ---------------------------------------------------------------------------
 # symbolic records and merging
 
-_LINE_KEYWORDS = {
-    "assigned", "called", "looped", "branch", "arm", "over", "items",
-    "returned", "patch", "true", "false", "none",
-}
-
-
 @dataclass
 class SymbolicRecord:
-    """Operation / Arguments / Invocation record; equality covers only the
-    three schema fields so the rendered line round-trips to an equal record."""
+    """Operation / Arguments / Invocation record. Equality covers only the
+    three schema fields, the ones its symbolic line shows; the dependency
+    fields feed gap tagging and bridging."""
 
     operation: str  # assigned | called | looped | branch | returned
     arguments: dict[str, str]
     invocation: str | None = None
     reads: set[str] = dc_field(default_factory=set, compare=False)
     defines: set[str] = dc_field(default_factory=set, compare=False)
-    mentions: set[str] = dc_field(default_factory=set, compare=False)
     source_seqs: list[int] = dc_field(default_factory=list, compare=False)
     ctrl_seqs: set[int] = dc_field(default_factory=set, compare=False)
-
-    def finish(self) -> "SymbolicRecord":
-        self.mentions = _line_tokens(record_to_line(self))
-        return self
 
 
 @dataclass
 class SymbolicTrace:
     program_id: str
     records: list[SymbolicRecord]
-
-
-def _line_tokens(line: str) -> set[str]:
-    return {t for t in re.findall(r"[A-Za-z_]\w*", line.lower()) if t not in _LINE_KEYWORDS}
 
 
 def _loop_var_of_ctrl(events: list[TraceEvent], seq: int) -> str | None:
@@ -236,39 +224,29 @@ def _base_record(events: list[TraceEvent], event: TraceEvent) -> SymbolicRecord 
     ctrl = event.detail.get("ctrl", -1)
     ctrl_seqs = {ctrl} if ctrl >= 0 else set()
     common = dict(reads=reads, source_seqs=[event.seq], ctrl_seqs=ctrl_seqs)
-    if event.kind == "assign":
+    if event.kind in ("assign", "loop_iter"):  # a loop_iter has no invocation
         name, value = next(iter(event.bindings.items()))
         callee = event.invocation[0] if event.invocation else None
         return SymbolicRecord(
             "assigned", {name: value_text(value)}, callee, defines={name}, **common
-        ).finish()
+        )
     if event.kind in ("tool_call", "builtin_call"):
         callee, args, result = event.invocation
         arguments = {
             "args": ",".join(value_text(a) for a in args),
             "value": value_text(result),
         }
-        return SymbolicRecord("called", arguments, callee, **common).finish()
+        return SymbolicRecord("called", arguments, callee, **common)
     if event.kind == "branch_taken":
-        return SymbolicRecord("branch", {"arm": str(event.detail["arm"])}, None, **common).finish()
+        return SymbolicRecord("branch", {"arm": str(event.detail["arm"])}, None, **common)
     if event.kind == "loop_enter":
         var = _loop_var_name(events, event)
-        return SymbolicRecord(
-            "looped",
-            {"var": var, "items": str(event.detail["items"])},
-            None,
-            defines={var},
-            **common,
-        ).finish()
-    if event.kind == "loop_iter":
-        name, value = next(iter(event.bindings.items()))
-        return SymbolicRecord(
-            "assigned", {name: value_text(value)}, None, defines={name}, **common
-        ).finish()
+        arguments = {"var": var, "items": str(event.detail["items"])}
+        return SymbolicRecord("looped", arguments, None, defines={var}, **common)
     if event.kind == "return":
         return SymbolicRecord(
             "returned", {"value": value_text(event.detail.get("value"))}, None, **common
-        ).finish()
+        )
     return None  # loop_exit carries only the iteration count
 
 
@@ -322,7 +300,6 @@ def merge(pruned: PrunedTrace) -> SymbolicTrace:
                 old.reads |= rec.reads
                 old.source_seqs.extend(rec.source_seqs)
                 old.ctrl_seqs |= rec.ctrl_seqs
-                old.finish()
                 continue
             assign_slot[key] = len(records)
         elif event.kind == "tool_call":
@@ -332,7 +309,6 @@ def merge(pruned: PrunedTrace) -> SymbolicTrace:
                 called_times[idx] = called_times.get(idx, 1) + 1
                 records[idx].arguments["times"] = str(called_times[idx])
                 records[idx].source_seqs.extend(rec.source_seqs)
-                records[idx].finish()
                 continue
             called_slot[key] = len(records)
         records.append(rec)
@@ -340,7 +316,7 @@ def merge(pruned: PrunedTrace) -> SymbolicTrace:
 
 
 # ---------------------------------------------------------------------------
-# symbolic line grammar (External Interface; bit-exact)
+# symbolic line grammar (output only: bridger facts and gap tagging; bit-exact)
 
 def record_to_line(record: SymbolicRecord) -> str:
     op = record.operation
@@ -362,98 +338,6 @@ def record_to_line(record: SymbolicRecord) -> str:
     if op == "returned":
         return f"returned {record.arguments['value']}"
     raise ValueError(f"unknown operation {op!r}")
-
-
-def _scan_literal(text: str, i: int) -> tuple[str, int]:
-    n = len(text)
-    if i < n and text[i] == "'":
-        j = i + 1
-        while j < n:
-            if text[j] == "\\":
-                j += 2
-                continue
-            if text[j] == "'":
-                return text[i : j + 1], j + 1
-            j += 1
-        raise ValueError("unterminated string in symbolic line")
-    if i < n and text[i] == "[":
-        depth = 0
-        j = i
-        while j < n:
-            ch = text[j]
-            if ch == "'":
-                _, j = _scan_literal(text, j)
-                continue
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-                if depth == 0:
-                    return text[i : j + 1], j + 1
-            j += 1
-        raise ValueError("unterminated list in symbolic line")
-    if text.startswith("patch(", i):
-        j = text.index(")", i)
-        return text[i : j + 1], j + 1
-    j = i
-    while j < n and text[j] != " ":
-        j += 1
-    return text[i:j], j
-
-
-def record_from_line(line: str) -> SymbolicRecord:
-    """Parse one symbolic line back to a record (inverse of record_to_line
-    on the schema fields)."""
-    if line.startswith("assigned "):
-        rest = line[len("assigned "):]
-        name, _, rest = rest.partition(":")
-        value, i = _scan_literal(rest, 0)
-        tail = rest[i:].strip()
-        invocation = tail if tail else None
-        return SymbolicRecord("assigned", {name: value}, invocation)
-    if line.startswith("called "):
-        rest = line[len("called "):]
-        callee, _, rest = rest.partition("(")
-        depth = 1
-        j = 0
-        while j < len(rest) and depth:
-            ch = rest[j]
-            if ch == "'":
-                _, j = _scan_literal(rest, j)
-                continue
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        args = rest[:j]
-        rest = rest[j + 1 :]
-        if not rest.startswith(" -> "):
-            raise ValueError(f"malformed called line: {line!r}")
-        rest = rest[4:]
-        value, i = _scan_literal(rest, 0)
-        arguments = {"args": args, "value": value}
-        tail = rest[i:].strip()
-        if tail:
-            m = re.fullmatch(r"x(\d+)", tail)
-            if not m:
-                raise ValueError(f"malformed called suffix: {tail!r}")
-            arguments["times"] = m.group(1)
-        return SymbolicRecord("called", arguments, callee)
-    m = re.fullmatch(r"looped (\w+) over (\d+) items", line)
-    if m:
-        return SymbolicRecord("looped", {"var": m.group(1), "items": m.group(2)}, None)
-    m = re.fullmatch(r"branch arm (\d+)", line)
-    if m:
-        return SymbolicRecord("branch", {"arm": m.group(1)}, None)
-    if line.startswith("returned "):
-        value, i = _scan_literal(line, len("returned "))
-        if line[i:].strip():
-            raise ValueError(f"trailing text after returned value: {line!r}")
-        return SymbolicRecord("returned", {"value": value}, None)
-    raise ValueError(f"unparseable symbolic line: {line!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +398,16 @@ GAP = "<gap>"
 NO_GAP = "<no-gap>"
 
 
+_LINE_KEYWORDS = {
+    "assigned", "called", "looped", "branch", "arm", "over", "items",
+    "returned", "patch", "true", "false", "none",
+}
+
+
+def _line_tokens(line: str) -> set[str]:
+    return {t for t in re.findall(r"[A-Za-z_]\w*", line.lower()) if t not in _LINE_KEYWORDS}
+
+
 @dataclass
 class TaggedDraft:
     sentences: list[str]
@@ -524,16 +418,18 @@ def tag_gaps(sentences: list[str], context: SymbolicTrace) -> TaggedDraft:
     """Tag each adjacent sentence pair; sentences must align 1:1 with the
     context records (the pre-bridge draft). A joint is <no-gap> when the
     later record references a variable or entity the earlier record defined
-    or mentioned, or is directly control-dependent on it."""
+    or mentioned, or is directly control-dependent on it. A record mentions
+    the names and words its symbolic line shows."""
     if not sentences:
         raise ValueError("tag_gaps needs at least one sentence")
     records = context.records
     if len(sentences) != len(records):
         raise ValueError("draft sentences must align with symbolic records")
+    mentions = [_line_tokens(record_to_line(r)) for r in records]
     joints = []
-    for earlier, later in zip(records, records[1:]):
-        refs = later.reads | later.mentions
-        anchors = earlier.defines | earlier.reads | earlier.mentions
+    for i, (earlier, later) in enumerate(zip(records, records[1:])):
+        refs = later.reads | mentions[i + 1]
+        anchors = earlier.defines | earlier.reads | mentions[i]
         ctrl_link = bool(later.ctrl_seqs & set(earlier.source_seqs))
         joints.append(NO_GAP if (refs & anchors) or ctrl_link else GAP)
     return TaggedDraft(sentences=list(sentences), joints=joints)
@@ -546,10 +442,8 @@ def tag_gaps(sentences: list[str], context: SymbolicTrace) -> TaggedDraft:
 class BridgeRequest:
     prev: str
     next: str
-    facts: list[str]
-    next_index: int = -1  # record index of the sentence after the gap
-    next_record: SymbolicRecord | None = None
-    trace: SymbolicTrace | None = None
+    trace: SymbolicTrace
+    next_index: int  # record index of the sentence after the gap
 
 
 class DefaultBridger:
@@ -560,23 +454,23 @@ class DefaultBridger:
     name = "default"
 
     def fill(self, request: BridgeRequest) -> str:
-        rec = request.next_record
-        trace = request.trace
-        if rec is not None and trace is not None and request.next_index >= 0:
-            for name in sorted(rec.reads):
-                for earlier in reversed(trace.records[: request.next_index]):
-                    if name in earlier.defines and earlier.operation == "assigned":
-                        value = _display(earlier.arguments[name])
-                        return f"Recall that {name} = {value}."
-            if rec.invocation:
-                return f"Next, {rec.invocation} comes into play."
+        records = request.trace.records
+        rec = records[request.next_index]
+        for name in sorted(rec.reads):
+            for earlier in reversed(records[: request.next_index]):
+                if name in earlier.defines and earlier.operation == "assigned":
+                    value = _display(earlier.arguments[name])
+                    return f"Recall that {name} = {value}."
+        if rec.invocation:
+            return f"Next, {rec.invocation} comes into play."
         return "With that settled, the next step follows."
 
 
 class HttpBridger:
     """Client for an external bridging model.
 
-    Wire contract: POST {prev, next, facts: [...]} and read {bridge_text}.
+    Wire contract: POST {prev, next, facts: [...]} and read {bridge_text},
+    where facts holds the symbolic line of every record in the trace.
     Any failure raises, which bridge() turns into a default-bridger fallback
     recorded as bridge_fallback.
     """
@@ -591,10 +485,11 @@ class HttpBridger:
         import json
         import urllib.request
 
+        facts = [record_to_line(r) for r in request.trace.records]
         wire = urllib.request.Request(
             self.endpoint,
             data=json.dumps(
-                {"prev": request.prev, "next": request.next, "facts": request.facts}
+                {"prev": request.prev, "next": request.next, "facts": facts}
             ).encode("utf-8"),
             headers={"Content-Type": "application/json"},
         )
@@ -631,7 +526,6 @@ def bridge(
     """
     primary = bridger or DefaultBridger()
     fallback = DefaultBridger()
-    facts = [record_to_line(r) for r in trace.records]
     sentences: list[str] = [tagged.sentences[0]]
     source_records: list[list[int]] = [[0]]
     fell_back = False
@@ -640,10 +534,8 @@ def bridge(
             request = BridgeRequest(
                 prev=tagged.sentences[i],
                 next=tagged.sentences[i + 1],
-                facts=facts,
-                next_index=i + 1,
-                next_record=trace.records[i + 1],
                 trace=trace,
+                next_index=i + 1,
             )
             try:
                 text = primary.fill(request)

@@ -554,10 +554,14 @@ def load_queries(path: str | Path) -> list[Query]:
     from .jsonlio import read_jsonl
 
     queries = []
+    seen: set[str] = set()
     for i, row in enumerate(read_jsonl(path)):
         for key in ("query_id", "scene_id", "question", "expected_answer"):
             if key not in row:
                 raise SchemaError(f"queries row {i}: missing field {key!r}")
+        if row["query_id"] in seen:
+            raise SchemaError(f"queries row {i}: duplicate query_id {row['query_id']!r}")
+        seen.add(row["query_id"])
         queries.append(Query(**{k: row[k] for k in (
             "query_id", "scene_id", "question", "expected_answer")}))
     return queries

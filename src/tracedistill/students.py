@@ -146,7 +146,9 @@ class RationaleSensitiveStudent:
         if self.trigger_mode not in ("answer", "fact"):
             raise ConfigError(f"unknown trigger_mode {self.trigger_mode!r}")
         budget = self.token_budget
-        if budget is not None and (not isinstance(budget, int) or budget < 0):
+        if budget is not None and (
+            not isinstance(budget, int) or isinstance(budget, bool) or budget < 0
+        ):
             raise ConfigError(f"token_budget must be null or an integer >= 0, got {budget!r}")
 
     def answer(self, question: str, context: str | None = None) -> str:

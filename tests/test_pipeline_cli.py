@@ -375,6 +375,12 @@ class TestCli:
                 {"students": [{"kind": "stubborn", "fixed_answer": 5}]},
                 "fixed_answer must be a non-empty string",
             ),
+            ({"max_steps": True}, "max_steps must be >= 1, got True"),
+            (
+                {"students": [{"kind": "rationale_sensitive", "token_budget": True}]},
+                "token_budget must be null or an integer >= 0, got True",
+            ),
+            ({"harm_verdict": False}, "harm_verdict must be -1 or 0"),
         ],
     )
     def test_config_that_fails_every_row_rejected(self, tmp_path, capsys, override, message):
@@ -568,6 +574,29 @@ class TestAblate:
                         pipeline.STAGES[stage](staged, manifest)
                     for stage, name in pipeline.CELL_FILES.items():
                         assert sha256_of(cell / name) == sha256_of(staged.path(stage)), (key, name)
+
+    # sha256 of each cell's rationales.jsonl after run-all and ablate at
+    # n=60, corruption 0.2, default seeds. Any change to an edited byte
+    # (pruning, merging, rendering, tagging or bridging) moves one of these.
+    PINNED_RATIONALES = {
+        "prune0_merge0_bridge0": "2911064be5db6003e4b27ce2693f748ad08476c40b6815c3c04096cdb24990e1",
+        "prune0_merge0_bridge1": "e04478ed35314fe8d091c291fc6ccf7e3224f751fa9ea361a12c489b751b7047",
+        "prune0_merge1_bridge0": "fdda53054771ca411f991d692b5d9bd2764ef77fbc5aa61c4902a9566b3f172b",
+        "prune0_merge1_bridge1": "961c97b9dc00eacead2e15a525752a0577a8692e7d847e01e9b013f2b6dbc336",
+        "prune1_merge0_bridge0": "7aa19a6ced2cdcd966ca36a1e7c5dacf07ab51fd36a5621ae418f3a3788186a4",
+        "prune1_merge0_bridge1": "89a08f983c68efa823d99ce634ceba38864814f88d29d12cca84eec927805826",
+        "prune1_merge1_bridge0": "0273da3c6c2f4c3cecf01ab60f2af2ae62af1258f345a1d6b2ab057a26dcaec4",
+        "prune1_merge1_bridge1": "03d7ddfe7ca8086ee84e61ffef61d19caf25fefb29be8c91ddb25f2471cac76b",
+    }
+
+    def test_cell_rationales_are_pinned(self, tmp_path):
+        config = load_config(write_config(tmp_path, scene_count=60, corruption_rate=0.2))
+        run_all(config)
+        run_ablation(config)
+        cells = sorted((tmp_path / "ablation").iterdir())
+        assert {cell.name: sha256_of(cell / "rationales.jsonl") for cell in cells} == (
+            self.PINNED_RATIONALES
+        )
 
     def test_shared_work_runs_once(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, scene_count=16))

@@ -14,6 +14,7 @@ from tracedistill.scenes import (
     full_canvas_patch,
     generate_queries,
     generate_scenes,
+    load_queries,
     load_scenes,
     save_scenes,
     tool_best_text_match,
@@ -84,6 +85,20 @@ class TestLoadScenes:
         save_scenes(first, scenes)
         save_scenes(second, load_scenes(first))
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestLoadQueries:
+    ROW = {"query_id": "q0", "scene_id": "s0", "question": "How many cups?", "expected_answer": "1"}
+
+    def write(self, tmp_path, rows):
+        path = tmp_path / "queries.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return path
+
+    def test_duplicate_query_id_rejected(self, tmp_path):
+        second = {**self.ROW, "question": "Is there a cup?", "expected_answer": "yes"}
+        with pytest.raises(SchemaError, match="queries row 1: duplicate query_id 'q0'"):
+            load_queries(self.write(tmp_path, [self.ROW, second]))
 
 
 class TestGenerateScenes:
