@@ -123,7 +123,13 @@ def load_config(path: str | Path) -> PipelineConfig:
     if isinstance(merged["harm_verdict"], bool) or merged["harm_verdict"] not in (-1, 0):
         raise ConfigError("harm_verdict must be -1 or 0")
     max_steps = merged["max_steps"]
-    if isinstance(max_steps, bool) or int(max_steps) < 1:
+    try:
+        steps = int(max_steps) if isinstance(max_steps, (int, str)) else None
+    except ValueError:
+        steps = None
+    if steps is None:
+        raise ConfigError(f"max_steps must be an integer, got {max_steps!r}")
+    if isinstance(max_steps, bool) or steps < 1:
         raise ConfigError(f"max_steps must be >= 1, got {max_steps!r}")
     if not merged["students"]:
         raise ConfigError("students must name at least one student")

@@ -85,13 +85,13 @@ def _lex_line(text: str, lineno: int, offset: int, out: list[Token]) -> None:
         if ch == " ":
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 out.append(Token("FLOAT", float(text[i:j]), lineno, col))
             else:
@@ -158,7 +158,6 @@ class AstNode:
     kind: str
     children: list[int] = field(default_factory=list)
     payload: dict = field(default_factory=dict)
-    span: tuple[int, int, int, int] = (0, 0, 0, 0)  # start line/col, end line/col
 
 
 @dataclass
@@ -237,7 +236,7 @@ def if_arms(ast: Ast, node: AstNode) -> tuple[list[tuple[int, list[int]]], list[
 
 
 def ast_equal(a: Ast, b: Ast) -> bool:
-    """Structural equality ignoring node ids and spans."""
+    """Structural equality ignoring node ids."""
 
     def eq(na: int, nb: int) -> bool:
         x, y = a.node(na), b.node(nb)
@@ -258,6 +257,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.nodes: list[AstNode] = []
+        # Each Name node's token, so an unknown function is reported where
+        # its name stands.
+        self.name_tokens: dict[int, Token] = {}
 
     # -- token plumbing
 
@@ -281,13 +283,9 @@ class _Parser:
         tok = self.peek()
         return tok.kind == kind and (value is None or tok.value == value)
 
-    def make(self, kind: str, children: list[int], payload: dict, span: tuple) -> int:
-        node = AstNode(id=len(self.nodes), kind=kind, children=children, payload=payload, span=span)
-        self.nodes.append(node)
-        return node.id
-
-    def span_of(self, node_id: int) -> tuple[int, int, int, int]:
-        return self.nodes[node_id].span
+    def make(self, kind: str, children: list[int], payload: dict) -> int:
+        self.nodes.append(AstNode(id=len(self.nodes), kind=kind, children=children, payload=payload))
+        return len(self.nodes) - 1
 
     # -- grammar
 
@@ -298,38 +296,30 @@ class _Parser:
         if not stmts:
             tok = self.peek()
             raise DslSyntaxError("expected at least one statement", tok.line, tok.col)
-        first = self.span_of(stmts[0])
-        last = self.span_of(stmts[-1])
-        root = self.make("Entry", stmts, {"param": "image"}, (first[0], first[1], last[2], last[3]))
+        root = self.make("Entry", stmts, {"param": "image"})
         return Ast(nodes=self.nodes, root=root)
 
     def parse_statement(self) -> int:
         tok = self.peek()
-        if tok.kind == "KEYWORD" and tok.value == "if":
+        if self.at("KEYWORD", "if"):
             return self.parse_if()
-        if tok.kind == "KEYWORD" and tok.value == "for":
+        if self.at("KEYWORD", "for"):
             return self.parse_for()
-        if tok.kind == "KEYWORD" and tok.value == "return":
-            start = self.advance()
-            value = self.parse_expr()
-            end = self.span_of(value)
-            self.expect("NEWLINE")
-            return self.make("Return", [value], {}, (start.line, start.col, end[2], end[3]))
-        if tok.kind == "NAME" and self.peek(1).kind == "OP" and self.peek(1).value == "=":
-            name = self.advance()
+        if self.at("KEYWORD", "return"):
+            self.advance()
+            kind, payload = "Return", {}
+        elif tok.kind == "NAME" and self.peek(1).kind == "OP" and self.peek(1).value == "=":
+            self.advance()
             self.advance()  # '='
-            value = self.parse_expr()
-            end = self.span_of(value)
-            self.expect("NEWLINE")
-            return self.make(
-                "Assign", [value], {"target": name.value}, (name.line, name.col, end[2], end[3])
-            )
-        expr = self.parse_expr()
-        end = self.span_of(expr)
+            kind, payload = "Assign", {"target": tok.value}
+        else:
+            kind, payload = "ExprStmt", {}
+        value = self.parse_expr()
         self.expect("NEWLINE")
-        return self.make("ExprStmt", [expr], {}, end)
+        return self.make(kind, [value], payload)
 
     def parse_block(self) -> list[int]:
+        self.expect("OP", ":")
         self.expect("NEWLINE")
         self.expect("INDENT")
         stmts = [self.parse_statement()]
@@ -339,48 +329,30 @@ class _Parser:
         return stmts
 
     def parse_if(self) -> int:
-        start = self.expect("KEYWORD", "if")
         children: list[int] = []
         counts: list[int] = []
-        cond = self.parse_expr()
-        self.expect("OP", ":")
-        stmts = self.parse_block()
-        children.append(cond)
-        children.extend(stmts)
-        counts.append(len(stmts))
-        else_count = 0
-        while self.at("KEYWORD", "elif"):
+        keyword = "if"
+        while self.at("KEYWORD", keyword):
             self.advance()
-            cond = self.parse_expr()
-            self.expect("OP", ":")
+            keyword = "elif"
+            children.append(self.parse_expr())
             stmts = self.parse_block()
-            children.append(cond)
             children.extend(stmts)
             counts.append(len(stmts))
+        else_count = 0
         if self.at("KEYWORD", "else"):
             self.advance()
-            self.expect("OP", ":")
             stmts = self.parse_block()
             children.extend(stmts)
             else_count = len(stmts)
-        end = self.span_of(children[-1])
-        payload = {"arm_stmt_counts": counts, "else_count": else_count}
-        return self.make("If", children, payload, (start.line, start.col, end[2], end[3]))
+        return self.make("If", children, {"arm_stmt_counts": counts, "else_count": else_count})
 
     def parse_for(self) -> int:
-        start = self.expect("KEYWORD", "for")
+        self.advance()  # 'for'
         var = self.expect("NAME")
         self.expect("KEYWORD", "in")
         iterable = self.parse_expr()
-        self.expect("OP", ":")
-        body = self.parse_block()
-        end = self.span_of(body[-1])
-        return self.make(
-            "For",
-            [iterable] + body,
-            {"var": var.value},
-            (start.line, start.col, end[2], end[3]),
-        )
+        return self.make("For", [iterable] + self.parse_block(), {"var": var.value})
 
     # expressions, lowest precedence first
 
@@ -391,9 +363,7 @@ class _Parser:
         left = parse_sub()
         while (self.peek().kind in kinds and self.peek().value in ops):
             op = self.advance()
-            right = parse_sub()
-            ls, rs = self.span_of(left), self.span_of(right)
-            left = self.make("Binary", [left, right], {"op": op.value}, (ls[0], ls[1], rs[2], rs[3]))
+            left = self.make("Binary", [left, parse_sub()], {"op": op.value})
         return left
 
     def parse_or(self) -> int:
@@ -404,10 +374,8 @@ class _Parser:
 
     def parse_not(self) -> int:
         if self.at("KEYWORD", "not"):
-            tok = self.advance()
-            operand = self.parse_not()
-            end = self.span_of(operand)
-            return self.make("Unary", [operand], {"op": "not"}, (tok.line, tok.col, end[2], end[3]))
+            self.advance()
+            return self.make("Unary", [self.parse_not()], {"op": "not"})
         return self.parse_comparison()
 
     def parse_comparison(self) -> int:
@@ -421,10 +389,8 @@ class _Parser:
 
     def parse_factor(self) -> int:
         if self.at("OP", "-"):
-            tok = self.advance()
-            operand = self.parse_factor()
-            end = self.span_of(operand)
-            return self.make("Unary", [operand], {"op": "-"}, (tok.line, tok.col, end[2], end[3]))
+            self.advance()
+            return self.make("Unary", [self.parse_factor()], {"op": "-"})
         return self.parse_postfix()
 
     def parse_postfix(self) -> int:
@@ -432,90 +398,65 @@ class _Parser:
         while True:
             if self.at("OP", "."):
                 self.advance()
-                attr = self.expect("NAME")
+                attr = self.expect("NAME").value
                 if self.at("OP", "("):
-                    args = self.parse_args()
-                    start = self.span_of(node)
-                    node = self.make(
-                        "MethodCall",
-                        [node] + args,
-                        {"method": attr.value},
-                        (start[0], start[1], attr.line, attr.col),
-                    )
+                    node = self.make("MethodCall", [node] + self.parse_list("(", ")"), {"method": attr})
                 else:
-                    start = self.span_of(node)
-                    node = self.make(
-                        "Attribute", [node], {"attr": attr.value}, (start[0], start[1], attr.line, attr.col)
-                    )
-                continue
-            if self.at("OP", "["):
-                tok = self.advance()
+                    node = self.make("Attribute", [node], {"attr": attr})
+            elif self.at("OP", "["):
+                self.advance()
                 index = self.parse_expr()
                 self.expect("OP", "]")
-                start = self.span_of(node)
-                end = self.span_of(index)
-                node = self.make("Index", [node, index], {}, (start[0], start[1], end[2], end[3]))
-                continue
-            if self.at("OP", "("):
+                node = self.make("Index", [node, index], {})
+            elif self.at("OP", "("):
                 base = self.nodes[node]
                 if base.kind != "Name":
                     tok = self.peek()
                     raise DslSyntaxError("only named built-ins are callable", tok.line, tok.col)
                 func = base.payload["id"]
                 if func not in BUILTIN_CALLABLES:
+                    tok = self.name_tokens[node]
                     raise DslSyntaxError(
                         f"unknown function {func!r} (builtins: {', '.join(sorted(BUILTIN_CALLABLES))})",
-                        base.span[0],
-                        base.span[1],
+                        tok.line,
+                        tok.col,
                     )
-                args = self.parse_args()
-                start = base.span
+                args = self.parse_list("(", ")")
                 # Reuse the Name node's slot as the Call to keep the tree clean.
-                self.nodes[node].kind = "Call"
-                self.nodes[node].payload = {"func": func}
-                self.nodes[node].children = args
-                continue
-            break
-        return node
+                base.kind = "Call"
+                base.payload = {"func": func}
+                base.children = args
+            else:
+                return node
 
-    def parse_args(self) -> list[int]:
-        self.expect("OP", "(")
-        args = []
-        if not self.at("OP", ")"):
-            args.append(self.parse_expr())
+    def parse_list(self, open_: str, close: str) -> list[int]:
+        """Comma-separated expressions between ``open_`` and ``close``."""
+        self.expect("OP", open_)
+        items = []
+        if not self.at("OP", close):
+            items.append(self.parse_expr())
             while self.at("OP", ","):
                 self.advance()
-                args.append(self.parse_expr())
-        self.expect("OP", ")")
-        return args
+                items.append(self.parse_expr())
+        self.expect("OP", close)
+        return items
 
     def parse_atom(self) -> int:
         tok = self.peek()
-        if tok.kind == "INT" or tok.kind == "FLOAT":
+        if tok.kind in ("INT", "FLOAT", "STRING"):
             self.advance()
-            return self.make("Literal", [], {"value": tok.value}, (tok.line, tok.col, tok.line, tok.col))
-        if tok.kind == "STRING":
-            self.advance()
-            return self.make("Literal", [], {"value": tok.value}, (tok.line, tok.col, tok.line, tok.col))
+            return self.make("Literal", [], {"value": tok.value})
         if tok.kind == "KEYWORD" and tok.value in ("True", "False"):
             self.advance()
-            return self.make(
-                "Literal", [], {"value": tok.value == "True"}, (tok.line, tok.col, tok.line, tok.col)
-            )
+            return self.make("Literal", [], {"value": tok.value == "True"})
         if tok.kind == "NAME":
             self.advance()
-            return self.make("Name", [], {"id": tok.value}, (tok.line, tok.col, tok.line, tok.col))
-        if tok.kind == "OP" and tok.value == "[":
-            self.advance()
-            items = []
-            if not self.at("OP", "]"):
-                items.append(self.parse_expr())
-                while self.at("OP", ","):
-                    self.advance()
-                    items.append(self.parse_expr())
-            end = self.expect("OP", "]")
-            return self.make("ListLit", items, {}, (tok.line, tok.col, end.line, end.col))
-        if tok.kind == "OP" and tok.value == "(":
+            node = self.make("Name", [], {"id": tok.value})
+            self.name_tokens[node] = tok
+            return node
+        if self.at("OP", "["):
+            return self.make("ListLit", self.parse_list("[", "]"), {})
+        if self.at("OP", "("):
             self.advance()
             inner = self.parse_expr()
             self.expect("OP", ")")
@@ -536,19 +477,12 @@ def parse(source: str) -> Ast:
 # ---------------------------------------------------------------------------
 # renderer
 
-_PREC = {"or": 1, "and": 2, "not": 3, "cmp": 4, "add": 5, "mul": 6, "neg": 7, "postfix": 8}
-
-
-def _op_prec(op: str) -> int:
-    if op == "or":
-        return _PREC["or"]
-    if op == "and":
-        return _PREC["and"]
-    if op in _COMPARISONS:
-        return _PREC["cmp"]
-    if op in ("+", "-"):
-        return _PREC["add"]
-    return _PREC["mul"]
+# Binary operators bind by this table; "not" binds looser than comparison,
+# and unary minus and postfix forms bind tighter than every binary operator.
+_BINARY_PREC = {"or": 1, "and": 2, **dict.fromkeys(_COMPARISONS, 4), "+": 5, "-": 5, "*": 6, "/": 6}
+_NOT_PREC = 3
+_NEG_PREC = 7
+_POSTFIX_PREC = 8
 
 
 def render_source(ast: Ast) -> str:
@@ -617,26 +551,26 @@ def _render_prec(ast: Ast, node_id: int) -> tuple[str, int]:
         return f"[{items}]", atom
     if node.kind == "Call":
         args = ", ".join(render_expr(ast, c) for c in node.children)
-        return f"{node.payload['func']}({args})", _PREC["postfix"]
+        return f"{node.payload['func']}({args})", _POSTFIX_PREC
     if node.kind == "MethodCall":
-        recv = _wrap(ast, node.children[0], _PREC["postfix"])
+        recv = _wrap(ast, node.children[0], _POSTFIX_PREC)
         args = ", ".join(render_expr(ast, c) for c in node.children[1:])
-        return f"{recv}.{node.payload['method']}({args})", _PREC["postfix"]
+        return f"{recv}.{node.payload['method']}({args})", _POSTFIX_PREC
     if node.kind == "Attribute":
-        recv = _wrap(ast, node.children[0], _PREC["postfix"])
-        return f"{recv}.{node.payload['attr']}", _PREC["postfix"]
+        recv = _wrap(ast, node.children[0], _POSTFIX_PREC)
+        return f"{recv}.{node.payload['attr']}", _POSTFIX_PREC
     if node.kind == "Index":
-        recv = _wrap(ast, node.children[0], _PREC["postfix"])
-        return f"{recv}[{render_expr(ast, node.children[1])}]", _PREC["postfix"]
+        recv = _wrap(ast, node.children[0], _POSTFIX_PREC)
+        return f"{recv}[{render_expr(ast, node.children[1])}]", _POSTFIX_PREC
     if node.kind == "Unary":
         op = node.payload["op"]
-        prec = _PREC["not"] if op == "not" else _PREC["neg"]
+        prec = _NOT_PREC if op == "not" else _NEG_PREC
         operand = _wrap(ast, node.children[0], prec)
         joint = " " if op == "not" else ""
         return f"{op}{joint}{operand}", prec
     if node.kind == "Binary":
         op = node.payload["op"]
-        prec = _op_prec(op)
+        prec = _BINARY_PREC[op]
         left = _wrap(ast, node.children[0], prec)
         right = _wrap(ast, node.children[1], prec + 1)  # left-associative
         return f"{left} {op} {right}", prec

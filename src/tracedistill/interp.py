@@ -148,9 +148,9 @@ class _Interp:
         self.env: dict[str, tuple[Value, int]] = {}
         self.events: list[TraceEvent] = []
         self.steps = 0
-        # Per-statement evaluation context.
+        # Per-statement evaluation context: the names read, and the arguments
+        # of the call that finished last.
         self._uses: list[tuple[str, int]] = []
-        self._invocation: tuple[str, list[Value], Value] | None = None
         self._last_args: list[Value] = []
 
     # -- event plumbing
@@ -164,7 +164,7 @@ class _Interp:
     def snap(self, value: Value) -> Value:
         return _snapshot(value, self.limits.snapshot_list_cap)
 
-    def tick(self, node_id: int) -> None:
+    def tick(self) -> None:
         self.steps += 1
         if self.steps > self.limits.max_steps:
             raise _StepLimit()
@@ -187,69 +187,44 @@ class _Interp:
 
     def exec_stmt(self, node_id: int, ctrl: int) -> None:
         node = self.ast.node(node_id)
-        self.tick(node_id)
-        if node.kind == "Assign":
-            self._begin_stmt()
-            value = self.eval_expr(node.children[0], top=True)
-            snap = self.snap(value)
-            event = self.emit(
-                node_id,
-                "assign",
-                ctrl,
-                bindings={node.payload["target"]: snap},
-                invocation=self._invocation,
-                uses=self._dedup_uses(),
-            )
-            self.env[node.payload["target"]] = (value, event.seq)
-            return
-        if node.kind == "Return":
-            self._begin_stmt()
-            value = self.eval_expr(node.children[0], top=True)
-            event = self.emit(
-                node_id,
-                "return",
-                ctrl,
-                invocation=self._invocation,
-                uses=self._dedup_uses(),
-            )
-            event.detail["value"] = self.snap(value)
-            raise _Return(value)
-        if node.kind == "ExprStmt":
-            self._begin_stmt()
-            expr = self.ast.node(node.children[0])
-            value = self.eval_expr(node.children[0], top=True)
-            if self._invocation is not None and expr.kind in ("Call", "MethodCall"):
-                kind = "tool_call" if self._is_tool(expr) else "builtin_call"
-                self.emit(
-                    node_id,
-                    kind,
-                    ctrl,
-                    invocation=self._invocation,
-                    uses=self._dedup_uses(),
-                )
-            return
+        self.tick()
         if node.kind == "If":
             self.exec_if(node, ctrl)
             return
         if node.kind == "For":
             self.exec_for(node, ctrl)
             return
-        raise _Fault(node_id, f"cannot execute node kind {node.kind}")
+        if node.kind not in ("Assign", "Return", "ExprStmt"):
+            raise _Fault(node_id, f"cannot execute node kind {node.kind}")
+        value, invocation = self.eval_top(node.children[0])
+        if node.kind == "Assign":
+            target = node.payload["target"]
+            event = self.emit(
+                node_id,
+                "assign",
+                ctrl,
+                bindings={target: self.snap(value)},
+                invocation=invocation,
+                uses=self._dedup_uses(),
+            )
+            self.env[target] = (value, event.seq)
+        elif node.kind == "Return":
+            event = self.emit(node_id, "return", ctrl, invocation=invocation, uses=self._dedup_uses())
+            event.detail["value"] = self.snap(value)
+            raise _Return(value)
+        elif invocation is not None:
+            kind = "tool_call" if self._is_tool(self.ast.node(node.children[0])) else "builtin_call"
+            self.emit(node_id, kind, ctrl, invocation=invocation, uses=self._dedup_uses())
 
     def exec_if(self, node: AstNode, ctrl: int) -> None:
         arms, else_stmts = if_arms(self.ast, node)
         cond_uses: list[tuple[str, int]] = []
         for arm_index, (cond, stmts) in enumerate(arms):
-            self._begin_stmt()
-            value = self.eval_expr(cond, top=True)
+            value, invocation = self.eval_top(cond)
             cond_uses.extend(self._uses)
             if _truthy(value):
                 event = self.emit(
-                    node.id,
-                    "branch_taken",
-                    ctrl,
-                    invocation=self._invocation,
-                    uses=self._dedup_uses(),
+                    node.id, "branch_taken", ctrl, invocation=invocation, uses=self._dedup_uses()
                 )
                 event.detail["arm"] = arm_index
                 for stmt in stmts:
@@ -266,21 +241,14 @@ class _Interp:
 
     def exec_for(self, node: AstNode, ctrl: int) -> None:
         var = node.payload["var"]
-        self._begin_stmt()
-        iterable = self.eval_expr(node.children[0], top=True)
+        iterable, invocation = self.eval_top(node.children[0])
         if not isinstance(iterable, list):
             raise _Fault(node.id, "for-loop iterable must be a list")
-        enter = self.emit(
-            node.id,
-            "loop_enter",
-            ctrl,
-            invocation=self._invocation,
-            uses=self._dedup_uses(),
-        )
+        enter = self.emit(node.id, "loop_enter", ctrl, invocation=invocation, uses=self._dedup_uses())
         enter.detail["items"] = len(iterable)
         count = 0
         for i, item in enumerate(iterable):
-            self.tick(node.id)
+            self.tick()
             iter_event = self.emit(
                 node.id, "loop_iter", enter.seq, bindings={var: self.snap(item)}
             )
@@ -293,10 +261,6 @@ class _Interp:
         exit_event.detail["iterations"] = count
         exit_event.detail["enter"] = enter.seq
 
-    def _begin_stmt(self) -> None:
-        self._uses = []
-        self._invocation = None
-
     def _is_tool(self, node: AstNode) -> bool:
         if node.kind == "MethodCall":
             return node.payload["method"] in TOOL_METHODS
@@ -304,7 +268,19 @@ class _Interp:
 
     # -- expression evaluation
 
-    def eval_expr(self, node_id: int, top: bool = False) -> Value:
+    def eval_top(self, node_id: int) -> tuple[Value, tuple[str, list[Value], Value] | None]:
+        """Evaluate a statement's expression with fresh ``_uses``. The
+        invocation is (callee, args, result) when the expression's top node
+        is a call, otherwise None."""
+        self._uses = []
+        value = self.eval_expr(node_id)
+        node = self.ast.node(node_id)
+        if node.kind not in ("Call", "MethodCall"):
+            return value, None
+        callee = node.payload["func" if node.kind == "Call" else "method"]
+        return value, (callee, [self.snap(a) for a in self._last_args], self.snap(value))
+
+    def eval_expr(self, node_id: int) -> Value:
         node = self.ast.node(node_id)
         kind = node.kind
         if kind == "Literal":
@@ -335,19 +311,10 @@ class _Interp:
         if kind == "Binary":
             return self.eval_binary(node)
         if kind == "Call":
-            result = self.eval_call(node)
-            if top:
-                self._record_invocation(node.payload["func"], self._last_args, result)
-            return result
+            return self.eval_call(node)
         if kind == "MethodCall":
-            result = self.eval_method(node)
-            if top:
-                self._record_invocation(node.payload["method"], self._last_args, result)
-            return result
+            return self.eval_method(node)
         raise _Fault(node_id, f"cannot evaluate node kind {kind}")
-
-    def _record_invocation(self, callee: str, args: list[Value], result: Value) -> None:
-        self._invocation = (callee, [self.snap(a) for a in args], self.snap(result))
 
     def eval_attribute(self, node: AstNode) -> Value:
         obj = self.eval_expr(node.children[0])

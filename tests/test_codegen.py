@@ -119,6 +119,7 @@ def stub_endpoint():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/"
     server.shutdown()
+    server.server_close()
 
 
 class TestExternalGenerator:

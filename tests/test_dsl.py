@@ -62,6 +62,17 @@ class TestParse:
         with pytest.raises(LexError, match="unknown character"):
             parse("x = 1 $ 2")
 
+    def test_non_decimal_digit_is_unknown_character(self):
+        # '²' is a digit to str.isdigit but not a decimal int() accepts
+        with pytest.raises(LexError, match="unknown character '²'") as err:
+            parse("x = ²\nreturn x")
+        assert (err.value.line, err.value.col) == (1, 5)
+        with pytest.raises(LexError, match="unknown character '²'"):
+            parse("x = 1²\nreturn x")
+        # other decimal digits still lex as numbers
+        ast = parse("x = 1٣\nreturn x")
+        assert ast.node(0).payload == {"value": 13}
+
     def test_syntax_error_reports_expected(self):
         with pytest.raises(DslSyntaxError, match="expected"):
             parse("for p xs:\n    y = p")
@@ -69,6 +80,34 @@ class TestParse:
     def test_unknown_builtin_rejected(self):
         with pytest.raises(DslSyntaxError, match="unknown function"):
             parse("x = foo(1)")
+
+    _BUILTINS = "abs, bool_to_yesno, distance, int, len, max, min, sorted, str"
+
+    @pytest.mark.parametrize(
+        "source,error,message,line,col",
+        [
+            ("x = 1 $ 2", LexError, "unknown character '$'", 1, 7),
+            ("if a:\n   x = 1\nreturn x", LexError,
+             "indentation must be a multiple of 4 spaces", 2, 1),
+            ("if a:\n        x = 1", LexError, "indentation increased by more than one level", 2, 1),
+            ("x = 'a\\q'\nreturn x", LexError, "unknown escape \\q", 1, 5),
+            ("x = 'a\\", LexError, "unterminated escape", 1, 5),
+            ("x = 'abc\nreturn x", LexError, "unterminated string literal", 1, 5),
+            ("for p xs:\n    y = p", DslSyntaxError, "expected 'in', got 'xs'", 1, 7),
+            ("x = [1, 2\nreturn x", DslSyntaxError, "expected ']', got 'NEWLINE'", 1, 10),
+            ("return", DslSyntaxError, "expected an expression, got 'NEWLINE'", 1, 7),
+            ("x = (1 + 2)(3)", DslSyntaxError, "only named built-ins are callable", 1, 12),
+            ("x = foo(1)", DslSyntaxError, f"unknown function 'foo' (builtins: {_BUILTINS})", 1, 5),
+            # the position is the function name's, not the first token's
+            ("x = (foo)(1)", DslSyntaxError, f"unknown function 'foo' (builtins: {_BUILTINS})", 1, 6),
+        ],
+    )
+    def test_error_message_and_position(self, source, error, message, line, col):
+        with pytest.raises(error) as err:
+            parse(source)
+        assert type(err.value) is error
+        assert str(err.value) == f"{message} (line {line}, col {col})"
+        assert (err.value.line, err.value.col) == (line, col)
 
     def test_tree_shape(self):
         ast = parse("x = 1\nif x == 1:\n    y = x + 2\nreturn y")

@@ -435,3 +435,4 @@ class TestBridge:
             assert Handler.last_request["facts"] == [record_to_line(r) for r in sym.records]
         finally:
             server.shutdown()
+            server.server_close()

@@ -381,6 +381,9 @@ class TestCli:
                 "token_budget must be null or an integer >= 0, got True",
             ),
             ({"harm_verdict": False}, "harm_verdict must be -1 or 0"),
+            ({"max_steps": "abc"}, "max_steps must be an integer, got 'abc'"),
+            ({"max_steps": None}, "max_steps must be an integer, got None"),
+            ({"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
         ],
     )
     def test_config_that_fails_every_row_rejected(self, tmp_path, capsys, override, message):
@@ -390,6 +393,11 @@ class TestCli:
         assert report["error"] == "ConfigError"
         assert message in report["message"]
         assert not (tmp_path / "scenes.json").exists()
+
+    @pytest.mark.parametrize("max_steps", [5, "5"])
+    def test_max_steps_integer_or_digit_string_loads(self, tmp_path, max_steps):
+        config = load_config(write_config(tmp_path, max_steps=max_steps))
+        assert int(config["max_steps"]) == 5
 
     def test_stage_by_stage_matches_run_all(self, tmp_path):
         all_dir, step_dir = tmp_path / "all", tmp_path / "step"
@@ -437,6 +445,7 @@ class TestExternalEndpoints:
         threading.Thread(target=server.serve_forever, daemon=True).start()
         yield f"http://127.0.0.1:{server.server_port}/"
         server.shutdown()
+        server.server_close()
 
     def test_external_generator_feeds_pipeline(self, tmp_path, stub_server):
         config = load_config(
@@ -657,3 +666,34 @@ class TestAblate:
             key: {"error": "[edit row 2] 'events'"} for key in report["cells"]
         }
         assert len(report["cells"]) == 8
+
+
+class TestExecPinned:
+    """Exec's bytes and the parser's trees, pinned at n=60, corruption 0.2,
+    default seeds. A change to the lexer, parser or interpreter that moves a
+    node id, a payload or a trace event moves one of these."""
+
+    TRACES_SHA256 = "a4a5aaf85a7c462b1b56066f2ba64c2e9dee14a668efeca9c826be56e7822377"
+    # over the (id, kind, children, payload) lists of the 48 distinct sources
+    PARSE_SHA256 = "69e70d8497506de235e8d7adbf9a04fb300587efa37c60b20922f621e978a403"
+
+    @pytest.fixture(scope="class")
+    def staged(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("pinned")
+        config = load_config(write_config(tmp_path, scene_count=60, corruption_rate=0.2))
+        manifest = new_manifest(config)
+        for stage in ("scene-gen", "program-gen", "exec"):
+            pipeline.STAGES[stage](config, manifest)
+        return config
+
+    def test_traces_are_pinned(self, staged):
+        assert sha256_of(staged.path("traces")) == self.TRACES_SHA256
+
+    def test_parse_trees_are_pinned(self, staged):
+        sources = sorted({row["source"] for row in read_jsonl(staged.path("programs"))})
+        trees = [
+            [(n.id, n.kind, n.children, n.payload) for n in dsl.parse(source).nodes]
+            for source in sources
+        ]
+        digest = hashlib.sha256(json.dumps(trees, sort_keys=True).encode()).hexdigest()
+        assert (len(sources), digest) == (48, self.PARSE_SHA256)
