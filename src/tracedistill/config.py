@@ -6,6 +6,7 @@ reproducible; the config hash pins a run in the manifest.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
@@ -107,6 +108,32 @@ def default_config(base_dir: str | Path = ".") -> PipelineConfig:
     return PipelineConfig(raw=copy.deepcopy(DEFAULTS), base_dir=Path(base_dir))
 
 
+def _check_integer(name: str, value, minimum: int | None = None) -> None:
+    """Stages read ``value`` with ``int()``: accept an integer or a digit
+    string at or above ``minimum``, and reject a bool."""
+    try:
+        number = int(value) if isinstance(value, (int, str)) else None
+    except ValueError:
+        number = None
+    if number is None or (minimum is None and isinstance(value, bool)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and (isinstance(value, bool) or number < minimum):
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _check_number(name: str, value, positive: bool) -> None:
+    """Stages read ``value`` with ``float()``: accept a finite number, or a
+    string of one, that is > 0 (``positive``) or >= 0; reject a bool."""
+    try:
+        number = float(value) if isinstance(value, (int, float, str)) else None
+    except ValueError:
+        number = None
+    if (number is None or isinstance(value, bool) or not math.isfinite(number)
+            or number < 0 or (positive and number == 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     raw = read_json(path)
@@ -122,15 +149,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError("noise_p must lie in [0, 1]")
     if isinstance(merged["harm_verdict"], bool) or merged["harm_verdict"] not in (-1, 0):
         raise ConfigError("harm_verdict must be -1 or 0")
-    max_steps = merged["max_steps"]
-    try:
-        steps = int(max_steps) if isinstance(max_steps, (int, str)) else None
-    except ValueError:
-        steps = None
-    if steps is None:
-        raise ConfigError(f"max_steps must be an integer, got {max_steps!r}")
-    if isinstance(max_steps, bool) or steps < 1:
-        raise ConfigError(f"max_steps must be >= 1, got {max_steps!r}")
+    if not isinstance(merged["train"], dict):
+        raise ConfigError(f"train must be an object, got {merged['train']!r}")
+    _check_integer("scene_count", merged["scene_count"], minimum=1)
+    _check_integer("max_steps", merged["max_steps"], minimum=1)
+    _check_integer("min_score", merged["min_score"])
+    _check_integer("train.epochs", merged["train"]["epochs"], minimum=1)
+    _check_number("lambda", merged["lambda"], positive=False)
+    _check_number("train.step_size", merged["train"]["step_size"], positive=True)
     if not merged["students"]:
         raise ConfigError("students must name at least one student")
     # Build the ensemble once without a corpus so a bad student spec fails

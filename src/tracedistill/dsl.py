@@ -495,21 +495,36 @@ def render_source(ast: Ast) -> str:
     return "\n".join(lines)
 
 
+def indent(depth: int) -> str:
+    """The leading whitespace of a line nested ``depth`` blocks deep."""
+    return " " * (_INDENT_WIDTH * depth)
+
+
+# A statement's first line: the whole of an Assign, Return or ExprStmt, and a
+# For's header; filled from the node's payload and its first child's text.
+_HEAD_FORMATS = {
+    "Assign": "{target} = {expr}",
+    "Return": "return {expr}",
+    "ExprStmt": "{expr}",
+    "For": "for {var} in {expr}:",
+}
+
+
+def render_head(ast: Ast, node_id: int, depth: int) -> str:
+    """The first line of an Assign, Return, ExprStmt or For, at ``depth``."""
+    node = ast.node(node_id)
+    expr = render_expr(ast, node.children[0])
+    return indent(depth) + _HEAD_FORMATS[node.kind].format(expr=expr, **node.payload)
+
+
 def _render_stmt(ast: Ast, node_id: int, depth: int, lines: list[str]) -> None:
     node = ast.node(node_id)
-    pad = " " * (_INDENT_WIDTH * depth)
-    if node.kind == "Assign":
-        lines.append(f"{pad}{node.payload['target']} = {render_expr(ast, node.children[0])}")
-    elif node.kind == "Return":
-        lines.append(f"{pad}return {render_expr(ast, node.children[0])}")
-    elif node.kind == "ExprStmt":
-        lines.append(f"{pad}{render_expr(ast, node.children[0])}")
-    elif node.kind == "For":
-        iterable = render_expr(ast, node.children[0])
-        lines.append(f"{pad}for {node.payload['var']} in {iterable}:")
-        for child in node.children[1:]:
+    if node.kind in _HEAD_FORMATS:
+        lines.append(render_head(ast, node_id, depth))
+        for child in node.children[1:]:  # a For's body
             _render_stmt(ast, child, depth + 1, lines)
     elif node.kind == "If":
+        pad = indent(depth)
         arms, else_stmts = if_arms(ast, node)
         for i, (cond, stmts) in enumerate(arms):
             keyword = "if" if i == 0 else "elif"

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .dsl import Ast, if_arms, render_expr
+from .dsl import Ast, if_arms, indent, render_expr, render_head
 from .errors import TraceDistillError
 from .interp import ExecutionTrace, TraceEvent, value_text
 
@@ -124,31 +124,24 @@ def slice_source(ast: Ast, pruned: PrunedTrace) -> str:
 
 
 def _emit_slice(ast, stmt_ids, depth, kept_stmts, kept_arms, kept_loops, taken_arms, lines):
-    pad = " " * (4 * depth)
     for sid in stmt_ids:
         node = ast.node(sid)
-        if node.kind == "Assign":
+        if node.kind in ("Assign", "Return", "ExprStmt"):
             if sid in kept_stmts:
-                lines.append(f"{pad}{node.payload['target']} = {render_expr(ast, node.children[0])}")
-        elif node.kind == "Return":
-            if sid in kept_stmts:
-                lines.append(f"{pad}return {render_expr(ast, node.children[0])}")
-        elif node.kind == "ExprStmt":
-            if sid in kept_stmts:
-                lines.append(f"{pad}{render_expr(ast, node.children[0])}")
+                lines.append(render_head(ast, sid, depth))
         elif node.kind == "For":
             if sid in kept_loops:
-                lines.append(f"{pad}for {node.payload['var']} in {render_expr(ast, node.children[0])}:")
+                lines.append(render_head(ast, sid, depth))
                 body: list[str] = []
                 _emit_slice(ast, node.children[1:], depth + 1, kept_stmts, kept_arms,
                             kept_loops, taken_arms, body)
-                lines.extend(body if body else [f"{pad}    0"])
+                lines.extend(body if body else [indent(depth + 1) + "0"])
         elif node.kind == "If":
             _emit_if_slice(ast, node, depth, kept_stmts, kept_arms, kept_loops, taken_arms, lines)
 
 
 def _emit_if_slice(ast, node, depth, kept_stmts, kept_arms, kept_loops, taken_arms, lines):
-    pad = " " * (4 * depth)
+    pad = indent(depth)
     arms, else_stmts = if_arms(ast, node)
     arm_bodies: list[list[str]] = []
     for _, stmts in arms:
@@ -175,7 +168,7 @@ def _emit_if_slice(ast, node, depth, kept_stmts, kept_arms, kept_loops, taken_ar
             continue
         keyword = "if" if not emitted_any else "elif"
         lines.append(f"{pad}{keyword} {render_expr(ast, cond)}:")
-        lines.extend(arm_bodies[i] if arm_bodies[i] else [f"{pad}    0"])
+        lines.extend(arm_bodies[i] if arm_bodies[i] else [indent(depth + 1) + "0"])
         emitted_any = True
     if else_survives:
         lines.append(f"{pad}else:")

@@ -9,6 +9,8 @@ filter funnel (generated, executed, faithful-kept, score-kept, emitted).
 
 from __future__ import annotations
 
+import functools
+import gc
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -133,9 +135,34 @@ def _scenes_by_id(config: PipelineConfig) -> dict:
     return {s.scene_id: s for s in sw.load_scenes(config.path("scenes"))}
 
 
+def _collector_paused(stage):
+    """Run ``stage`` with the cyclic garbage collector off, then, if it was
+    on at entry, turn it back on and collect once. A stage builds a large
+    acyclic working set that reference counting frees; each full collection
+    inside the stage would only re-walk it. The one collection on return
+    frees the stage's few cycles and, being a full collection, empties the
+    interpreter's free lists, whose objects otherwise keep the memory arenas
+    they sit in from being released. A nested paused call, or a caller that
+    turned the collector off, leaves it off."""
+
+    @functools.wraps(stage)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return stage(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+                gc.collect()
+
+    return paused
+
+
 # ---------------------------------------------------------------------------
 # stages
 
+@_collector_paused
 def stage_scene_gen(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
     n = int(config["scene_count"])
@@ -147,6 +174,7 @@ def stage_scene_gen(config: PipelineConfig, manifest: RunManifest) -> None:
     manifest.record("scene_gen", started, rows_in=n, rows_out=len(queries))
 
 
+@_collector_paused
 def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
     queries = sw.load_queries(config.path("queries"))
@@ -179,6 +207,7 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
     )
 
 
+@_collector_paused
 def stage_exec(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
     scenes_by_id = _scenes_by_id(config)
@@ -328,6 +357,7 @@ def _write_edit(config: PipelineConfig, manifest: RunManifest, started: float,
     )
 
 
+@_collector_paused
 def stage_edit(config: PipelineConfig, manifest: RunManifest) -> None:
     """Edit the traces exec kept; reads traces.jsonl and nothing else."""
     started = time.monotonic()
@@ -382,6 +412,7 @@ def _score(config: PipelineConfig, manifest: RunManifest, started: float,
     return out
 
 
+@_collector_paused
 def stage_score(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
     scenes_by_id = _scenes_by_id(config)
@@ -408,6 +439,7 @@ def _emit(config: PipelineConfig, manifest: RunManifest, started: float,
     )
 
 
+@_collector_paused
 def stage_emit(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
     queries = sw.load_queries(config.path("queries"))
@@ -415,6 +447,7 @@ def stage_emit(config: PipelineConfig, manifest: RunManifest) -> None:
           read_jsonl(config.path("rationales")), read_jsonl(config.path("scored")))
 
 
+@_collector_paused
 def stage_train(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
     examples = distill.load_dataset(config.path("dataset"))
@@ -491,6 +524,7 @@ def _cell_figures(manifest: RunManifest) -> dict:
     }
 
 
+@_collector_paused
 def run_ablation(config: PipelineConfig) -> dict:
     """Run edit->score->emit->train for every toggle combination on the
     already-built base corpus, in one pass: scenes, queries, the student

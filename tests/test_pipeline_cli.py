@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -384,6 +385,22 @@ class TestCli:
             ({"max_steps": "abc"}, "max_steps must be an integer, got 'abc'"),
             ({"max_steps": None}, "max_steps must be an integer, got None"),
             ({"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
+            ({"min_score": "abc"}, "min_score must be an integer, got 'abc'"),
+            ({"min_score": True}, "min_score must be an integer, got True"),
+            ({"lambda": "x"}, "lambda must be a finite number >= 0, got 'x'"),
+            ({"lambda": -0.5}, "lambda must be a finite number >= 0, got -0.5"),
+            ({"lambda": "nan"}, "lambda must be a finite number >= 0, got 'nan'"),
+            ({"lambda": True}, "lambda must be a finite number >= 0, got True"),
+            ({"train": {"epochs": -3}}, "train.epochs must be >= 1, got -3"),
+            ({"train": {"epochs": 2.5}}, "train.epochs must be an integer, got 2.5"),
+            ({"train": {"epochs": True}}, "train.epochs must be >= 1, got True"),
+            ({"train": {"step_size": -1}}, "train.step_size must be a finite number > 0, got -1"),
+            ({"train": {"step_size": 0}}, "train.step_size must be a finite number > 0, got 0"),
+            ({"train": {"step_size": None}}, "train.step_size must be a finite number > 0, got None"),
+            ({"scene_count": 0}, "scene_count must be >= 1, got 0"),
+            ({"scene_count": "abc"}, "scene_count must be an integer, got 'abc'"),
+            ({"scene_count": False}, "scene_count must be >= 1, got False"),
+            ({"train": 5}, "train must be an object, got 5"),
         ],
     )
     def test_config_that_fails_every_row_rejected(self, tmp_path, capsys, override, message):
@@ -398,6 +415,18 @@ class TestCli:
     def test_max_steps_integer_or_digit_string_loads(self, tmp_path, max_steps):
         config = load_config(write_config(tmp_path, max_steps=max_steps))
         assert int(config["max_steps"]) == 5
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"min_score": -1}, {"min_score": "2"},
+            {"lambda": 0}, {"lambda": "1.5"},
+            {"train": {"epochs": 1, "step_size": 2}}, {"train": {"epochs": "4", "step_size": "0.1"}},
+            {"scene_count": 1}, {"scene_count": "3"},
+        ],
+    )
+    def test_number_or_number_string_loads(self, tmp_path, override):
+        load_config(write_config(tmp_path, **override))
 
     def test_stage_by_stage_matches_run_all(self, tmp_path):
         all_dir, step_dir = tmp_path / "all", tmp_path / "step"
@@ -697,3 +726,94 @@ class TestExecPinned:
         ]
         digest = hashlib.sha256(json.dumps(trees, sort_keys=True).encode()).hexdigest()
         assert (len(sources), digest) == (48, self.PARSE_SHA256)
+
+
+class TestCollectorPause:
+    """Each stage, and the whole ablation, runs with the cyclic collector off;
+    a caller that had it on gets it back on, after one collection."""
+
+    STAGE_NAMES = [name.replace("-", "_") for name in pipeline.RUN_ALL_ORDER]
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Each ``RunManifest.record`` call, which every stage makes, as
+        (stage, collector on, collections so far), and the collection count."""
+        was_enabled = gc.isenabled()
+        calls = {"collect": 0}
+        real_collect, real_record = gc.collect, pipeline.RunManifest.record
+
+        def collect(*args, **kwargs):
+            calls["collect"] += 1
+            return real_collect(*args, **kwargs)
+
+        def record(manifest, name, *args, **kwargs):
+            log.append((name, gc.isenabled(), calls["collect"]))
+            return real_record(manifest, name, *args, **kwargs)
+
+        log = []
+        monkeypatch.setattr(gc, "collect", collect)
+        monkeypatch.setattr(pipeline.RunManifest, "record", record)
+        yield log, calls
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_every_stage_runs_with_the_collector_off(self, tmp_path, seen):
+        log, calls = seen
+        gc.enable()
+        run_all(load_config(write_config(tmp_path)))
+        assert gc.isenabled()
+        # off inside each stage, and one collection as each one returns
+        assert log == [(name, False, i) for i, name in enumerate(self.STAGE_NAMES)]
+        assert calls["collect"] == len(self.STAGE_NAMES)
+
+    def test_ablation_keeps_it_off_through_its_nested_train(self, tmp_path, seen):
+        log, calls = seen
+        config = load_config(write_config(tmp_path, scene_count=16))
+        run_all(config)
+        log.clear()
+        gc.enable()
+        before = calls["collect"]
+        run_ablation(config)
+        assert gc.isenabled()
+        assert [name for name, _, _ in log] == ["edit", "score", "emit", "train"] * 8
+        # the nested stage_train neither turns it on nor collects
+        assert {(on, n) for _, on, n in log} == {(False, before)}
+        assert calls["collect"] == before + 1
+
+    def test_back_on_after_a_strict_stage_raises(self, tmp_path, seen):
+        _, calls = seen
+        config = load_config(write_config(tmp_path, strict=True))
+        run_all(config)
+        rows = list(read_jsonl(config.path("programs")))
+        rows[0]["source"] = "this is (not valid"
+        write_jsonl(config.path("programs"), rows)
+        gc.enable()
+        before = calls["collect"]
+        with pytest.raises(StageError, match="exec row 0"):
+            pipeline.stage_exec(config, new_manifest(config))
+        assert gc.isenabled()
+        assert calls["collect"] == before + 1
+
+    def test_a_caller_that_turned_it_off_keeps_it_off(self, tmp_path, seen):
+        log, calls = seen
+        config = load_config(write_config(tmp_path, scene_count=16))
+        gc.disable()
+        run_all(config)
+        run_ablation(config)
+        assert not gc.isenabled()
+        assert calls["collect"] == 0
+        assert len(log) == len(self.STAGE_NAMES) + 32
+        assert not any(on for _, on, _ in log)
+
+    def test_stage_files_do_not_depend_on_the_collector(self, tmp_path):
+        was_enabled = gc.isenabled()
+        digests = []
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                workdir = tmp_path / f"collector{int(enabled)}"
+                workdir.mkdir()
+                run_all(load_config(write_config(workdir, scene_count=60, corruption_rate=0.2)))
+                digests.append({name: sha256_of(workdir / name) for name in STAGE_FILES})
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert digests[0] == digests[1]
