@@ -46,11 +46,8 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if args.strict:
         config = config.with_overrides(strict=True)
     if args.command == "edit":
-        flags = config.edit_flags
         config = config.with_overrides(edit={
-            "prune": flags["prune"] and not args.no_prune,
-            "merge": flags["merge"] and not args.no_merge,
-            "bridge": flags["bridge"] and not args.no_bridge,
+            flag: on and not getattr(args, f"no_{flag}") for flag, on in config.edit_flags.items()
         })
     return config
 

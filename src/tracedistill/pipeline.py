@@ -165,7 +165,7 @@ def _collector_paused(stage):
 @_collector_paused
 def stage_scene_gen(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
-    n = int(config["scene_count"])
+    n = config["scene_count"]
     scene_list = sw.generate_scenes(n, config.seeds["scene_gen"])
     sw.save_scenes(config.path("scenes"), scene_list)
     queries = sw.generate_queries(scene_list, config.seeds["query_gen"])
@@ -181,12 +181,7 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
     errors: list[dict] = []
     external = config["external_generator"]
     if external["enabled"]:
-        gen_config = codegen.ExternalGeneratorConfig(
-            enabled=True,
-            endpoint=external["endpoint"],
-            api_doc_version=external.get("api_doc_version", "v1"),
-            timeout=float(external.get("timeout", 5.0)),
-        )
+        gen_config = codegen.ExternalGeneratorConfig(**external)
         scenes_by_id = _scenes_by_id(config)
 
         def run_row(i, query):
@@ -196,7 +191,7 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
         programs, errors = _map_rows("program_gen", queries, run_row, config["strict"])
     else:
         programs = codegen.generate_programs(
-            queries, float(config["corruption_rate"]), config.seeds["program_gen"]
+            queries, config["corruption_rate"], config.seeds["program_gen"]
         )
     write_jsonl(
         config.path("programs"),
@@ -212,8 +207,8 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
     scenes_by_id = _scenes_by_id(config)
     queries = {q.query_id: q for q in sw.load_queries(config.path("queries"))}
-    tools = ToolConfig(noise_p=float(config["noise_p"]), noise_seed=config.seeds["scene_gen"])
-    limits = StepLimits(max_steps=int(config["max_steps"]))
+    tools = ToolConfig(noise_p=config["noise_p"], noise_seed=config.seeds["scene_gen"])
+    limits = StepLimits(max_steps=config["max_steps"])
     # One AST per distinct source, shared by every row that carries it:
     # execute only reads the AST. A source that fails to parse is not kept,
     # so each of its rows fails with the same error.
@@ -261,7 +256,7 @@ def _bridger(config: PipelineConfig):
     external = config["external_bridger"]
     if not external["enabled"]:
         return None
-    return editing.HttpBridger(external["endpoint"], float(external.get("timeout", 5.0)))
+    return editing.HttpBridger(external["endpoint"], external["timeout"])
 
 
 def _decode_kept(rec: dict):
@@ -367,11 +362,9 @@ def stage_edit(config: PipelineConfig, manifest: RunManifest) -> None:
 
 
 def _load_students(config: PipelineConfig, scenes_by_id, queries) -> list:
-    specs = []
-    for spec in config["students"]:
-        spec = dict(spec)
-        spec.setdefault("seed", config.seeds["students"])
-        specs.append(spec)
+    # A noisy oracle's seed defaults to the effective seeds.students, which
+    # --seed may have rebased after the config was loaded.
+    specs = [{"seed": config.seeds["students"], **spec} for spec in config["students"]]
     return st.builtin_students(specs, scenes_by_id=scenes_by_id, queries=queries)
 
 
@@ -395,15 +388,14 @@ def scored_row(text: str, query, ensemble: list, harm_value: int) -> dict:
 
 def _score(config: PipelineConfig, manifest: RunManifest, started: float,
            rationales: list[dict], by_id: dict, ensemble: list) -> list[dict]:
-    harm_value = int(config["harm_verdict"])
+    harm_value = config["harm_verdict"]
     out, errors = _map_rows(
         "score", rationales,
         lambda i, row: scored_row(row["text"], by_id[row["query_id"]], ensemble, harm_value),
         config["strict"],
     )
     write_jsonl(config.path("scored"), out)
-    min_score = int(config["min_score"])
-    kept = sum(1 for row in out if st.keeps(row["score"], min_score))
+    kept = sum(1 for row in out if st.keeps(row["score"], config["min_score"]))
     manifest.counts["score_kept"] = kept
     manifest.record(
         "score", started, rows_in=len(rationales), rows_out=len(out), errors=errors,
@@ -425,11 +417,10 @@ def stage_score(config: PipelineConfig, manifest: RunManifest) -> None:
 def _emit(config: PipelineConfig, manifest: RunManifest, started: float,
           queries: list, rationales, scored) -> None:
     texts = {row["query_id"]: row["text"] for row in rationales}
-    min_score = int(config["min_score"])
     kept = {
         row["query_id"]: texts[row["query_id"]]
         for row in scored
-        if st.keeps(row["score"], min_score)
+        if st.keeps(row["score"], config["min_score"])
     }
     emitted = distill.emit_dataset(kept, queries, config.path("dataset"))
     manifest.counts["emitted"] = emitted
@@ -451,12 +442,7 @@ def stage_emit(config: PipelineConfig, manifest: RunManifest) -> None:
 def stage_train(config: PipelineConfig, manifest: RunManifest) -> None:
     started = time.monotonic()
     examples = distill.load_dataset(config.path("dataset"))
-    train_cfg = distill.TrainConfig(
-        lam=float(config["lambda"]),
-        epochs=int(config["train"]["epochs"]),
-        step_size=float(config["train"]["step_size"]),
-        seed=config.seeds["train"],
-    )
+    train_cfg = distill.TrainConfig(lam=config["lambda"], **config["train"], seed=config.seeds["train"])
     _, report = distill.train(examples, train_cfg)
     write_json(
         config.path("metrics"),

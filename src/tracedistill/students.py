@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Protocol
 
-from .errors import ConfigError
+from .config import student_keys
 from .interp import normalize_answer
 from .scenes import Query, Scene, answer_oracle
 
@@ -142,15 +142,6 @@ class RationaleSensitiveStudent:
     token_budget: int | None = None
     name: str = "rationale_sensitive"
 
-    def __post_init__(self) -> None:
-        if self.trigger_mode not in ("answer", "fact"):
-            raise ConfigError(f"unknown trigger_mode {self.trigger_mode!r}")
-        budget = self.token_budget
-        if budget is not None and (
-            not isinstance(budget, int) or isinstance(budget, bool) or budget < 0
-        ):
-            raise ConfigError(f"token_budget must be null or an integer >= 0, got {budget!r}")
-
     def answer(self, question: str, context: str | None = None) -> str:
         expected = self.expected_by_question.get(question)
         if expected is None or not context:
@@ -174,10 +165,6 @@ class StubbornStudent:
     fixed_answer: str = "yes"
     name: str = "stubborn"
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.fixed_answer, str) or not self.fixed_answer:
-            raise ConfigError(f"fixed_answer must be a non-empty string, got {self.fixed_answer!r}")
-
     def answer(self, question: str, context: str | None = None) -> str:
         return self.fixed_answer
 
@@ -188,36 +175,21 @@ def builtin_students(
     scenes_by_id: dict[str, Scene],
     queries: list[Query],
 ) -> list[StudentOracle]:
-    """Build the configured ensemble. Spec keys: kind (required), seed,
-    failure_rate, trigger_mode, token_budget, fixed_answer, name."""
+    """Build the configured ensemble from specs in the config's normal form.
+    A key a spec omits takes its default from ``config.student_keys``; a key
+    its kind does not have is ignored."""
     scenes_by_query = {q.query_id: scenes_by_id[q.scene_id] for q in queries}
     questions_by_id = {q.question: q.query_id for q in queries}
     expected_by_question = {q.question: q.expected_answer for q in queries}
     students: list[StudentOracle] = []
     for i, spec in enumerate(specs):
-        kind = spec.get("kind")
-        name = spec.get("name", f"{kind}_{i}")
+        keys = student_keys(spec, i)
+        args = {key: spec[key] if key in spec else default for key, default in keys.items()}
+        kind = args.pop("kind")
         if kind == "noisy_oracle":
-            students.append(
-                NoisyOracleStudent(
-                    scenes_by_query=scenes_by_query,
-                    questions_by_id=questions_by_id,
-                    seed=int(spec.get("seed", 0)),
-                    failure_rate=float(spec.get("failure_rate", 0.0)),
-                    name=name,
-                )
-            )
+            students.append(NoisyOracleStudent(scenes_by_query, questions_by_id, **args))
         elif kind == "rationale_sensitive":
-            students.append(
-                RationaleSensitiveStudent(
-                    expected_by_question=expected_by_question,
-                    trigger_mode=spec.get("trigger_mode", "answer"),
-                    token_budget=spec.get("token_budget"),
-                    name=name,
-                )
-            )
-        elif kind == "stubborn":
-            students.append(StubbornStudent(fixed_answer=spec.get("fixed_answer", "yes"), name=name))
+            students.append(RationaleSensitiveStudent(expected_by_question, **args))
         else:
-            raise ConfigError(f"unknown student kind {kind!r}")
+            students.append(StubbornStudent(**args))
     return students

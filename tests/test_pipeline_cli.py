@@ -11,9 +11,9 @@ import pytest
 
 from tracedistill import cli, codegen, dsl, interp, pipeline, students
 from tracedistill import scenes as sw
-from tracedistill.config import default_config, load_config
+from tracedistill.config import apply_seed_override, default_config, load_config
 from tracedistill.editing import keep_all, raw_records, render
-from tracedistill.errors import StageError
+from tracedistill.errors import ConfigError, StageError
 from tracedistill.interp import trace_from_record
 from tracedistill.jsonlio import read_json, read_jsonl, write_jsonl
 from tracedistill.pipeline import new_manifest, run_ablation, run_all, stage_edit
@@ -401,6 +401,20 @@ class TestCli:
             ({"scene_count": "abc"}, "scene_count must be an integer, got 'abc'"),
             ({"scene_count": False}, "scene_count must be >= 1, got False"),
             ({"train": 5}, "train must be an object, got 5"),
+            ({"seeds": {"train": "x"}}, "seeds.train must be an integer, got 'x'"),
+            ({"seeds": {"train": -1}}, "seeds.train must be >= 0, got -1"),
+            ({"corruption_rate": "abc"}, "corruption_rate must lie in [0, 1], got 'abc'"),
+            ({"noise_p": None}, "noise_p must lie in [0, 1], got None"),
+            (
+                {"students": [{"kind": "noisy_oracle", "failure_rate": "x"}]},
+                "failure_rate must lie in [0, 1], got 'x'",
+            ),
+            ({"train": {"bogus": 1}}, "unknown config keys: ['train.bogus']"),
+            ({"edit": {"prune": "no"}}, "edit.prune must be true or false, got 'no'"),
+            ({"paths": {"bogus": "x"}}, "unknown config keys: ['paths.bogus']"),
+            ({"strict": "no"}, "strict must be true or false, got 'no'"),
+            ({"workdir": 5}, "workdir must be a string, got 5"),
+            ({"students": [{"kind": "stubborn", "seed": 3}]}, "unknown config keys: ['students.seed']"),
         ],
     )
     def test_config_that_fails_every_row_rejected(self, tmp_path, capsys, override, message):
@@ -411,10 +425,40 @@ class TestCli:
         assert message in report["message"]
         assert not (tmp_path / "scenes.json").exists()
 
+    def test_negative_seed_rejected_before_scene_gen(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["--seed", "-5", "run-all"]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "ConfigError"
+        assert "must be >= 0" in report["message"]
+        assert not (tmp_path / "scenes.json").exists()
+
+    def test_noisy_oracle_seed_defaults_to_the_rebased_students_seed(self, tmp_path):
+        specs = [{"kind": "noisy_oracle"}, {"kind": "noisy_oracle", "seed": 3}]
+        config = apply_seed_override(load_config(write_config(tmp_path, students=specs)), 7)
+        assert config["students"] == specs
+        unset, given = pipeline._load_students(config, {}, [])
+        assert (unset.seed, given.seed) == (config.seeds["students"], 3) == (10, 3)
+
+    def test_with_overrides_validates(self):
+        with pytest.raises(ConfigError, match="edit.prune must be true or false"):
+            default_config().with_overrides(edit={"prune": "no"})
+
+    # The default config's hash as it was before configs were normalised:
+    # normalising the defaults must not move it.
+    def test_default_config_hash_is_pinned(self):
+        assert default_config().config_hash() == (
+            "fd5861f5f1421674458ab2a5f58a3ac10dec547526ad52bb6c4da2049be16137"
+        )
+
+    def test_digit_string_hashes_like_its_number(self, tmp_path):
+        as_text = load_config(write_config(tmp_path, max_steps="5")).config_hash()
+        assert load_config(write_config(tmp_path, max_steps=5)).config_hash() == as_text
+
     @pytest.mark.parametrize("max_steps", [5, "5"])
     def test_max_steps_integer_or_digit_string_loads(self, tmp_path, max_steps):
         config = load_config(write_config(tmp_path, max_steps=max_steps))
-        assert int(config["max_steps"]) == 5
+        assert config["max_steps"] == 5 and type(config["max_steps"]) is int
 
     @pytest.mark.parametrize(
         "override",
@@ -426,7 +470,13 @@ class TestCli:
         ],
     )
     def test_number_or_number_string_loads(self, tmp_path, override):
-        load_config(write_config(tmp_path, **override))
+        config = load_config(write_config(tmp_path, **override))
+        if "train" in override:
+            assert type(config["train"]["epochs"]) is int
+            assert type(config["train"]["step_size"]) is float
+        else:
+            [key] = override
+            assert type(config[key]) is (float if key == "lambda" else int)
 
     def test_stage_by_stage_matches_run_all(self, tmp_path):
         all_dir, step_dir = tmp_path / "all", tmp_path / "step"
