@@ -3,7 +3,7 @@ traces into concise chain-of-thought rationales, filter them by student
 utility, and distill the survivors with a two-term multi-task loss."""
 
 from .codegen import Program, generate_program, generate_programs
-from .dsl import Ast, AstNode, parse, render_source
+from .dsl import Ast, AstNode, parse
 from .editing import (
     CotRationale,
     PrunedTrace,

@@ -100,39 +100,36 @@ def _spatial_source(a: str, rel: str, b: str, corrupted: bool) -> str:
     )
 
 
-def _relation_source(question: str, name: str, corrupted: bool) -> str:
+def _relation_source(name: str, pred: str, corrupted: bool) -> str:
     ret = "answer + '?'" if corrupted else "answer"
     return "\n".join(
         [
             f"patches = image.find('{name}')",
             "anchor = patches[0]",
             "probe = anchor.compute_depth()",
-            f"answer = image.simple_query('{question}')",
+            f"answer = image.simple_query('what is the {name} {pred}')",
             f"return {ret}",
         ]
     )
 
 
+_TEMPLATES = {
+    "count": _count_source,
+    "exists": _exists_source,
+    "attribute": _attribute_source,
+    "spatial": _spatial_source,
+    "relation": _relation_source,
+}
+
+
 def template_source(question: str, corrupted: bool = False) -> str:
     """Instantiate the sketch matching the question; raises GenerationError
     when no template matches."""
-    q = question.strip().lower().rstrip("?").strip()
-    m = sw._RE_COUNT.match(q)
-    if m:
-        return _count_source(sw._singular(m.group(1).strip()), corrupted)
-    m = sw._RE_EXISTS.match(q)
-    if m:
-        return _exists_source(m.group(1).strip(), corrupted)
-    m = sw._RE_ATTR.match(q)
-    if m:
-        return _attribute_source(m.group(1), m.group(2).strip(), corrupted)
-    m = sw._RE_SPATIAL.match(q)
-    if m:
-        return _spatial_source(m.group(1).strip(), m.group(2), m.group(3).strip(), corrupted)
-    m = sw._RE_RELATION.match(q)
-    if m:
-        return _relation_source(q, m.group(1).strip(), corrupted)
-    raise GenerationError(f"no template matches question {question!r}")
+    parsed = sw.parse_question(question)
+    if parsed is None:
+        raise GenerationError(f"no template matches question {question!r}")
+    form, parts = parsed
+    return _TEMPLATES[form](*parts, corrupted)
 
 
 def generate_program(query: Query, *, corrupted: bool = False) -> Program:

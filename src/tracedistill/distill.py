@@ -167,9 +167,6 @@ class LossReport:
     total: float
     lam: float
 
-    def identity_holds(self) -> bool:
-        return self.total == self.label_loss + self.lam * self.rationale_loss
-
 
 @dataclass(frozen=True, eq=False)
 class Batch:

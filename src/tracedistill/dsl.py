@@ -6,8 +6,8 @@ The language is a closed imperative subset: assignments, ``if``/``elif``/
 implicit entry function whose single parameter (``image``) is bound to the
 full-canvas patch at execution time; the AST root is that entry node.
 
-Parenthesized grouping is accepted (and emitted by the renderer where
-precedence requires it) even though parentheses never appear as AST nodes.
+Parenthesized grouping is accepted even though parentheses never appear as
+AST nodes.
 """
 
 from __future__ import annotations
@@ -235,20 +235,6 @@ def if_arms(ast: Ast, node: AstNode) -> tuple[list[tuple[int, list[int]]], list[
     return arms, else_stmts
 
 
-def ast_equal(a: Ast, b: Ast) -> bool:
-    """Structural equality ignoring node ids."""
-
-    def eq(na: int, nb: int) -> bool:
-        x, y = a.node(na), b.node(nb)
-        if x.kind != y.kind or x.payload != y.payload:
-            return False
-        if len(x.children) != len(y.children):
-            return False
-        return all(eq(ca, cb) for ca, cb in zip(x.children, y.children))
-
-    return eq(a.root, b.root)
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -472,128 +458,3 @@ def parse(source: str) -> Ast:
     ast = _Parser(tokenize(source)).parse_program()
     ast.validate()
     return ast
-
-
-# ---------------------------------------------------------------------------
-# renderer
-
-# Binary operators bind by this table; "not" binds looser than comparison,
-# and unary minus and postfix forms bind tighter than every binary operator.
-_BINARY_PREC = {"or": 1, "and": 2, **dict.fromkeys(_COMPARISONS, 4), "+": 5, "-": 5, "*": 6, "/": 6}
-_NOT_PREC = 3
-_NEG_PREC = 7
-_POSTFIX_PREC = 8
-
-
-def render_source(ast: Ast) -> str:
-    """Canonical pretty-printer; ``parse(render_source(a))`` is structurally
-    equal to ``a``."""
-    lines: list[str] = []
-    root = ast.node(ast.root)
-    for stmt in root.children:
-        _render_stmt(ast, stmt, 0, lines)
-    return "\n".join(lines)
-
-
-def indent(depth: int) -> str:
-    """The leading whitespace of a line nested ``depth`` blocks deep."""
-    return " " * (_INDENT_WIDTH * depth)
-
-
-# A statement's first line: the whole of an Assign, Return or ExprStmt, and a
-# For's header; filled from the node's payload and its first child's text.
-_HEAD_FORMATS = {
-    "Assign": "{target} = {expr}",
-    "Return": "return {expr}",
-    "ExprStmt": "{expr}",
-    "For": "for {var} in {expr}:",
-}
-
-
-def render_head(ast: Ast, node_id: int, depth: int) -> str:
-    """The first line of an Assign, Return, ExprStmt or For, at ``depth``."""
-    node = ast.node(node_id)
-    expr = render_expr(ast, node.children[0])
-    return indent(depth) + _HEAD_FORMATS[node.kind].format(expr=expr, **node.payload)
-
-
-def _render_stmt(ast: Ast, node_id: int, depth: int, lines: list[str]) -> None:
-    node = ast.node(node_id)
-    if node.kind in _HEAD_FORMATS:
-        lines.append(render_head(ast, node_id, depth))
-        for child in node.children[1:]:  # a For's body
-            _render_stmt(ast, child, depth + 1, lines)
-    elif node.kind == "If":
-        pad = indent(depth)
-        arms, else_stmts = if_arms(ast, node)
-        for i, (cond, stmts) in enumerate(arms):
-            keyword = "if" if i == 0 else "elif"
-            lines.append(f"{pad}{keyword} {render_expr(ast, cond)}:")
-            for s in stmts:
-                _render_stmt(ast, s, depth + 1, lines)
-        if else_stmts:
-            lines.append(f"{pad}else:")
-            for s in else_stmts:
-                _render_stmt(ast, s, depth + 1, lines)
-    else:
-        raise ValueError(f"not a statement kind: {node.kind}")
-
-
-def _literal_text(value: Any) -> str:
-    if isinstance(value, bool):
-        return "True" if value else "False"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    escaped = value.replace("\\", "\\\\").replace("'", "\\'").replace("\n", "\\n").replace("\t", "\\t")
-    return f"'{escaped}'"
-
-
-def render_expr(ast: Ast, node_id: int) -> str:
-    """Render a single expression subtree."""
-    text, _ = _render_prec(ast, node_id)
-    return text
-
-
-def _render_prec(ast: Ast, node_id: int) -> tuple[str, int]:
-    node = ast.node(node_id)
-    atom = 10
-    if node.kind == "Literal":
-        return _literal_text(node.payload["value"]), atom
-    if node.kind == "Name":
-        return node.payload["id"], atom
-    if node.kind == "ListLit":
-        items = ", ".join(render_expr(ast, c) for c in node.children)
-        return f"[{items}]", atom
-    if node.kind == "Call":
-        args = ", ".join(render_expr(ast, c) for c in node.children)
-        return f"{node.payload['func']}({args})", _POSTFIX_PREC
-    if node.kind == "MethodCall":
-        recv = _wrap(ast, node.children[0], _POSTFIX_PREC)
-        args = ", ".join(render_expr(ast, c) for c in node.children[1:])
-        return f"{recv}.{node.payload['method']}({args})", _POSTFIX_PREC
-    if node.kind == "Attribute":
-        recv = _wrap(ast, node.children[0], _POSTFIX_PREC)
-        return f"{recv}.{node.payload['attr']}", _POSTFIX_PREC
-    if node.kind == "Index":
-        recv = _wrap(ast, node.children[0], _POSTFIX_PREC)
-        return f"{recv}[{render_expr(ast, node.children[1])}]", _POSTFIX_PREC
-    if node.kind == "Unary":
-        op = node.payload["op"]
-        prec = _NOT_PREC if op == "not" else _NEG_PREC
-        operand = _wrap(ast, node.children[0], prec)
-        joint = " " if op == "not" else ""
-        return f"{op}{joint}{operand}", prec
-    if node.kind == "Binary":
-        op = node.payload["op"]
-        prec = _BINARY_PREC[op]
-        left = _wrap(ast, node.children[0], prec)
-        right = _wrap(ast, node.children[1], prec + 1)  # left-associative
-        return f"{left} {op} {right}", prec
-    raise ValueError(f"not an expression kind: {node.kind}")
-
-
-def _wrap(ast: Ast, node_id: int, min_prec: int) -> str:
-    text, prec = _render_prec(ast, node_id)
-    if prec < min_prec:
-        return f"({text})"
-    return text

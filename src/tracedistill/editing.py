@@ -25,7 +25,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .dsl import Ast, if_arms, indent, render_expr, render_head
 from .errors import TraceDistillError
 from .interp import ExecutionTrace, TraceEvent, value_text
 
@@ -85,94 +84,6 @@ def keep_all(trace: ExecutionTrace) -> PrunedTrace:
         kept_seqs=[e.seq for e in trace.events],
         slice_root=_return_seq(trace),
     )
-
-
-# ---------------------------------------------------------------------------
-# slice rebuild (for slice-replay verification)
-
-def slice_source(ast: Ast, pruned: PrunedTrace) -> str:
-    """Rebuild the sliced statements as runnable source.
-
-    Kept statements are emitted verbatim; a control node survives when any
-    of its events survived. Arms that were taken during execution but kept
-    no statements are preserved as guards (with a no-op body) whenever a
-    later arm survives, so re-execution cannot fall through into a
-    different arm.
-    """
-    events = pruned.base.events
-    kept = set(pruned.kept_seqs)
-    kept_stmts: set[int] = set()
-    kept_arms: dict[int, set[int]] = {}
-    kept_loops: set[int] = set()
-    taken_arms: dict[int, set[int]] = {}
-    for event in events:
-        if event.kind == "branch_taken":
-            taken_arms.setdefault(event.node_id, set()).add(event.detail["arm"])
-        if event.seq not in kept:
-            continue
-        if event.kind in ("assign", "tool_call", "builtin_call", "return"):
-            kept_stmts.add(event.node_id)
-        elif event.kind == "branch_taken":
-            kept_arms.setdefault(event.node_id, set()).add(event.detail["arm"])
-        elif event.kind in ("loop_enter", "loop_iter", "loop_exit"):
-            kept_loops.add(event.node_id)
-
-    lines: list[str] = []
-    _emit_slice(ast, ast.node(ast.root).children, 0, kept_stmts, kept_arms, kept_loops,
-                taken_arms, lines)
-    return "\n".join(lines)
-
-
-def _emit_slice(ast, stmt_ids, depth, kept_stmts, kept_arms, kept_loops, taken_arms, lines):
-    for sid in stmt_ids:
-        node = ast.node(sid)
-        if node.kind in ("Assign", "Return", "ExprStmt"):
-            if sid in kept_stmts:
-                lines.append(render_head(ast, sid, depth))
-        elif node.kind == "For":
-            if sid in kept_loops:
-                lines.append(render_head(ast, sid, depth))
-                body: list[str] = []
-                _emit_slice(ast, node.children[1:], depth + 1, kept_stmts, kept_arms,
-                            kept_loops, taken_arms, body)
-                lines.extend(body if body else [indent(depth + 1) + "0"])
-        elif node.kind == "If":
-            _emit_if_slice(ast, node, depth, kept_stmts, kept_arms, kept_loops, taken_arms, lines)
-
-
-def _emit_if_slice(ast, node, depth, kept_stmts, kept_arms, kept_loops, taken_arms, lines):
-    pad = indent(depth)
-    arms, else_stmts = if_arms(ast, node)
-    arm_bodies: list[list[str]] = []
-    for _, stmts in arms:
-        body: list[str] = []
-        _emit_slice(ast, stmts, depth + 1, kept_stmts, kept_arms, kept_loops, taken_arms, body)
-        arm_bodies.append(body)
-    else_body: list[str] = []
-    _emit_slice(ast, else_stmts, depth + 1, kept_stmts, kept_arms, kept_loops, taken_arms, else_body)
-
-    surviving = [i for i, b in enumerate(arm_bodies) if b]
-    else_survives = bool(else_body)
-    if not surviving and not else_survives:
-        return
-    # Everything up to `boundary` that was ever taken needs its guard kept,
-    # otherwise re-execution could fall through into a later surviving arm.
-    boundary = len(arms) if else_survives else max(surviving)
-    ever = taken_arms.get(node.id, set())
-    emit = [bool(arm_bodies[i]) or (i in ever and i < boundary) for i in range(len(arms))]
-    if else_survives and not any(emit):
-        emit[0] = True  # syntactic host for the else arm; its condition is pure
-    emitted_any = False
-    for i, (cond, _) in enumerate(arms):
-        if not emit[i]:
-            continue
-        keyword = "if" if not emitted_any else "elif"
-        lines.append(f"{pad}{keyword} {render_expr(ast, cond)}:")
-        lines.extend(arm_bodies[i] if arm_bodies[i] else [indent(depth + 1) + "0"])
-        emitted_any = True
-    if else_survives:
-        lines.append(f"{pad}else:")
-        lines.extend(else_body)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +413,6 @@ class CotRationale:
     bridge_fallback: bool  # an external bridger failed and the default one filled in
     sentences: list[str]
     joints: list[str]
-    source_records: list[list[int]]  # record indices per sentence; [] marks a bridge insertion
 
 
 def bridge(
@@ -520,7 +430,6 @@ def bridge(
     primary = bridger or DefaultBridger()
     fallback = DefaultBridger()
     sentences: list[str] = [tagged.sentences[0]]
-    source_records: list[list[int]] = [[0]]
     fell_back = False
     for i, joint in enumerate(tagged.joints):
         if joint == GAP:
@@ -536,9 +445,7 @@ def bridge(
                 text = fallback.fill(request)
                 fell_back = True
             sentences.append(text)
-            source_records.append([])
         sentences.append(tagged.sentences[i + 1])
-        source_records.append([i + 1])
     return CotRationale(
         query_id=query_id,
         program_id=trace.program_id,
@@ -546,7 +453,6 @@ def bridge(
         bridge_fallback=fell_back,
         sentences=sentences,
         joints=list(tagged.joints),
-        source_records=source_records,
     )
 
 
@@ -564,5 +470,4 @@ def no_bridge(
         bridge_fallback=False,
         sentences=list(tagged.sentences),
         joints=list(tagged.joints),
-        source_records=[[i] for i in range(len(tagged.sentences))],
     )

@@ -142,19 +142,26 @@ def _collector_paused(stage):
     inside the stage would only re-walk it. The one collection on return
     frees the stage's few cycles and, being a full collection, empties the
     interpreter's free lists, whose objects otherwise keep the memory arenas
-    they sit in from being released. A nested paused call, or a caller that
-    turned the collector off, leaves it off."""
+    they sit in from being released. The caller's heap is frozen for the
+    stage, so that collection walks only what the stage allocated; objects
+    a caller froze itself stay frozen. A nested paused call, or a caller
+    that turned the collector off, leaves it off."""
 
     @functools.wraps(stage)
     def paused(*args, **kwargs):
         was_enabled = gc.isenabled()
+        freeze = was_enabled and gc.get_freeze_count() == 0
         gc.disable()
+        if freeze:
+            gc.freeze()
         try:
             return stage(*args, **kwargs)
         finally:
             if was_enabled:
                 gc.enable()
                 gc.collect()
+            if freeze:
+                gc.unfreeze()
 
     return paused
 

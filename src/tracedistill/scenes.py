@@ -394,15 +394,33 @@ def tool_distance(a: Patch, b: Patch) -> float:
 # ---------------------------------------------------------------------------
 # question grammar and answer oracle
 
-_RE_EXISTS = re.compile(r"^is there an? ([a-z ]+)$")
-_RE_COUNT = re.compile(r"^how many ([a-z ]+)$")
-_RE_ATTR = re.compile(r"^what (color|material|size) is the ([a-z ]+)$")
-_RE_SPATIAL = re.compile(r"^is the ([a-z ]+?) (left of|right of|above|below) the ([a-z ]+)$")
-_RE_RELATION = re.compile(r"^what is the ([a-z ]+?) (" + "|".join(PREDICATES) + r")$")
+# Each question form with its pattern; no question matches two of them.
+_QUESTION_FORMS = {
+    "exists": re.compile(r"^is there an? ([a-z ]+)$"),
+    "count": re.compile(r"^how many ([a-z ]+)$"),
+    "attribute": re.compile(r"^what (color|material|size) is the ([a-z ]+)$"),
+    "spatial": re.compile(r"^is the ([a-z ]+?) (left of|right of|above|below) the ([a-z ]+)$"),
+    "relation": re.compile(r"^what is the ([a-z ]+?) (" + "|".join(PREDICATES) + r")$"),
+}
 
 
-def _singular(noun: str) -> str:
-    return noun[:-1] if noun.endswith("s") else noun
+def parse_question(question: str) -> tuple[str, tuple[str, ...]] | None:
+    """The question's form and its parts, or None outside the grammar.
+
+    The parts are: exists (name), count (singular name), attribute
+    (attribute class, name), spatial (name, relation, name) and relation
+    (name, predicate). Matching ignores case, a trailing "?" and
+    surrounding spaces.
+    """
+    q = question.strip().lower().rstrip("?").strip()
+    for form, pattern in _QUESTION_FORMS.items():
+        m = pattern.match(q)
+        if m:
+            parts = tuple(part.strip() for part in m.groups())
+            if form == "count" and parts[0].endswith("s"):
+                parts = (parts[0][:-1],)
+            return form, parts
+    return None
 
 
 def _first_named(scene: Scene, name: str) -> SceneObject | None:
@@ -420,21 +438,19 @@ def answer_oracle(scene: Scene, question: str) -> str:
     the Y", also right of / above / below), and relation ("what is the X
     on"). Anything else returns the fixed token "unknown".
     """
-    q = question.strip().lower().rstrip("?").strip()
+    parsed = parse_question(question)
+    if parsed is None:
+        return "unknown"
+    form, parts = parsed
 
-    m = _RE_EXISTS.match(q)
-    if m:
-        name = m.group(1).strip()
-        return "yes" if _first_named(scene, name) else "no"
+    if form == "exists":
+        return "yes" if _first_named(scene, parts[0]) else "no"
 
-    m = _RE_COUNT.match(q)
-    if m:
-        name = _singular(m.group(1).strip())
-        return str(sum(1 for o in scene.objects if o.name.lower() == name))
+    if form == "count":
+        return str(sum(1 for o in scene.objects if o.name.lower() == parts[0]))
 
-    m = _RE_ATTR.match(q)
-    if m:
-        attr_class, name = m.group(1), m.group(2).strip()
+    if form == "attribute":
+        attr_class, name = parts
         obj = _first_named(scene, name)
         if obj is None:
             return "unknown"
@@ -443,13 +459,12 @@ def answer_oracle(scene: Scene, question: str) -> str:
                 return attr
         return "unknown"
 
-    m = _RE_SPATIAL.match(q)
-    if m:
-        a = _first_named(scene, m.group(1).strip())
-        b = _first_named(scene, m.group(3).strip())
+    if form == "spatial":
+        a_name, rel, b_name = parts
+        a = _first_named(scene, a_name)
+        b = _first_named(scene, b_name)
         if a is None or b is None:
             return "unknown"
-        rel = m.group(2)
         ax, ay = a.center
         bx, by = b.center
         if rel == "left of":
@@ -460,17 +475,13 @@ def answer_oracle(scene: Scene, question: str) -> str:
             return "yes" if ay > by else "no"
         return "yes" if ay < by else "no"
 
-    m = _RE_RELATION.match(q)
-    if m:
-        name, pred = m.group(1).strip(), m.group(2)
-        subj = _first_named(scene, name)
-        if subj is None:
-            return "unknown"
-        for s, p, o in scene.relations:
-            if s == subj.id and p == pred:
-                return scene.object_by_id(o).name
+    name, pred = parts
+    subj = _first_named(scene, name)
+    if subj is None:
         return "unknown"
-
+    for s, p, o in scene.relations:
+        if s == subj.id and p == pred:
+            return scene.object_by_id(o).name
     return "unknown"
 
 

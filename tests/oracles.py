@@ -3,7 +3,9 @@
 ``evaluate`` is a deliberately plain recursive evaluator: no events, no
 def-use tracking, just a dict environment. It shares the scene tool
 functions (the world model under both interpreters) but none of the
-interpreter code, so agreement between the two is meaningful.
+interpreter code, so agreement between the two is meaningful. Given a
+pruned trace, it runs only the statements the slice keeps, which checks that
+prune's slice still computes the answer without rebuilding it as source.
 """
 
 from __future__ import annotations
@@ -36,10 +38,48 @@ def _truthy(value):
     return True
 
 
-def evaluate(ast: Ast, scene: Scene):
-    """Returns (result, assign_count, final_env)."""
+class _Slice:
+    """The statements and ``if`` arms of ``ast`` that a pruned trace of it
+    keeps. A statement or ``for`` survives when one of its events survived,
+    and an ``if`` when a statement in one of its arms survived."""
+
+    def __init__(self, ast: Ast, pruned):
+        self.ast = ast
+        events = pruned.base.events
+        self.kept_nodes = {events[seq].node_id for seq in pruned.kept_seqs}
+        self.taken: dict[int, set[int]] = {}  # If node -> arms taken at any time
+        for event in events:
+            if event.kind == "branch_taken":
+                self.taken.setdefault(event.node_id, set()).add(event.detail["arm"])
+
+    def survives(self, sid: int) -> bool:
+        node = self.ast.node(sid)
+        if node.kind != "If":
+            return sid in self.kept_nodes
+        arms, else_stmts = if_arms(self.ast, node)
+        return any(self.body_survives(stmts) for _, stmts in arms) or self.body_survives(else_stmts)
+
+    def body_survives(self, stmt_ids) -> bool:
+        return any(self.survives(sid) for sid in stmt_ids)
+
+    def tested_arms(self, node) -> list[int]:
+        """The arms whose condition the slice tests: each arm whose body
+        survived, and as a guard each arm that was taken but kept nothing,
+        up to the last surviving arm (through every arm when the else arm
+        survives), so that a test cannot fall through into a later arm."""
+        arms, else_stmts = if_arms(self.ast, node)
+        surviving = [i for i, (_, stmts) in enumerate(arms) if self.body_survives(stmts)]
+        boundary = len(arms) if self.body_survives(else_stmts) else max(surviving)
+        taken = self.taken.get(node.id, set())
+        return [i for i in range(len(arms)) if i in surviving or (i in taken and i < boundary)]
+
+
+def evaluate(ast: Ast, scene: Scene, pruned=None):
+    """Returns (result, assign_count, final_env). With ``pruned``, a
+    ``PrunedTrace`` of ``ast`` on ``scene``, runs only its slice."""
     env: dict = {"image": sw.full_canvas_patch(scene)}
     counts = {"assign": 0}
+    kept = _Slice(ast, pruned) if pruned is not None else None
 
     def ev(nid):
         node = ast.node(nid)
@@ -117,6 +157,8 @@ def evaluate(ast: Ast, scene: Scene):
     def run(stmt_ids):
         for sid in stmt_ids:
             node = ast.node(sid)
+            if kept is not None and not kept.survives(sid):
+                continue
             if node.kind == "Assign":
                 env[node.payload["target"]] = ev(node.children[0])
                 counts["assign"] += 1
@@ -131,13 +173,13 @@ def evaluate(ast: Ast, scene: Scene):
                     run(node.children[1:])
             elif node.kind == "If":
                 arms, else_stmts = if_arms(ast, node)
-                taken = False
-                for cond, stmts in arms:
+                tested = range(len(arms)) if kept is None else kept.tested_arms(node)
+                for i in tested:
+                    cond, stmts = arms[i]
                     if _truthy(ev(cond)):
                         run(stmts)
-                        taken = True
                         break
-                if not taken:
+                else:
                     run(else_stmts)
 
     try:

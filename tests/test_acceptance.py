@@ -26,12 +26,11 @@ from tracedistill.editing import (
     merge,
     prune,
     record_to_line,
-    slice_source,
 )
 from tracedistill.interp import execute, faithfulness_filter, plain_text
 from tracedistill.jsonlio import read_json, read_jsonl
 from tracedistill.pipeline import run_ablation, run_all
-from tracedistill.scenes import Query, generate_queries, generate_scenes
+from tracedistill.scenes import Query, generate_queries, generate_scenes, parse_question
 from tracedistill.students import (
     RationaleSensitiveStudent,
     filter_by_score,
@@ -63,30 +62,16 @@ def faithful_corpus():
     return rows, started
 
 
-def _question_form(question: str) -> str:
-    if question.startswith("how many"):
-        return "count"
-    if question.startswith("is there"):
-        return "exists"
-    if question.startswith("what is the"):
-        return "relation"
-    if question.startswith("what"):
-        return "attribute"
-    return "spatial"
-
-
 def test_slice_soundness(faithful_corpus):
     rows, started = faithful_corpus
     assert len(rows) >= 500
-    forms = {_question_form(q.question) for _, q, _, _ in rows}
+    forms = {parse_question(q.question)[0] for _, q, _, _ in rows}
     assert forms == {"count", "exists", "attribute", "spatial", "relation"}
     replayed = 0
     for program, query, scene, trace in rows:
         pruned = prune(trace)
-        sliced = slice_source(parse(program.source), pruned)
-        replay = execute(parse(sliced), scene)
-        assert replay.status == "ok", (program.source, sliced)
-        assert plain_text(replay.result) == plain_text(trace.result)
+        replay, _, _ = evaluate(parse(program.source), scene, pruned)
+        assert plain_text(replay) == plain_text(trace.result), program.source
         replayed += 1
     elapsed = time.monotonic() - started
     assert elapsed < 60.0, f"slice soundness took {elapsed:.1f}s"

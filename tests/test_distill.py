@@ -92,7 +92,6 @@ class TestLoss:
         batch = small_batch()
         model = build_model(batch, lam=1.0, seed=3)
         report = loss(model, batch)
-        assert report.identity_holds()
         assert report.total == report.label_loss + report.lam * report.rationale_loss
 
     def test_identity_with_other_lambda(self):

@@ -19,7 +19,6 @@ from tracedistill.editing import (
     record_to_line,
     render,
     render_sentence,
-    slice_source,
     tag_gaps,
 )
 from tracedistill.errors import TraceDistillError
@@ -77,9 +76,28 @@ class TestPrune:
     def test_slice_replay_corpus(self):
         for program, scene, trace in corpus_traces(60, seed=41):
             pruned = prune(trace)
-            replay = execute(parse(slice_source(parse(program.source), pruned)), scene)
-            assert replay.status == "ok"
-            assert plain_text(replay.result) == plain_text(trace.result)
+            replayed, _, _ = evaluate(parse(program.source), scene, pruned)
+            assert plain_text(replayed) == plain_text(trace.result)
+
+    def test_slice_keeps_a_taken_arm_as_a_guard(self):
+        # Arm 0 is taken but keeps nothing; without testing its condition,
+        # the slice would count its patches in the elif arm too.
+        source = (
+            "patches = image.find('muffin')\n"
+            "count = 0\n"
+            "junk = 0\n"
+            "for p in patches:\n"
+            "    if p.horizontal_center < 60:\n"
+            "        junk = junk + 1\n"
+            "    elif p.horizontal_center < 224:\n"
+            "        count = count + 1\n"
+            "return str(count)"
+        )
+        scene = make_muffin_scene(8)
+        ast, trace = run(source, scene)
+        assert plain_text(trace.result) == "2"
+        replayed, _, _ = evaluate(ast, scene, prune(trace))
+        assert plain_text(replayed) == "2"
 
     @staticmethod
     def assert_minimal(trace, pruned):
@@ -344,6 +362,18 @@ class TestTagGaps:
         assert tagged.joints[branch_idx] == NO_GAP  # branch -> governed assign
 
 
+def inserted_sentences(rationale):
+    """Positions of the bridge sentences: each <gap> joint after draft
+    sentence i puts exactly one sentence after it."""
+    positions, at = [], 0
+    for joint in rationale.joints:
+        if joint == GAP:
+            at += 1
+            positions.append(at)
+        at += 1
+    return positions
+
+
 class TestBridge:
     def _tagged(self, scene):
         ast, trace = run(COUNTING, scene)
@@ -356,7 +386,9 @@ class TestBridge:
         gaps = tagged.joints.count(GAP)
         rationale = bridge(tagged, sym, query_id="q")
         assert len(rationale.sentences) == len(tagged.sentences) + gaps
-        assert sum(1 for s in rationale.source_records if s == []) == gaps
+        inserted = [rationale.sentences[i] for i in inserted_sentences(rationale)]
+        assert len(inserted) == gaps
+        assert not set(inserted) & set(tagged.sentences)
 
     def test_all_no_gap_identity(self, muffins8):
         sym = merge(
@@ -376,9 +408,8 @@ class TestBridge:
             sentences = render(sym)
             tagged = tag_gaps(sentences, sym)
             rationale = bridge(tagged, sym, query_id=program.query_id)
-            originals = [
-                s for s, src in zip(rationale.sentences, rationale.source_records) if src != []
-            ]
+            inserted = set(inserted_sentences(rationale))
+            originals = [s for i, s in enumerate(rationale.sentences) if i not in inserted]
             assert originals == tagged.sentences
 
     def test_failing_external_bridger_falls_back(self, muffins3):

@@ -854,6 +854,35 @@ class TestCollectorPause:
         assert len(log) == len(self.STAGE_NAMES) + 32
         assert not any(on for _, on, _ in log)
 
+    def test_the_caller_heap_is_frozen_only_while_a_stage_runs(self, tmp_path, seen, monkeypatch):
+        frozen, real_record = [], pipeline.RunManifest.record
+
+        def record(manifest, *args, **kwargs):
+            frozen.append(gc.get_freeze_count())
+            return real_record(manifest, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline.RunManifest, "record", record)
+        assert gc.get_freeze_count() == 0
+        gc.enable()
+        run_all(load_config(write_config(tmp_path)))
+        assert len(frozen) == len(self.STAGE_NAMES) and all(frozen)
+        assert gc.get_freeze_count() == 0
+
+    def test_a_caller_that_froze_its_heap_keeps_it_frozen(self, tmp_path, seen):
+        config = load_config(write_config(tmp_path))
+        mine = []
+        gc.enable()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            run_all(config)
+            # the run frees a few frozen objects, but freezes and thaws none
+            assert 0 < gc.get_freeze_count() <= frozen
+            assert not any(obj is mine for obj in gc.get_objects())
+        finally:
+            gc.unfreeze()
+        assert any(obj is mine for obj in gc.get_objects())
+
     def test_stage_files_do_not_depend_on_the_collector(self, tmp_path):
         was_enabled = gc.isenabled()
         digests = []

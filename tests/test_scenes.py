@@ -16,6 +16,7 @@ from tracedistill.scenes import (
     generate_scenes,
     load_queries,
     load_scenes,
+    parse_question,
     save_scenes,
     tool_best_text_match,
     tool_compute_depth,
@@ -198,6 +199,22 @@ class TestTools:
         noisy = ToolConfig(noise_p=1.0, noise_seed=1)
         assert tool_exists(table_scene, canvas, "cup", noisy) is False
         assert tool_exists(table_scene, canvas, "cup", ToolConfig()) is True
+
+
+class TestParseQuestion:
+    @pytest.mark.parametrize(
+        "question,parsed",
+        [
+            ("how many muffins", ("count", ("muffin",))),
+            ("Is there an apple?", ("exists", ("apple",))),
+            ("what size is the red cup", ("attribute", ("size", "red cup"))),
+            ("is the cup left of the plate", ("spatial", ("cup", "left of", "plate"))),
+            ("what is the cup on", ("relation", ("cup", "on"))),
+            ("describe the picture", None),
+        ],
+    )
+    def test_forms(self, question, parsed):
+        assert parse_question(question) == parsed
 
 
 class TestAnswerOracle:
