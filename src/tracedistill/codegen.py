@@ -10,15 +10,14 @@ off-by-one count, mangled answer) to exercise the faithfulness filter.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import urllib.request
 from dataclasses import dataclass
 
 from . import scenes as sw
 from .dsl import parse
 from .errors import GenerationError
+from .jsonlio import post_json
 from .scenes import Query, Scene
 
 
@@ -175,20 +174,13 @@ def external_generate(config: ExternalGeneratorConfig, query: Query, summary: st
     parse or the example is rejected with a GenerationError."""
     if not config.enabled:
         raise GenerationError("external generator is disabled")
-    request = urllib.request.Request(
-        config.endpoint,
-        data=json.dumps(
-            {
-                "question": query.question,
-                "scene_summary": summary,
-                "api_doc_version": config.api_doc_version,
-            }
-        ).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-    )
+    request = {
+        "question": query.question,
+        "scene_summary": summary,
+        "api_doc_version": config.api_doc_version,
+    }
     try:
-        with urllib.request.urlopen(request, timeout=config.timeout) as resp:
-            payload = json.loads(resp.read().decode("utf-8"))
+        payload = post_json(config.endpoint, request, config.timeout)
     except Exception as exc:
         raise GenerationError(f"external generator transport failure: {exc}") from exc
     source = payload.get("source", "")

@@ -273,10 +273,6 @@ def _loss_and_grads(model: ToyModel, batch: Batch):
     return report, dW
 
 
-def loss(model: ToyModel, examples: list[DistillExample]) -> LossReport:
-    return loss_and_grads(model, encode(model, examples))[0]
-
-
 def grad_check(model: ToyModel, examples: list[DistillExample], epsilon: float = 1e-5) -> float:
     """Max relative error between analytic and central-finite-difference
     gradients over every parameter; relative error is measured against
@@ -304,13 +300,15 @@ def grad_check(model: ToyModel, examples: list[DistillExample], epsilon: float =
 # ---------------------------------------------------------------------------
 # training
 
+HELDOUT_FRACTION = 0.2
+
+
 @dataclass
 class TrainConfig:
     lam: float = 1.0
     epochs: int = 60
     step_size: float = 0.5
     seed: int = 0
-    heldout_fraction: float = 0.2
 
 
 @dataclass
@@ -326,12 +324,12 @@ class TrainReport:
 
 
 def split_dataset(
-    examples: list[DistillExample], seed: int, heldout_fraction: float = 0.2
+    examples: list[DistillExample], seed: int
 ) -> tuple[list[DistillExample], list[DistillExample]]:
     """Fixed seeded 80/20 split."""
     order = list(range(len(examples)))
     random.Random(seed).shuffle(order)
-    cut = max(1, int(round(len(examples) * (1.0 - heldout_fraction))))
+    cut = max(1, int(round(len(examples) * (1.0 - HELDOUT_FRACTION))))
     train_idx, held_idx = order[:cut], order[cut:]
     return [examples[i] for i in train_idx], [examples[i] for i in held_idx]
 
@@ -350,7 +348,7 @@ def train(examples: list[DistillExample], config: TrainConfig) -> tuple[ToyModel
     """
     if not examples:
         raise ValueError("dataset must be non-empty")
-    train_rows, held_rows = split_dataset(examples, config.seed, config.heldout_fraction)
+    train_rows, held_rows = split_dataset(examples, config.seed)
     model = build_model(examples, lam=config.lam, seed=config.seed)
     batch = encode(model, train_rows)
     report, dW = loss_and_grads(model, batch)

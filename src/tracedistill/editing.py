@@ -27,6 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import TraceDistillError
 from .interp import ExecutionTrace, TraceEvent, value_text
+from .jsonlio import post_json
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +37,6 @@ from .interp import ExecutionTrace, TraceEvent, value_text
 class PrunedTrace:
     base: ExecutionTrace
     kept_seqs: list[int]  # ascending
-    slice_root: int  # seq of the return event
 
 
 def _return_seq(trace: ExecutionTrace) -> int:
@@ -74,16 +74,13 @@ def prune(trace: ExecutionTrace) -> PrunedTrace:
     for event in events:
         if event.kind == "loop_exit" and event.detail.get("enter", -1) in kept:
             kept.add(event.seq)
-    return PrunedTrace(base=trace, kept_seqs=sorted(kept), slice_root=root_seq)
+    return PrunedTrace(base=trace, kept_seqs=sorted(kept))
 
 
 def keep_all(trace: ExecutionTrace) -> PrunedTrace:
     """Identity 'pruning' used when the prune stage is toggled off."""
-    return PrunedTrace(
-        base=trace,
-        kept_seqs=[e.seq for e in trace.events],
-        slice_root=_return_seq(trace),
-    )
+    _return_seq(trace)  # a trace without a return event is refused, as by prune
+    return PrunedTrace(base=trace, kept_seqs=[e.seq for e in trace.events])
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +383,12 @@ class HttpBridger:
         self.timeout = timeout
 
     def fill(self, request: BridgeRequest) -> str:
-        import json
-        import urllib.request
-
         facts = [record_to_line(r) for r in request.trace.records]
-        wire = urllib.request.Request(
+        payload = post_json(
             self.endpoint,
-            data=json.dumps(
-                {"prev": request.prev, "next": request.next, "facts": facts}
-            ).encode("utf-8"),
-            headers={"Content-Type": "application/json"},
+            {"prev": request.prev, "next": request.next, "facts": facts},
+            self.timeout,
         )
-        with urllib.request.urlopen(wire, timeout=self.timeout) as resp:
-            payload = json.loads(resp.read().decode("utf-8"))
         text = payload.get("bridge_text", "")
         if not isinstance(text, str) or not text:
             raise ValueError("external bridger returned no bridge_text")

@@ -16,22 +16,21 @@ class SceneLookupError(TraceDistillError):
     """A tool call referenced a scene or patch that does not exist."""
 
 
-class LexError(TraceDistillError):
+class PositionedError(TraceDistillError):
+    """An error at a line and column of DSL source."""
+
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"{message} (line {line}, col {col})")
+        self.line = line
+        self.col = col
+
+
+class LexError(PositionedError):
     """Lexical error in DSL source (unknown token, bad indentation)."""
 
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
-        self.col = col
 
-
-class DslSyntaxError(TraceDistillError):
+class DslSyntaxError(PositionedError):
     """Syntax error in DSL source, with position and expected-token hint."""
-
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
-        self.col = col
 
 
 class GenerationError(TraceDistillError):

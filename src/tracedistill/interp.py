@@ -24,10 +24,12 @@ from .scenes import Patch, Query, Scene, ToolConfig
 Value = Any  # int | float | bool | str | list[Value] | Patch
 
 
+MAX_LIST_LEN = 10_000
+
+
 @dataclass
 class StepLimits:
     max_steps: int = 10_000
-    max_list_len: int = 10_000
     snapshot_list_cap: int = 64
 
 
@@ -294,7 +296,7 @@ class _Interp:
                 self._uses.append((name, def_seq))
             return value
         if kind == "ListLit":
-            if len(node.children) > self.limits.max_list_len:
+            if len(node.children) > MAX_LIST_LEN:
                 raise _Fault(node_id, "list literal too long")
             return [self.eval_expr(c) for c in node.children]
         if kind == "Attribute":
@@ -370,7 +372,7 @@ class _Interp:
                 return left + right
             if isinstance(left, list) and isinstance(right, list):
                 joined = left + right
-                if len(joined) > self.limits.max_list_len:
+                if len(joined) > MAX_LIST_LEN:
                     raise _Fault(node.id, "list too long")
                 return joined
             raise _Fault(node.id, f"cannot add {type(left).__name__} and {type(right).__name__}")
@@ -395,7 +397,7 @@ class _Interp:
         args = [self.eval_expr(c) for c in node.children]
         self._last_args = args
         if func == "len":
-            if isinstance(args[0], (list, str)) and len(args) == 1:
+            if len(args) == 1 and isinstance(args[0], (list, str)):
                 return len(args[0])
             raise _Fault(node.id, "len needs one list or string")
         if func == "str":
@@ -450,9 +452,11 @@ class _Interp:
                 return sw.tool_find(self.scene, receiver, args[0])
             if method == "exists" and len(args) == 1 and isinstance(args[0], str):
                 return sw.tool_exists(self.scene, receiver, args[0], self.tools)
-            if method == "verify_property" and len(args) == 2:
+            if (method == "verify_property" and len(args) == 2
+                    and all(isinstance(a, str) for a in args)):
                 return sw.tool_verify_property(self.scene, receiver, args[0], args[1], self.tools)
-            if method == "best_text_match" and len(args) == 1 and isinstance(args[0], list):
+            if (method == "best_text_match" and len(args) == 1 and isinstance(args[0], list)
+                    and all(isinstance(o, str) for o in args[0])):
                 return sw.tool_best_text_match(self.scene, receiver, args[0])
             if method == "simple_query" and len(args) == 1 and isinstance(args[0], str):
                 return sw.tool_simple_query(self.scene, receiver, args[0])

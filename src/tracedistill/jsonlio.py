@@ -1,4 +1,5 @@
-"""Small JSON / JSONL helpers with deterministic byte output.
+"""Small JSON / JSONL helpers with deterministic byte output, and the one
+JSON-over-HTTP POST the external clients share.
 
 Every stage file is written through these functions so that identical
 in-memory rows always serialize to identical bytes.
@@ -7,6 +8,7 @@ in-memory rows always serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import urllib.request
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -47,3 +49,15 @@ def write_json(path: str | Path, obj: Any) -> None:
 def read_json(path: str | Path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def post_json(endpoint: str, payload: Any, timeout: float) -> Any:
+    """POST ``payload`` as JSON and return the decoded JSON reply; any
+    transport or decoding failure raises."""
+    request = urllib.request.Request(
+        endpoint,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=timeout) as resp:
+        return json.loads(resp.read().decode("utf-8"))

@@ -16,9 +16,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import codegen, distill, editing, scenes as sw, students as st
-from .config import PipelineConfig
+from .config import DEFAULT_STAGE_FILES, PipelineConfig
 from .dsl import parse
-from .errors import StageError
+from .errors import EmissionError, StageError
 from .interp import (
     REJECT_REASONS,
     ExecutionTrace,
@@ -424,11 +424,11 @@ def stage_score(config: PipelineConfig, manifest: RunManifest) -> None:
 def _emit(config: PipelineConfig, manifest: RunManifest, started: float,
           queries: list, rationales, scored) -> None:
     texts = {row["query_id"]: row["text"] for row in rationales}
-    kept = {
-        row["query_id"]: texts[row["query_id"]]
-        for row in scored
-        if st.keeps(row["score"], config["min_score"])
-    }
+    kept_ids = [row["query_id"] for row in scored if st.keeps(row["score"], config["min_score"])]
+    missing = sorted(set(kept_ids) - texts.keys())
+    if missing:
+        raise EmissionError(f"score-kept queries have no rationale: {missing}")
+    kept = {qid: texts[qid] for qid in kept_ids}
     emitted = distill.emit_dataset(kept, queries, config.path("dataset"))
     manifest.counts["emitted"] = emitted
     manifest.record(
@@ -499,12 +499,7 @@ def run_all(config: PipelineConfig) -> RunManifest:
 # ---------------------------------------------------------------------------
 # ablation driver: the 8-cell prune/merge/bridge toggle grid
 
-CELL_FILES = {
-    "rationales": "rationales.jsonl",
-    "scored": "scored.jsonl",
-    "dataset": "dataset.jsonl",
-    "metrics": "metrics.json",
-}
+CELL_FILES = {s: DEFAULT_STAGE_FILES[s] for s in ("rationales", "scored", "dataset", "metrics")}
 
 
 def _cell_figures(manifest: RunManifest) -> dict:

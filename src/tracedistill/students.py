@@ -87,15 +87,6 @@ def keeps(score: int, min_score: int = 0) -> bool:
     return score >= min_score
 
 
-def filter_by_score(
-    scored: list[ScoredRationale], min_score: int = 0
-) -> tuple[list[ScoredRationale], list[ScoredRationale]]:
-    """Exhaustive, disjoint partition into (kept, rejected)."""
-    kept = [s for s in scored if keeps(s.score, min_score)]
-    rejected = [s for s in scored if not keeps(s.score, min_score)]
-    return kept, rejected
-
-
 # ---------------------------------------------------------------------------
 # built-in students (deterministic stand-ins for end-to-end models)
 
@@ -133,8 +124,9 @@ class NoisyOracleStudent:
 @dataclass
 class RationaleSensitiveStudent:
     """Fails by default; succeeds when the rationale mentions the expected
-    answer (trigger_mode "answer") or any question content token
-    (trigger_mode "fact"). An optional token budget models a short attention
+    answer (trigger_mode "answer") or shares any token with the question,
+    function words included (trigger_mode "fact": "is there a cup" fires on
+    "...answer is no."). An optional token budget models a short attention
     span: the trigger must appear within the first ``token_budget`` tokens."""
 
     expected_by_question: dict[str, str]

@@ -19,7 +19,7 @@ import pytest
 
 from tracedistill.codegen import generate_programs
 from tracedistill.config import load_config
-from tracedistill.distill import TrainConfig, build_model, grad_check, loss, train
+from tracedistill.distill import TrainConfig, build_model, encode, grad_check, loss_and_grads, train
 from tracedistill.dsl import parse
 from tracedistill.editing import (
     keep_all,
@@ -33,7 +33,7 @@ from tracedistill.pipeline import run_ablation, run_all
 from tracedistill.scenes import Query, generate_queries, generate_scenes, parse_question
 from tracedistill.students import (
     RationaleSensitiveStudent,
-    filter_by_score,
+    keeps,
     utility_score,
     verdict_for,
 )
@@ -133,8 +133,7 @@ def test_verdict_table_and_brute_force():
         scored = utility_score("text", query, students)
         expected = sum(values[c] for c in combo)
         assert scored.score == expected
-        kept, rejected = filter_by_score([scored])
-        assert bool(kept) == (expected >= 0) and bool(rejected) == (expected < 0)
+        assert keeps(scored.score) == (expected >= 0)
     print(f"\n{PASS}: verdict table (3 fixed cells; 64/64 brute-force agreement)")
 
 
@@ -144,7 +143,7 @@ def test_loss_identity_and_gradients():
     for seed in range(10):
         batch = build_correlation_task(seed, n=25)
         model = build_model(batch, lam=1.0, seed=seed)
-        report = loss(model, batch)
+        report = loss_and_grads(model, encode(model, batch))[0]
         assert report.total == report.label_loss + report.lam * report.rationale_loss
         worst = max(worst, grad_check(model, batch, epsilon=1e-5))
     elapsed = time.monotonic() - started
@@ -169,8 +168,7 @@ def test_directional_distillation_effect():
                 filtered.append(example)
                 continue
             scored = utility_score(example.rationale, query, [student])
-            kept, _ = filter_by_score([scored])
-            if kept:
+            if keeps(scored.score):
                 filtered.append(example)
             else:
                 filtered.append(

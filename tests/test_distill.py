@@ -16,7 +16,6 @@ from tracedistill.distill import (
     extract_keywords,
     grad_check,
     load_dataset,
-    loss,
     loss_and_grads,
     train,
 )
@@ -91,19 +90,19 @@ class TestLoss:
     def test_identity_holds(self):
         batch = small_batch()
         model = build_model(batch, lam=1.0, seed=3)
-        report = loss(model, batch)
+        report = loss_and_grads(model, encode(model, batch))[0]
         assert report.total == report.label_loss + report.lam * report.rationale_loss
 
     def test_identity_with_other_lambda(self):
         batch = small_batch()
         model = build_model(batch, lam=0.25, seed=3)
-        report = loss(model, batch)
+        report = loss_and_grads(model, encode(model, batch))[0]
         assert report.total == report.label_loss + 0.25 * report.rationale_loss
 
     def test_all_masked_keeps_label_only(self):
         batch = [DistillExample(str(i), f"q {i}", str(i % 2), None) for i in range(6)]
         model = build_model(batch, lam=1.0, seed=0)
-        report = loss(model, batch)
+        report = loss_and_grads(model, encode(model, batch))[0]
         assert report.rationale_loss == 0.0
         assert report.total == report.label_loss
 
@@ -113,15 +112,15 @@ class TestLoss:
             for i in range(30)
         ]
         model = build_model(batch, lam=1.0, seed=5, init_scale=0.001)
-        report = loss(model, batch)
+        report = loss_and_grads(model, encode(model, batch))[0]
         assert abs(report.label_loss - math.log(3)) / math.log(3) < 0.10
 
     def test_mask_invariance(self):
         batch = small_batch()
         model = build_model(batch, lam=1.0, seed=3)
-        before = loss(model, batch)
+        before = loss_and_grads(model, encode(model, batch))[0]
         extended = batch + [DistillExample("e", "what color is the cup", "red", None)]
-        after = loss(model, extended)
+        after = loss_and_grads(model, encode(model, extended))[0]
         assert after.rationale_loss == before.rationale_loss
         assert after.label_loss != before.label_loss
 
@@ -129,14 +128,14 @@ class TestLoss:
         for seed in range(5):
             batch = build_correlation_task(seed, n=40)
             model = build_model(batch, lam=1.0, seed=seed)
-            report = loss(model, batch)
+            report = loss_and_grads(model, encode(model, batch))[0]
             assert report.label_loss >= 0.0
             assert report.rationale_loss >= 0.0
 
     def test_empty_batch_rejected(self):
         model = build_model(small_batch(), seed=0)
         with pytest.raises(ValueError):
-            loss(model, [])
+            loss_and_grads(model, encode(model, []))
 
     def test_unknown_label_rejected(self):
         model = build_model(small_batch(), seed=0)

@@ -104,7 +104,7 @@ class TestPrune:
         kept = set(pruned.kept_seqs)
         events = trace.events
         for seq in pruned.kept_seqs:
-            if seq == pruned.slice_root:
+            if seq == events[-1].seq:  # the return event, the slice's root
                 continue
             needed_by_use = any(
                 s != seq and any(d == seq for _, d in events[s].uses) for s in kept
@@ -360,6 +360,22 @@ class TestTagGaps:
         tagged = tag_gaps(sentences, sym)
         branch_idx = next(i for i, r in enumerate(sym.records) if r.operation == "branch")
         assert tagged.joints[branch_idx] == NO_GAP  # branch -> governed assign
+
+    def test_the_earlier_records_mentions_decide_a_joint(self, muffins3):
+        # ``image`` has no def, so the two ``find`` records read nothing.
+        # Joints 0 and 2 join records that share only the callee their lines
+        # mention; left out of the anchors, the earlier record's mentions
+        # would turn both into gaps.
+        sym = self._sym(
+            "xs = image.find('cup')\n"
+            "ys = image.find('dog')\n"
+            "a = len(xs)\n"
+            "b = len(ys)\n"
+            "return str(a + b)",
+            muffins3,
+        )
+        tagged = tag_gaps(render(sym), sym)
+        assert tagged.joints == [NO_GAP, GAP, NO_GAP, NO_GAP]
 
 
 def inserted_sentences(rationale):

@@ -114,6 +114,19 @@ class TestExecute:
         assert trace.status == "runtime_error"
         assert "non-finite" in trace.error["message"]
 
+    @pytest.mark.parametrize("call, message", [
+        ("len()", "len needs one list or string"),
+        ("image.verify_property(1, 1)", "misused tool method 'verify_property'"),
+        ("image.verify_property('muffin', p0)", "misused tool method 'verify_property'"),
+        ("image.best_text_match([1, 2])", "misused tool method 'best_text_match'"),
+        ("image.best_text_match([p0])", "misused tool method 'best_text_match'"),
+    ])
+    def test_misused_call_is_a_runtime_error(self, muffins3, call, message):
+        source = f"ps = image.find('muffin')\np0 = ps[0]\nx = {call}\nreturn x"
+        trace = execute(parse(source), muffins3)
+        assert trace.status == "runtime_error"
+        assert message in trace.error["message"]
+
 
 class TestSharedAst:
     """Exec runs one AST for every row that carries its source, so execute

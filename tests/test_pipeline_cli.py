@@ -351,6 +351,22 @@ class TestCli:
         assert report["stage"] == "exec"
         assert report["error"]
 
+    def test_emit_names_kept_queries_without_a_rationale(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        config = load_config(config_path)
+        run_all(config)
+        kept = [row["query_id"] for row in read_jsonl(config.path("scored"))
+                if students.keeps(row["score"], config["min_score"])]
+        assert len(kept) >= 2
+        gone = kept[:2]
+        rationales = [row for row in read_jsonl(config.path("rationales"))
+                      if row["query_id"] not in gone]
+        write_jsonl(config.path("rationales"), rationales)
+        assert cli.main(["--config", str(config_path), "emit"]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "EmissionError"
+        assert str(sorted(gone)) in report["message"]
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scene_countt": 3}))

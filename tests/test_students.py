@@ -13,7 +13,7 @@ from tracedistill.students import (
     ScoredRationale,
     StubbornStudent,
     builtin_students,
-    filter_by_score,
+    keeps,
     utility_score,
     verdict_for,
 )
@@ -52,16 +52,14 @@ class TestVerdicts:
         ]
         scored = utility_score("whatever", query, students)
         assert scored.score == 0
-        kept, _ = filter_by_score([scored])
-        assert kept  # retained at the default threshold
+        assert keeps(scored.score)  # retained at the default threshold
 
     def test_all_wrong_rejected(self):
         query = Query("q", "s", "how many muffins", "3")
         students = [FixedStudent(str(i), False, False) for i in range(4)]
         scored = utility_score("whatever", query, students)
         assert scored.score == -4
-        kept, rejected = filter_by_score([scored])
-        assert not kept and rejected
+        assert not keeps(scored.score)
 
     def test_student_failure_propagates(self):
         class Exploding:
@@ -106,8 +104,7 @@ class TestVerdicts:
             scored = utility_score("x", query, students)
             expected_score = sum(values[c] for c in combo)
             assert scored.score == expected_score
-            kept, _ = filter_by_score([scored])
-            assert bool(kept) == (expected_score >= 0)
+            assert keeps(scored.score) == (expected_score >= 0)
 
 
 class TestFilter:
@@ -117,31 +114,19 @@ class TestFilter:
             ScoredRationale("b", [], 0),
             ScoredRationale("c", [], 3),
         ]
-        kept, rejected = filter_by_score(rows, min_score=0)
-        assert [s.score for s in kept] == [0, 3]
-        assert [s.score for s in rejected] == [-2]
+        assert [s.score for s in rows if keeps(s.score, min_score=0)] == [0, 3]
+        assert [s.score for s in rows if not keeps(s.score, min_score=0)] == [-2]
 
     def test_strict_threshold(self):
         rows = [ScoredRationale("a", [], s) for s in (-1, 0, 1)]
-        kept, _ = filter_by_score(rows, min_score=1)
-        assert [s.score for s in kept] == [1]
-
-    @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=30), st.integers(-5, 5))
-    def test_partition_exhaustive_disjoint(self, scores, threshold):
-        rows = [ScoredRationale(str(i), [], s) for i, s in enumerate(scores)]
-        kept, rejected = filter_by_score(rows, min_score=threshold)
-        assert len(kept) + len(rejected) == len(rows)
-        assert all(s.score >= threshold for s in kept)
-        assert all(s.score < threshold for s in rejected)
+        assert [s.score for s in rows if keeps(s.score, min_score=1)] == [1]
 
     @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=30), st.integers(-4, 4))
-    def test_monotone_and_idempotent(self, scores, threshold):
+    def test_monotone(self, scores, threshold):
         rows = [ScoredRationale(str(i), [], s) for i, s in enumerate(scores)]
-        kept_low, _ = filter_by_score(rows, min_score=threshold)
-        kept_high, _ = filter_by_score(rows, min_score=threshold + 1)
-        assert set(id(s) for s in kept_high) <= set(id(s) for s in kept_low)
-        again, dropped = filter_by_score(kept_low, min_score=threshold)
-        assert again == kept_low and not dropped
+        kept_low = {id(s) for s in rows if keeps(s.score, min_score=threshold)}
+        kept_high = {id(s) for s in rows if keeps(s.score, min_score=threshold + 1)}
+        assert kept_high <= kept_low
 
 
 class TestBuiltinStudents:
@@ -195,6 +180,19 @@ class TestBuiltinStudents:
         )
         assert narrow.answer(query.question, text) == "unknown"
         assert wide.answer(query.question, text) == query.expected_answer
+
+    @pytest.mark.parametrize("question, expected, context, budget, answer", [
+        ("how many cups", "2", "There are 2 cups.", None, "2"),
+        ("how many cups", "2", "Therefore the answer is 2.", None, "unknown"),
+        ("how many cups", "2", "There are 2 cups.", 2, "unknown"),
+        # function words count: "is" is shared with the question
+        ("is there a cup", "no", "Therefore the answer is no.", None, "no"),
+    ])
+    def test_rationale_sensitive_fact_mode(self, question, expected, context, budget, answer):
+        student = RationaleSensitiveStudent(
+            {question: expected}, trigger_mode="fact", token_budget=budget
+        )
+        assert student.answer(question, context) == answer
 
     def test_noisy_oracle_reproducible_accuracy(self):
         scenes_by_id, queries = self._corpus()
