@@ -153,7 +153,13 @@ def _normal(path: str, value, default):
     if path == "students":
         if not isinstance(value, list) or not value:
             raise ConfigError(f"students must name at least one student, got {value!r}")
-        return [_object(path, spec, student_keys(spec, i), fill=False) for i, spec in enumerate(value)]
+        specs = [_object(path, spec, student_keys(spec, i), fill=False) for i, spec in enumerate(value)]
+        # scored.jsonl and score's verdict counts tell students apart by name
+        names = [spec.get("name", student_keys(spec, i)["name"]) for i, spec in enumerate(specs)]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ConfigError(f"students must have distinct names, got {repeated} more than once")
+        return specs
     if isinstance(default, dict):
         return _object(path, value, default, fill=True)
     return _scalar(path, value, default)

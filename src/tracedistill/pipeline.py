@@ -1,7 +1,10 @@
-"""Stage functions wiring the modules into a file-based pipeline.
+"""Stage functions wiring the modules into a file-staged pipeline.
 
-Stages communicate only through their JSONL/JSON stage files so any stage
-can be rerun in isolation. Rows are processed in input order; a malformed
+Every stage writes its JSONL/JSON stage file. A stage called on its own
+(a single-stage CLI verb) reads its inputs back from those files, so any
+stage can be rerun in isolation; ``run_all`` instead hands each stage the
+rows the earlier stages produced, in memory, and only train reads a file
+an earlier stage wrote. Rows are processed in input order; a malformed
 row fails with its index and is recorded, aborting the batch only under
 --strict. Every run appends stage entries to the manifest, which tracks the
 filter funnel (generated, executed, faithful-kept, score-kept, emitted).
@@ -131,8 +134,14 @@ def _map_rows(stage: str, rows, fn, strict: bool):
     return out.rows, out.errors
 
 
-def _scenes_by_id(config: PipelineConfig) -> dict:
-    return {s.scene_id: s for s in sw.load_scenes(config.path("scenes"))}
+def _by_scene_id(scenes) -> dict:
+    return {s.scene_id: s for s in scenes}
+
+
+def _input(config: PipelineConfig, held: dict | None, name: str, load):
+    """A stage's ``name`` rows: ``held[name]`` from run_all, or, for a stage
+    called on its own, ``load`` of that stage file."""
+    return load(config.path(name)) if held is None else held[name]
 
 
 def _collector_paused(stage):
@@ -168,9 +177,17 @@ def _collector_paused(stage):
 
 # ---------------------------------------------------------------------------
 # stages
+#
+# Each stage takes ``held``: None when it is called on its own, when it
+# reads its inputs from their stage files; or, from run_all, the rows the
+# earlier stages produced, keyed by stage file name. A stage writes its file
+# and, given ``held``, adds its own rows to it. Called on its own, it keeps
+# no rows past its return, so its closing collection (see
+# ``_collector_paused``) neither walks them nor runs before they are freed.
 
 @_collector_paused
-def stage_scene_gen(config: PipelineConfig, manifest: RunManifest) -> None:
+def stage_scene_gen(config: PipelineConfig, manifest: RunManifest,
+                    held: dict | None = None) -> None:
     started = time.monotonic()
     n = config["scene_count"]
     scene_list = sw.generate_scenes(n, config.seeds["scene_gen"])
@@ -179,17 +196,20 @@ def stage_scene_gen(config: PipelineConfig, manifest: RunManifest) -> None:
     sw.save_queries(config.path("queries"), queries)
     manifest.counts["generated"] = len(queries)
     manifest.record("scene_gen", started, rows_in=n, rows_out=len(queries))
+    if held is not None:
+        held.update(scenes=scene_list, queries=queries)
 
 
 @_collector_paused
-def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
+def stage_program_gen(config: PipelineConfig, manifest: RunManifest,
+                      held: dict | None = None) -> None:
     started = time.monotonic()
-    queries = sw.load_queries(config.path("queries"))
+    queries = _input(config, held, "queries", sw.load_queries)
     errors: list[dict] = []
     external = config["external_generator"]
     if external["enabled"]:
         gen_config = codegen.ExternalGeneratorConfig(**external)
-        scenes_by_id = _scenes_by_id(config)
+        scenes_by_id = _by_scene_id(_input(config, held, "scenes", sw.load_scenes))
 
         def run_row(i, query):
             summary = codegen.scene_summary(scenes_by_id[query.scene_id])
@@ -200,20 +220,30 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest) -> None:
         programs = codegen.generate_programs(
             queries, config["corruption_rate"], config.seeds["program_gen"]
         )
-    write_jsonl(
-        config.path("programs"),
-        ({"program_id": p.program_id, "query_id": p.query_id, "source": p.source} for p in programs),
-    )
+    rows = [{"program_id": p.program_id, "query_id": p.query_id, "source": p.source} for p in programs]
+    write_jsonl(config.path("programs"), rows)
     manifest.record(
         "program_gen", started, rows_in=len(queries), rows_out=len(programs), errors=errors
     )
+    if held is not None:
+        held["programs"] = rows
+
+
+def _handed_over(kept: list):
+    """Exec's kept (trace, query) pairs as edit's input stream (see
+    ``_decode_kept``), dropping each pair as edit takes it, so that the
+    traces are not held past the edit stage."""
+    for i, (trace, query) in enumerate(kept):
+        kept[i] = None
+        yield {"query_id": query.query_id, "program_id": trace.program_id}, (query.query_id, trace)
 
 
 @_collector_paused
-def stage_exec(config: PipelineConfig, manifest: RunManifest) -> None:
+def stage_exec(config: PipelineConfig, manifest: RunManifest,
+               held: dict | None = None) -> None:
     started = time.monotonic()
-    scenes_by_id = _scenes_by_id(config)
-    queries = {q.query_id: q for q in sw.load_queries(config.path("queries"))}
+    scenes_by_id = _by_scene_id(_input(config, held, "scenes", sw.load_scenes))
+    queries = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
     tools = ToolConfig(noise_p=config["noise_p"], noise_seed=config.seeds["scene_gen"])
     limits = StepLimits(max_steps=config["max_steps"])
     # One AST per distinct source, shared by every row that carries it:
@@ -230,7 +260,7 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest) -> None:
         trace = execute(asts[source], scene, limits, tools, program_id=row["program_id"])
         return trace, query
 
-    rows = list(read_jsonl(config.path("programs")))
+    rows = _input(config, held, "programs", lambda path: list(read_jsonl(path)))
     pairs, errors = _map_rows("exec", rows, run_row, config["strict"])
     kept, rejected = faithfulness_filter(pairs)
     reason_of = {id(r.trace): r.reason for r in rejected}
@@ -249,11 +279,14 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest) -> None:
             "rejected": {reason: reasons[reason] for reason in REJECT_REASONS},
         },
     )
+    if held is not None:
+        held["traces"] = len(pairs), _handed_over(kept)
 
 
 # ---------------------------------------------------------------------------
-# edit, score and emit: each stage loads its inputs, then hands them to the
-# row code below, which the ablation pass calls with rows held in memory
+# edit, score and emit: each stage loads its inputs, or takes them from
+# run_all, then hands them to the row code below, which the ablation pass
+# also calls with rows held in memory
 
 def rationale_tokens(text: str) -> int:
     return len(text.split())
@@ -276,10 +309,10 @@ def _decode_kept(rec: dict):
         return ids, exc
 
 
-def _kept_traces(config: PipelineConfig):
-    """The number of trace rows, and a lazy stream of the decoded traces
-    exec kept (see ``_decode_kept``)."""
-    rows = list(read_jsonl(config.path("traces")))
+def _kept_traces(path):
+    """The number of rows in traces.jsonl at ``path``, and a lazy stream of
+    the decoded traces exec kept (see ``_decode_kept``)."""
+    rows = list(read_jsonl(path))
     if any("reject_reason" not in rec for rec in rows):
         raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
     kept = [rec for rec in rows if rec["reject_reason"] is None]
@@ -353,6 +386,7 @@ def _write_edit(config: PipelineConfig, manifest: RunManifest, started: float,
     manifest.record(
         "edit", started, rows_in=rows_in, rows_out=len(out.rows), errors=out.errors,
         extra={
+            "bridge_fallbacks": sum(row["bridge_fallback"] for row in out.rows),
             "flags": dict(config.edit_flags),
             "mean_tokens": sum(tokens) / len(tokens) if tokens else 0.0,
         },
@@ -360,12 +394,16 @@ def _write_edit(config: PipelineConfig, manifest: RunManifest, started: float,
 
 
 @_collector_paused
-def stage_edit(config: PipelineConfig, manifest: RunManifest) -> None:
-    """Edit the traces exec kept; reads traces.jsonl and nothing else."""
+def stage_edit(config: PipelineConfig, manifest: RunManifest,
+               held: dict | None = None) -> None:
+    """Edit the traces exec kept: exec's in-memory traces from run_all,
+    otherwise traces.jsonl and nothing else."""
     started = time.monotonic()
-    rows_in, kept = _kept_traces(config)
+    rows_in, kept = _input(config, held, "traces", _kept_traces)
     [out] = _edit_rows(kept, [config.edit_flags], _bridger(config), config["strict"])
     _write_edit(config, manifest, started, rows_in, out)
+    if held is not None:
+        held["rationales"] = out.rows
 
 
 def _load_students(config: PipelineConfig, scenes_by_id, queries) -> list:
@@ -403,22 +441,35 @@ def _score(config: PipelineConfig, manifest: RunManifest, started: float,
     )
     write_jsonl(config.path("scored"), out)
     kept = sum(1 for row in out if st.keeps(row["score"], config["min_score"]))
+    verdicts = {student.name: Counter() for student in ensemble}
+    for row in out:
+        for o in row["outcomes"]:
+            verdicts[o["student"]][o["verdict"]] += 1
     manifest.counts["score_kept"] = kept
     manifest.record(
         "score", started, rows_in=len(rationales), rows_out=len(out), errors=errors,
-        extra={"score_kept": kept},
+        extra={
+            "score_kept": kept,
+            "verdicts": {
+                student: {v: counts[v] for v in st.VERDICTS}
+                for student, counts in verdicts.items()
+            },
+        },
     )
     return out
 
 
 @_collector_paused
-def stage_score(config: PipelineConfig, manifest: RunManifest) -> None:
+def stage_score(config: PipelineConfig, manifest: RunManifest,
+                held: dict | None = None) -> None:
     started = time.monotonic()
-    scenes_by_id = _scenes_by_id(config)
-    queries = sw.load_queries(config.path("queries"))
-    ensemble = _load_students(config, scenes_by_id, queries)
-    rationales = list(read_jsonl(config.path("rationales")))
-    _score(config, manifest, started, rationales, {q.query_id: q for q in queries}, ensemble)
+    scenes = _input(config, held, "scenes", sw.load_scenes)
+    queries = _input(config, held, "queries", sw.load_queries)
+    ensemble = _load_students(config, _by_scene_id(scenes), queries)
+    rationales = _input(config, held, "rationales", lambda path: list(read_jsonl(path)))
+    scored = _score(config, manifest, started, rationales, {q.query_id: q for q in queries}, ensemble)
+    if held is not None:
+        held["scored"] = scored
 
 
 def _emit(config: PipelineConfig, manifest: RunManifest, started: float,
@@ -438,15 +489,19 @@ def _emit(config: PipelineConfig, manifest: RunManifest, started: float,
 
 
 @_collector_paused
-def stage_emit(config: PipelineConfig, manifest: RunManifest) -> None:
+def stage_emit(config: PipelineConfig, manifest: RunManifest,
+               held: dict | None = None) -> None:
     started = time.monotonic()
-    queries = sw.load_queries(config.path("queries"))
-    _emit(config, manifest, started, queries,
-          read_jsonl(config.path("rationales")), read_jsonl(config.path("scored")))
+    _emit(config, manifest, started,
+          _input(config, held, "queries", sw.load_queries),
+          _input(config, held, "rationales", read_jsonl),
+          _input(config, held, "scored", read_jsonl))
 
 
 @_collector_paused
-def stage_train(config: PipelineConfig, manifest: RunManifest) -> None:
+def stage_train(config: PipelineConfig, manifest: RunManifest,
+                held: dict | None = None) -> None:
+    """Train on dataset.jsonl, which it reads even under run_all."""
     started = time.monotonic()
     examples = distill.load_dataset(config.path("dataset"))
     train_cfg = distill.TrainConfig(lam=config["lambda"], **config["train"], seed=config.seeds["train"])
@@ -487,10 +542,15 @@ STAGES = {
 RUN_ALL_ORDER = ["scene-gen", "program-gen", "exec", "edit", "score", "emit", "train"]
 
 
+@_collector_paused
 def run_all(config: PipelineConfig) -> RunManifest:
+    """Run every stage in order, each handed the rows the earlier ones
+    produced; every stage still writes its file. The collector is paused
+    once, for the whole run, and each nested stage leaves it off."""
     manifest = new_manifest(config)
+    held: dict = {}
     for name in RUN_ALL_ORDER:
-        STAGES[name](config, manifest)
+        STAGES[name](config, manifest, held)
     manifest.check_funnel()
     write_json(config.path("manifest"), manifest.to_dict())
     return manifest
@@ -525,12 +585,12 @@ def run_ablation(config: PipelineConfig) -> dict:
     for stage in ("scenes", "queries", "traces"):
         if not config.path(stage).exists():
             raise StageError("ablate", f"missing base corpus file: {config.path(stage)}")
-    scenes_by_id = _scenes_by_id(config)
+    scenes_by_id = _by_scene_id(sw.load_scenes(config.path("scenes")))
     queries = sw.load_queries(config.path("queries"))
     by_id = {q.query_id: q for q in queries}
     ensemble = _load_students(config, scenes_by_id, queries)
     bridger = _bridger(config)
-    rows_in, kept = _kept_traces(config)
+    rows_in, kept = _kept_traces(config.path("traces"))
     kept = list(kept)
     cells = {}
     for prune_on in (False, True):

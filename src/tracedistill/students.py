@@ -26,12 +26,15 @@ class StudentOracle(Protocol):
         ...
 
 
+VERDICTS = ("useful", "non_useful", "unsure", "harmful")
+
+
 @dataclass
 class UtilityOutcome:
     student: str
     before_correct: bool
     after_correct: bool
-    verdict: str  # useful | non_useful | unsure | harmful
+    verdict: str  # one of VERDICTS
     value: int
 
 

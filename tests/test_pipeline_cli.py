@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from tracedistill import cli, codegen, dsl, interp, pipeline, students
+from tracedistill import cli, codegen, dsl, interp, jsonlio, pipeline, students
 from tracedistill import scenes as sw
 from tracedistill.config import apply_seed_override, default_config, load_config
 from tracedistill.editing import keep_all, raw_records, render
@@ -32,6 +32,25 @@ STAGE_FILES = [
 
 def sha256_of(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def count_calls(monkeypatch, targets):
+    """Wrap each (module, name) function at every tracedistill module that
+    binds it; returns the list the wrappers append (name, first argument) to."""
+    calls = []
+    for module, name in targets:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append((_name, args[0] if args else None))
+            return _real(*args, **kwargs)
+
+        bound = [m for key, m in list(sys.modules.items())
+                 if key.startswith("tracedistill") and getattr(m, name, None) is real]
+        assert module in bound
+        for m in bound:
+            monkeypatch.setattr(m, name, counted)
+    return calls
 
 
 def write_config(tmp_path, **overrides):
@@ -199,6 +218,35 @@ class TestStageHandoff:
         report = run_ablation(config)
         scores = [r["score"] for r in read_jsonl(tmp_path / "ablation/prune1_merge1_bridge1/scored.jsonl")]
         assert report["cells"]["prune=1,merge=1,bridge=1"]["keep_rate"] == strict_kept / len(scores)
+
+    def test_run_all_reads_back_only_the_dataset(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path, scene_count=60))
+        calls = count_calls(monkeypatch, [
+            (interp, "trace_from_record"), (sw, "load_scenes"), (sw, "load_queries"),
+            (jsonlio, "read_jsonl"), (jsonlio, "read_json"),
+        ])
+        run_all(config)
+        # each stage's rows reach the next in memory; train reads dataset.jsonl
+        assert calls == [("read_jsonl", config.path("dataset"))]
+
+    def test_score_reports_verdicts_per_student(self, tmp_path):
+        config = load_config(write_config(tmp_path, scene_count=16))
+        run_all(config)
+        run_ablation(config)
+        cells = sorted((tmp_path / "ablation").iterdir())
+        for workdir in [tmp_path, *cells]:
+            entry = {e["stage"]: e for e in read_json(workdir / "manifest.json")["stages"]}["score"]
+            recount = {}
+            for row in read_jsonl(workdir / "scored.jsonl"):
+                for o in row["outcomes"]:
+                    recount.setdefault(o["student"], Counter())[o["verdict"]] += 1
+            verdicts = entry["extra"]["verdicts"]
+            assert len(verdicts) == len(config["students"]), workdir
+            for student, counts in verdicts.items():
+                assert set(counts) == set(students.VERDICTS)
+                assert sum(counts.values()) == entry["rows_out"] > 0
+                assert counts == {v: recount[student][v] for v in students.VERDICTS}
+            assert any(c["useful"] for c in verdicts.values())
 
     def test_edit_reports_mean_tokens(self, tmp_path):
         config = load_config(write_config(tmp_path))
@@ -431,6 +479,10 @@ class TestCli:
             ({"strict": "no"}, "strict must be true or false, got 'no'"),
             ({"workdir": 5}, "workdir must be a string, got 5"),
             ({"students": [{"kind": "stubborn", "seed": 3}]}, "unknown config keys: ['students.seed']"),
+            (
+                {"students": [{"kind": "stubborn"}, {"kind": "rationale_sensitive", "name": "stubborn_0"}]},
+                "students must have distinct names, got ['stubborn_0'] more than once",
+            ),
         ],
     )
     def test_config_that_fails_every_row_rejected(self, tmp_path, capsys, override, message):
@@ -495,14 +547,25 @@ class TestCli:
             assert type(config[key]) is (float if key == "lambda" else int)
 
     def test_stage_by_stage_matches_run_all(self, tmp_path):
-        all_dir, step_dir = tmp_path / "all", tmp_path / "step"
-        all_dir.mkdir(), step_dir.mkdir()
-        run_all(load_config(write_config(all_dir)))
-        step_config = write_config(step_dir)
-        for verb in ["scene-gen", "program-gen", "exec", "edit", "score", "emit", "train"]:
-            assert cli.main(["--config", str(step_config), verb]) == 0
-        for name in STAGE_FILES:
-            assert (all_dir / name).read_bytes() == (step_dir / name).read_bytes(), name
+        """run_all hands rows over in memory; the stage verbs read files. Both
+        write the same stage files and the same manifest entries."""
+        for case, overrides in [
+            ("n20", {}),
+            ("n60_noise", {"scene_count": 60, "corruption_rate": 0.2, "noise_p": 0.15}),
+        ]:
+            all_dir, step_dir = tmp_path / case / "all", tmp_path / case / "step"
+            all_dir.mkdir(parents=True), step_dir.mkdir(parents=True)
+            run_all(load_config(write_config(all_dir, **overrides)))
+            step_config = write_config(step_dir, **overrides)
+            for verb in ["scene-gen", "program-gen", "exec", "edit", "score", "emit", "train"]:
+                assert cli.main(["--config", str(step_config), verb]) == 0
+            for name in STAGE_FILES:
+                assert sha256_of(all_dir / name) == sha256_of(step_dir / name), (case, name)
+            manifests = [read_json(d / "manifest.json") for d in (all_dir, step_dir)]
+            for manifest in manifests:
+                for entry in manifest["stages"]:
+                    del entry["duration_s"]
+            assert manifests[0] == manifests[1], case
 
     def test_seed_override_changes_outputs(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -558,6 +621,10 @@ class TestExternalEndpoints:
         stage_program_gen(config, manifest)
         for row in read_jsonl(config.path("programs")):
             assert row["source"].startswith("flag = image.exists")
+        # run_all hands program-gen the scenes it just generated
+        staged = config.path("programs").read_bytes()
+        run_all(config)
+        assert config.path("programs").read_bytes() == staged
 
     def test_external_generator_failures_recorded_and_skipped(self, tmp_path):
         config = load_config(
@@ -617,9 +684,10 @@ class TestExternalEndpoints:
                 external_bridger={"enabled": True, "endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
             )
         )
-        run_all(config)
+        manifest = run_all(config)
         rows = list(read_jsonl(config.path("rationales")))
-        assert any(r["bridge_fallback"] for r in rows)
+        extra = next(e for e in manifest.stages if e["stage"] == "edit")["extra"]
+        assert extra["bridge_fallbacks"] == sum(r["bridge_fallback"] for r in rows) > 0
 
 
 class TestIdempotence:
@@ -705,23 +773,13 @@ class TestAblate:
     def test_shared_work_runs_once(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, scene_count=16))
         run_all(config)
-        calls = Counter()
-        for module, name in [(interp, "trace_from_record"), (sw, "load_scenes"),
-                             (sw, "load_queries")]:
-            real = getattr(module, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-
-            bound = [m for key, m in list(sys.modules.items())
-                     if key.startswith("tracedistill") and getattr(m, name, None) is real]
-            assert module in bound
-            for m in bound:
-                monkeypatch.setattr(m, name, counted)
+        calls = count_calls(monkeypatch, [(interp, "trace_from_record"), (sw, "load_scenes"),
+                                          (sw, "load_queries")])
         run_ablation(config)
         kept = sum(r["reject_reason"] is None for r in read_jsonl(config.path("traces")))
-        assert calls == {"trace_from_record": kept, "load_scenes": 1, "load_queries": 1}
+        assert Counter(name for name, _ in calls) == {
+            "trace_from_record": kept, "load_scenes": 1, "load_queries": 1,
+        }
 
     def _break_one_kept_trace(self, config):
         rows = list(read_jsonl(config.path("traces")))
@@ -795,8 +853,9 @@ class TestExecPinned:
 
 
 class TestCollectorPause:
-    """Each stage, and the whole ablation, runs with the cyclic collector off;
-    a caller that had it on gets it back on, after one collection."""
+    """Each stage, run_all and the whole ablation run with the cyclic
+    collector off; a caller that had it on gets it back on, after one
+    collection."""
 
     STAGE_NAMES = [name.replace("-", "_") for name in pipeline.RUN_ALL_ORDER]
 
@@ -827,9 +886,9 @@ class TestCollectorPause:
         gc.enable()
         run_all(load_config(write_config(tmp_path)))
         assert gc.isenabled()
-        # off inside each stage, and one collection as each one returns
-        assert log == [(name, False, i) for i, name in enumerate(self.STAGE_NAMES)]
-        assert calls["collect"] == len(self.STAGE_NAMES)
+        # off inside each stage, and one collection as the whole run returns
+        assert log == [(name, False, 0) for name in self.STAGE_NAMES]
+        assert calls["collect"] == 1
 
     def test_ablation_keeps_it_off_through_its_nested_train(self, tmp_path, seen):
         log, calls = seen
