@@ -548,30 +548,25 @@ def normalize_answer(raw: str) -> str:
 REJECT_REASONS = ("wrong_answer", "runtime_error", "step_limit")
 
 
-@dataclass
-class RejectedTrace:
-    trace: ExecutionTrace
-    query: Query
-    reason: str  # one of REJECT_REASONS
-
-
 def faithfulness_filter(
     pairs: list[tuple[ExecutionTrace, Query]],
-) -> tuple[list[tuple[ExecutionTrace, Query]], list[RejectedTrace]]:
-    """Keep traces that finished ok with the expected normalized answer."""
-    kept = []
-    rejected = []
+) -> tuple[list[tuple[ExecutionTrace, Query]], list[str | None]]:
+    """Keep traces that finished ok with the expected normalized answer.
+    Returns the kept pairs and, for every input pair in order, its verdict:
+    None when kept, otherwise one of REJECT_REASONS."""
+    kept, reasons = [], []
     for trace, query in pairs:
         if trace.status != "ok":
-            rejected.append(RejectedTrace(trace, query, trace.status))
+            reasons.append(trace.status)
             continue
         got = normalize_answer(plain_text(trace.result))
         want = normalize_answer(query.expected_answer)
         if got == want:
             kept.append((trace, query))
+            reasons.append(None)
         else:
-            rejected.append(RejectedTrace(trace, query, "wrong_answer"))
-    return kept, rejected
+            reasons.append("wrong_answer")
+    return kept, reasons
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ an earlier stage wrote. Rows are processed in input order; a malformed
 row fails with its index and is recorded, aborting the batch only under
 --strict. Every run appends stage entries to the manifest, which tracks the
 filter funnel (generated, executed, faithful-kept, score-kept, emitted).
+``run_ablation`` runs each cell's score, emit and train through the same
+stage functions, handed the cell's rationale rows and the queries in memory.
 """
 
 from __future__ import annotations
@@ -262,13 +264,13 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
 
     rows = _input(config, held, "programs", lambda path: list(read_jsonl(path)))
     pairs, errors = _map_rows("exec", rows, run_row, config["strict"])
-    kept, rejected = faithfulness_filter(pairs)
-    reason_of = {id(r.trace): r.reason for r in rejected}
+    kept, verdicts = faithfulness_filter(pairs)
     write_jsonl(
         config.path("traces"),
-        (trace_to_record(trace, query.query_id, reason_of.get(id(trace))) for trace, query in pairs),
+        (trace_to_record(trace, query.query_id, reason)
+         for (trace, query), reason in zip(pairs, verdicts)),
     )
-    reasons = Counter(reason_of.values())
+    reasons = Counter(verdicts)
     manifest.counts["executed"] = len(pairs)
     manifest.counts["faithful_kept"] = len(kept)
     manifest.record(
@@ -284,9 +286,9 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
 
 
 # ---------------------------------------------------------------------------
-# edit, score and emit: each stage loads its inputs, or takes them from
-# run_all, then hands them to the row code below, which the ablation pass
-# also calls with rows held in memory
+# edit, score and emit. The ablation pass builds each cell's rationale
+# rows with edit's row code below, then runs score and emit on them
+# through the stage functions, handing the rows over in ``held``.
 
 def rationale_tokens(text: str) -> int:
     return len(text.split())
@@ -406,11 +408,11 @@ def stage_edit(config: PipelineConfig, manifest: RunManifest,
         held["rationales"] = out.rows
 
 
-def _load_students(config: PipelineConfig, scenes_by_id, queries) -> list:
+def _load_students(config: PipelineConfig, queries) -> list:
     # A noisy oracle's seed defaults to the effective seeds.students, which
     # --seed may have rebased after the config was loaded.
     specs = [{"seed": config.seeds["students"], **spec} for spec in config["students"]]
-    return st.builtin_students(specs, scenes_by_id=scenes_by_id, queries=queries)
+    return st.builtin_students(specs, queries=queries)
 
 
 def scored_row(text: str, query, ensemble: list, harm_value: int) -> dict:
@@ -431,9 +433,16 @@ def scored_row(text: str, query, ensemble: list, harm_value: int) -> dict:
     }
 
 
-def _score(config: PipelineConfig, manifest: RunManifest, started: float,
-           rationales: list[dict], by_id: dict, ensemble: list) -> list[dict]:
+@_collector_paused
+def stage_score(config: PipelineConfig, manifest: RunManifest,
+                held: dict | None = None) -> None:
+    """Score each rationale with the student ensemble; reads no scene."""
+    started = time.monotonic()
+    queries = _input(config, held, "queries", sw.load_queries)
+    ensemble = _load_students(config, queries)
+    by_id = {q.query_id: q for q in queries}
     harm_value = config["harm_verdict"]
+    rationales = _input(config, held, "rationales", lambda path: list(read_jsonl(path)))
     out, errors = _map_rows(
         "score", rationales,
         lambda i, row: scored_row(row["text"], by_id[row["query_id"]], ensemble, harm_value),
@@ -456,26 +465,18 @@ def _score(config: PipelineConfig, manifest: RunManifest, started: float,
             },
         },
     )
-    return out
+    if held is not None:
+        held["scored"] = out
 
 
 @_collector_paused
-def stage_score(config: PipelineConfig, manifest: RunManifest,
-                held: dict | None = None) -> None:
+def stage_emit(config: PipelineConfig, manifest: RunManifest,
+               held: dict | None = None) -> None:
     started = time.monotonic()
-    scenes = _input(config, held, "scenes", sw.load_scenes)
     queries = _input(config, held, "queries", sw.load_queries)
-    ensemble = _load_students(config, _by_scene_id(scenes), queries)
-    rationales = _input(config, held, "rationales", lambda path: list(read_jsonl(path)))
-    scored = _score(config, manifest, started, rationales, {q.query_id: q for q in queries}, ensemble)
-    if held is not None:
-        held["scored"] = scored
-
-
-def _emit(config: PipelineConfig, manifest: RunManifest, started: float,
-          queries: list, rationales, scored) -> None:
-    texts = {row["query_id"]: row["text"] for row in rationales}
-    kept_ids = [row["query_id"] for row in scored if st.keeps(row["score"], config["min_score"])]
+    texts = {row["query_id"]: row["text"] for row in _input(config, held, "rationales", read_jsonl)}
+    kept_ids = [row["query_id"] for row in _input(config, held, "scored", read_jsonl)
+                if st.keeps(row["score"], config["min_score"])]
     missing = sorted(set(kept_ids) - texts.keys())
     if missing:
         raise EmissionError(f"score-kept queries have no rationale: {missing}")
@@ -486,16 +487,6 @@ def _emit(config: PipelineConfig, manifest: RunManifest, started: float,
         "emit", started, rows_in=len(queries), rows_out=emitted,
         extra={"with_rationale": len(kept), "masked": emitted - len(kept)},
     )
-
-
-@_collector_paused
-def stage_emit(config: PipelineConfig, manifest: RunManifest,
-               held: dict | None = None) -> None:
-    started = time.monotonic()
-    _emit(config, manifest, started,
-          _input(config, held, "queries", sw.load_queries),
-          _input(config, held, "rationales", read_jsonl),
-          _input(config, held, "scored", read_jsonl))
 
 
 @_collector_paused
@@ -549,10 +540,14 @@ def run_all(config: PipelineConfig) -> RunManifest:
     once, for the whole run, and each nested stage leaves it off."""
     manifest = new_manifest(config)
     held: dict = {}
-    for name in RUN_ALL_ORDER:
-        STAGES[name](config, manifest, held)
-    manifest.check_funnel()
-    write_json(config.path("manifest"), manifest.to_dict())
+    try:
+        for name in RUN_ALL_ORDER:
+            STAGES[name](config, manifest, held)
+        manifest.check_funnel()
+    finally:
+        # Even a failed run replaces the last run's manifest, with the
+        # entries of the stages that finished.
+        write_json(config.path("manifest"), manifest.to_dict())
     return manifest
 
 
@@ -575,20 +570,18 @@ def _cell_figures(manifest: RunManifest) -> dict:
 @_collector_paused
 def run_ablation(config: PipelineConfig) -> dict:
     """Run edit->score->emit->train for every toggle combination on the
-    already-built base corpus, in one pass: scenes, queries, the student
-    ensemble and the decoded kept traces are loaded once, each (prune,
-    merge) draft is built once and finished with and without bridging, and
-    a cell's rows reach score and emit in memory. Each cell writes its stage
-    files and its own manifest under ``ablation/<cell>/``; one failed cell
-    is recorded, not fatal. Each cell's figures come from that manifest's
-    stage entries."""
-    for stage in ("scenes", "queries", "traces"):
+    already-built base corpus, queries.jsonl and traces.jsonl, in one pass:
+    the queries and the decoded kept traces are loaded once, and each
+    (prune, merge) draft is built once and finished with and without
+    bridging. Each cell then runs score, emit and train through the stage
+    functions, handed its rationale rows and the queries in memory. Each
+    cell writes its stage files and its own manifest under
+    ``ablation/<cell>/``; one failed cell is recorded, not fatal. Each
+    cell's figures come from that manifest's stage entries."""
+    for stage in ("queries", "traces"):
         if not config.path(stage).exists():
             raise StageError("ablate", f"missing base corpus file: {config.path(stage)}")
-    scenes_by_id = _by_scene_id(sw.load_scenes(config.path("scenes")))
     queries = sw.load_queries(config.path("queries"))
-    by_id = {q.query_id: q for q in queries}
-    ensemble = _load_students(config, scenes_by_id, queries)
     bridger = _bridger(config)
     rows_in, kept = _kept_traces(config.path("traces"))
     kept = list(kept)
@@ -613,9 +606,9 @@ def run_ablation(config: PipelineConfig) -> dict:
                 try:
                     # Both cells of the pair record the whole shared edit pass.
                     _write_edit(cell_config, manifest, time.monotonic() - edit_s, rows_in, out)
-                    scored = _score(cell_config, manifest, time.monotonic(), out.rows, by_id, ensemble)
-                    _emit(cell_config, manifest, time.monotonic(), queries, out.rows, scored)
-                    stage_train(cell_config, manifest)
+                    held = {"queries": queries, "rationales": out.rows}
+                    for name in ("score", "emit", "train"):
+                        STAGES[name](cell_config, manifest, held)
                     cells[key] = _cell_figures(manifest)
                 except Exception as exc:
                     cells[key] = {"error": str(exc)}

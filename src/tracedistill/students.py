@@ -5,18 +5,21 @@ rationale prepended as context. Per-student verdicts follow the fixed table
 (wrong-to-right +1, wrong-to-wrong -1, right-to-right 0; right-to-wrong is
 configurable between -1 and 0) and the ensemble score is their sum.
 Rationales with score >= min_score (default 0) are retained.
+
+A student's truth is the query's ``expected_answer``, which scene-gen
+computed on the query's own scene, so scoring needs no scene.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from typing import Protocol
 
 from .config import student_keys
 from .interp import normalize_answer
-from .scenes import Query, Scene, answer_oracle
+from .scenes import Query
 
 class StudentOracle(Protocol):
     name: str
@@ -99,11 +102,14 @@ def _tokens(text: str) -> set[str]:
 
 @dataclass
 class NoisyOracleStudent:
-    """Answers from the ground-truth oracle, but fails on a seeded
-    per-question subset; context cannot sway it."""
+    """Answers the recorded ``expected_answer`` (looked up by question text,
+    so a shared text answers as its last query), but fails on a seeded
+    per-question subset; context cannot sway it. Only a hand-edited
+    queries.jsonl whose ``expected_answer`` disagrees with its scene makes
+    this differ from the scene's oracle answer; the faithfulness filter, the
+    labels and ``rationale_sensitive`` already take ``expected_answer``."""
 
-    scenes_by_query: dict[str, Scene]
-    questions_by_id: dict[str, str] = field(default_factory=dict)
+    expected_by_question: dict[str, str]
     seed: int = 0
     failure_rate: float = 0.0
     name: str = "noisy_oracle"
@@ -113,15 +119,10 @@ class NoisyOracleStudent:
         return int.from_bytes(digest[:8], "big") / 2**64 < self.failure_rate
 
     def answer(self, question: str, context: str | None = None) -> str:
-        scene = self._scene_for(question)
-        truth = answer_oracle(scene, question) if scene is not None else "unknown"
+        truth = self.expected_by_question.get(question, "unknown")
         if self._fails(question):
             return "unknown" if truth != "unknown" else "yes"
         return truth
-
-    def _scene_for(self, question: str) -> Scene | None:
-        qid = self.questions_by_id.get(question)
-        return self.scenes_by_query.get(qid) if qid else None
 
 
 @dataclass
@@ -167,14 +168,11 @@ class StubbornStudent:
 def builtin_students(
     specs: list[dict],
     *,
-    scenes_by_id: dict[str, Scene],
     queries: list[Query],
 ) -> list[StudentOracle]:
     """Build the configured ensemble from specs in the config's normal form.
     A key a spec omits takes its default from ``config.student_keys``; a key
     its kind does not have is ignored."""
-    scenes_by_query = {q.query_id: scenes_by_id[q.scene_id] for q in queries}
-    questions_by_id = {q.question: q.query_id for q in queries}
     expected_by_question = {q.question: q.expected_answer for q in queries}
     students: list[StudentOracle] = []
     for i, spec in enumerate(specs):
@@ -182,7 +180,7 @@ def builtin_students(
         args = {key: spec[key] if key in spec else default for key, default in keys.items()}
         kind = args.pop("kind")
         if kind == "noisy_oracle":
-            students.append(NoisyOracleStudent(scenes_by_query, questions_by_id, **args))
+            students.append(NoisyOracleStudent(expected_by_question, **args))
         elif kind == "rationale_sensitive":
             students.append(RationaleSensitiveStudent(expected_by_question, **args))
         else:

@@ -230,29 +230,29 @@ class TestFaithfulnessFilter:
     def test_correct_counting_kept(self, muffins3):
         trace = execute(parse(COUNTING), muffins3)
         query = Query("q", "muffins", "how many muffins", "3")
-        kept, rejected = faithfulness_filter([(trace, query)])
-        assert len(kept) == 1 and not rejected
+        kept, reasons = faithfulness_filter([(trace, query)])
+        assert len(kept) == 1 and not any(reasons)
 
     def test_corrupted_rejected_wrong_answer(self):
         pairs, programs = self._pairs(corruption_rate=1.0, n=10)
-        kept, rejected = faithfulness_filter(pairs)
+        kept, reasons = faithfulness_filter(pairs)
         assert not kept
-        assert {r.reason for r in rejected} == {"wrong_answer"}
+        assert set(reasons) == {"wrong_answer"}
 
     def test_clean_generation_fully_kept(self):
         pairs, _ = self._pairs(corruption_rate=0.0)
-        kept, rejected = faithfulness_filter(pairs)
-        assert not rejected
+        kept, reasons = faithfulness_filter(pairs)
+        assert not any(reasons)
         assert len(kept) == len(pairs)
 
     def test_runtime_error_reason(self, muffins3):
         trace = execute(parse("return missing"), muffins3)
         query = Query("q", "muffins", "how many muffins", "3")
-        _, rejected = faithfulness_filter([(trace, query)])
-        assert rejected[0].reason == "runtime_error"
+        _, reasons = faithfulness_filter([(trace, query)])
+        assert reasons[0] == "runtime_error"
 
     def test_step_limit_reason(self, muffins8):
         trace = execute(parse(COUNTING), muffins8, StepLimits(max_steps=3))
         query = Query("q", "muffins8", "how many muffins", "8")
-        _, rejected = faithfulness_filter([(trace, query)])
-        assert rejected[0].reason == "step_limit"
+        _, reasons = faithfulness_filter([(trace, query)])
+        assert reasons[0] == "step_limit"

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import shutil
 import sys
 from collections import Counter
 
@@ -108,6 +109,17 @@ class TestRunAll:
         assert all(math.isfinite(x) for x in curve)
         assert curve[-1] == read_json(config.path("metrics"))["L"]
 
+    def test_a_failed_run_all_writes_its_own_manifest(self, tmp_path):
+        assert cli.main(["--config", str(write_config(tmp_path, scene_count=5)), "run-all"]) == 0
+        failing = write_config(
+            tmp_path, scene_count=5, strict=True,
+            external_generator={"enabled": True, "endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
+        )
+        assert cli.main(["--config", str(failing), "run-all"]) == 1
+        saved = read_json(tmp_path / "manifest.json")
+        assert saved["config_hash"] == load_config(failing).config_hash()
+        assert [e["stage"] for e in saved["stages"]] == ["scene_gen"]
+
 
 class TestStageHandoff:
     def test_exec_records_reject_reasons(self, tmp_path):
@@ -198,13 +210,12 @@ class TestStageHandoff:
             trace = interp.execute(dsl.parse(row["source"]), scenes_by_id[query.scene_id],
                                    limits, tools, program_id=row["program_id"])
             pairs.append((trace, query))
-        _, rejected = interp.faithfulness_filter(pairs)
-        reason_of = {id(r.trace): r.reason for r in rejected}
+        _, reasons = interp.faithfulness_filter(pairs)
         fresh = tmp_path / "fresh_traces.jsonl"
-        write_jsonl(fresh, (interp.trace_to_record(t, q.query_id, reason_of.get(id(t)))
-                            for t, q in pairs))
+        write_jsonl(fresh, (interp.trace_to_record(t, q.query_id, reason)
+                            for (t, q), reason in zip(pairs, reasons)))
         assert fresh.read_bytes() == config.path("traces").read_bytes()
-        assert manifest.counts["faithful_kept"] == len(pairs) - len(rejected)
+        assert manifest.counts["faithful_kept"] == len(pairs) - sum(r is not None for r in reasons)
 
     def test_score_emit_and_ablate_share_one_keep_rule(self, tmp_path, monkeypatch):
         monkeypatch.setattr(students, "keeps", lambda score, min_score=0: score > min_score)
@@ -505,7 +516,7 @@ class TestCli:
         specs = [{"kind": "noisy_oracle"}, {"kind": "noisy_oracle", "seed": 3}]
         config = apply_seed_override(load_config(write_config(tmp_path, students=specs)), 7)
         assert config["students"] == specs
-        unset, given = pipeline._load_students(config, {}, [])
+        unset, given = pipeline._load_students(config, [])
         assert (unset.seed, given.seed) == (config.seeds["students"], 3) == (10, 3)
 
     def test_with_overrides_validates(self):
@@ -566,6 +577,29 @@ class TestCli:
                 for entry in manifest["stages"]:
                     del entry["duration_s"]
             assert manifests[0] == manifests[1], case
+
+    def test_score_emit_and_ablate_read_no_scenes(self, tmp_path):
+        """Students take the answer scene-gen recorded, so score, emit and
+        ablate write the same bytes without scenes.json."""
+        kept, gone = tmp_path / "kept", tmp_path / "gone"
+        kept.mkdir()
+        config_path = write_config(kept, scene_count=40, corruption_rate=0.2)
+        assert cli.main(["--config", str(config_path), "run-all"]) == 0
+        shutil.copytree(kept, gone)
+        (gone / "scenes.json").unlink()
+        for workdir in (kept, gone):
+            for verb in ["score", "emit", "ablate"]:
+                rc = cli.main(["--config", str(workdir / "config.json"), verb])
+                assert rc == 0, (workdir.name, verb)
+
+        def written(workdir):
+            return sorted(p.relative_to(workdir) for p in workdir.rglob("*")
+                          if p.is_file() and p.name not in ("manifest.json", "scenes.json"))
+
+        assert written(kept) == written(gone)
+        assert len(written(kept)) > 8 * len(pipeline.CELL_FILES)
+        for path in written(kept):
+            assert sha256_of(kept / path) == sha256_of(gone / path), path
 
     def test_seed_override_changes_outputs(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -777,9 +811,10 @@ class TestAblate:
                                           (sw, "load_queries")])
         run_ablation(config)
         kept = sum(r["reject_reason"] is None for r in read_jsonl(config.path("traces")))
-        assert Counter(name for name, _ in calls) == {
-            "trace_from_record": kept, "load_scenes": 1, "load_queries": 1,
-        }
+        # Counter equality counts a missing name as 0
+        assert Counter(name for name, _ in calls) == Counter({
+            "trace_from_record": kept, "load_scenes": 0, "load_queries": 1,
+        })
 
     def _break_one_kept_trace(self, config):
         rows = list(read_jsonl(config.path("traces")))

@@ -131,23 +131,21 @@ class TestFilter:
 
 class TestBuiltinStudents:
     def _corpus(self):
-        scenes = generate_scenes(30, seed=3)
-        queries = generate_queries(scenes, seed=4)
-        return {s.scene_id: s for s in scenes}, queries
+        return generate_queries(generate_scenes(30, seed=3), seed=4)
 
     def test_stubborn_verdicts_limited(self):
-        scenes_by_id, queries = self._corpus()
+        queries = self._corpus()
         student = builtin_students(
-            [{"kind": "stubborn"}], scenes_by_id=scenes_by_id, queries=queries
+            [{"kind": "stubborn"}], queries=queries
         )[0]
         for query in queries:
             scored = utility_score("text", query, [student])
             assert scored.outcomes[0].value in (0, -1)
 
     def test_rationale_sensitive_empty_rationale(self):
-        scenes_by_id, queries = self._corpus()
+        queries = self._corpus()
         student = builtin_students(
-            [{"kind": "rationale_sensitive"}], scenes_by_id=scenes_by_id, queries=queries
+            [{"kind": "rationale_sensitive"}], queries=queries
         )[0]
         query = queries[0]
         scored = utility_score("", query, [student])
@@ -155,9 +153,9 @@ class TestBuiltinStudents:
         assert scored.score == -1
 
     def test_rationale_sensitive_flips_on_answer_mention(self):
-        scenes_by_id, queries = self._corpus()
+        queries = self._corpus()
         student = builtin_students(
-            [{"kind": "rationale_sensitive"}], scenes_by_id=scenes_by_id, queries=queries
+            [{"kind": "rationale_sensitive"}], queries=queries
         )[0]
         query = queries[0]
         text = f"Therefore the answer is {query.expected_answer}."
@@ -166,7 +164,7 @@ class TestBuiltinStudents:
         assert scored.score == 1
 
     def test_rationale_sensitive_token_budget(self):
-        scenes_by_id, queries = self._corpus()
+        queries = self._corpus()
         query = queries[0]
         filler = "filler " * 50
         text = filler + f"the answer is {query.expected_answer}."
@@ -175,7 +173,6 @@ class TestBuiltinStudents:
                 {"kind": "rationale_sensitive", "token_budget": 10},
                 {"kind": "rationale_sensitive", "token_budget": 200},
             ],
-            scenes_by_id=scenes_by_id,
             queries=queries,
         )
         assert narrow.answer(query.question, text) == "unknown"
@@ -195,10 +192,9 @@ class TestBuiltinStudents:
         assert student.answer(question, context) == answer
 
     def test_noisy_oracle_reproducible_accuracy(self):
-        scenes_by_id, queries = self._corpus()
+        queries = self._corpus()
         make = lambda: builtin_students(
             [{"kind": "noisy_oracle", "seed": 9, "failure_rate": 0.4}],
-            scenes_by_id=scenes_by_id,
             queries=queries,
         )[0]
         def accuracy(student):
@@ -212,16 +208,15 @@ class TestBuiltinStudents:
         assert 0.3 <= first <= 0.9  # failure_rate 0.4 keeps roughly 60% right
 
     def test_noisy_oracle_ignores_context(self):
-        scenes_by_id, queries = self._corpus()
+        queries = self._corpus()
         student = builtin_students(
             [{"kind": "noisy_oracle", "seed": 9, "failure_rate": 0.4}],
-            scenes_by_id=scenes_by_id,
             queries=queries,
         )[0]
         for query in queries[:10]:
             assert student.answer(query.question) == student.answer(query.question, "hint")
 
     def test_unknown_kind_rejected(self):
-        scenes_by_id, queries = self._corpus()
+        queries = self._corpus()
         with pytest.raises(ConfigError, match="unknown student kind"):
-            builtin_students([{"kind": "psychic"}], scenes_by_id=scenes_by_id, queries=queries)
+            builtin_students([{"kind": "psychic"}], queries=queries)
