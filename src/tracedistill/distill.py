@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmissionError, GradCheckError
+from .errors import EmissionError
 from .interp import normalize_answer
 from .jsonlio import read_jsonl, write_jsonl
 from .scenes import Query
@@ -176,6 +176,9 @@ class Batch:
     y: np.ndarray  # (N,) label index into model.label_vocab
     mask: np.ndarray  # (N,) True where the row has a rationale
     T: np.ndarray  # (mask.sum(), K) keyword targets of the unmasked rows, in row order
+    # (N, K) buffer every loss evaluation writes the rationale logits into,
+    # so that no call pages in a fresh N x K array
+    R: np.ndarray
 
 
 def encode(model: ToyModel, examples: list[DistillExample]) -> Batch:
@@ -200,6 +203,7 @@ def encode(model: ToyModel, examples: list[DistillExample]) -> Batch:
         y=np.array([label_pos[e.label] for e in examples]),
         mask=np.array([e.rationale is not None for e in examples]),
         T=T,
+        R=np.empty((len(examples), len(model.keywords))),
     )
 
 
@@ -223,7 +227,7 @@ def loss_and_grads(model: ToyModel, batch: Batch) -> tuple[LossReport, np.ndarra
     """LossReport plus the analytic gradient for ``model.W``.
 
     Overflow is not trapped: a diverged model yields a non-finite loss,
-    which train() detects and grad_check() rejects.
+    which train() detects. Overwrites ``batch.R``.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _loss_and_grads(model, batch)
@@ -248,7 +252,7 @@ def _loss_and_grads(model: ToyModel, batch: Batch):
         Wk = model.W[model.key_rows]  # (K, F)
         # R and dR.T @ X stay full-matrix products, so BLAS sums in the same
         # order whatever the mask; only the elementwise head is row-selected.
-        R = X @ Wk.T  # (N, K)
+        R = np.matmul(X, Wk.T, out=batch.R)  # (N, K)
         bce, sig = _bce_and_sigmoid(R[mask], batch.T)
         # Per-row loss sums the per-keyword BCEs (one generation task per
         # row). The sum grows with the keyword count, so at lambda=1 this
@@ -271,30 +275,6 @@ def _loss_and_grads(model: ToyModel, batch: Batch):
         lam=model.lam,
     )
     return report, dW
-
-
-def grad_check(model: ToyModel, examples: list[DistillExample], epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central-finite-difference
-    gradients over every parameter; relative error is measured against
-    max(1, |analytic|, |numeric|)."""
-    if not (0.0 < epsilon <= 1e-2):
-        raise ValueError("epsilon must be in (0, 1e-2]")
-    batch = encode(model, examples)
-    report, analytic = loss_and_grads(model, batch)
-    if not math.isfinite(report.total):
-        raise GradCheckError("loss is non-finite; cannot check gradients")
-    W = model.W
-    numeric = np.zeros_like(W)
-    for i in np.ndindex(W.shape):
-        saved = W[i]
-        W[i] = saved + epsilon
-        hi = loss_and_grads(model, batch)[0].total
-        W[i] = saved - epsilon
-        lo = loss_and_grads(model, batch)[0].total
-        W[i] = saved
-        numeric[i] = (hi - lo) / (2.0 * epsilon)
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +321,27 @@ def _accuracy(model: ToyModel, examples: list[DistillExample]) -> float:
     return hits / len(examples)
 
 
+def training_input(examples: list[DistillExample]) -> tuple:
+    """Everything ``train`` reads of ``examples``: one
+    ``(question, label, keywords)`` entry per example, in order, where
+    ``keywords`` is the tuple of the rationale's ``extract_keywords``, or
+    None for a masked row. Under one TrainConfig, datasets with equal
+    training inputs train to equal reports. It leaves out ``query_id``, which
+    train never reads, and any rationale wording beyond the keywords."""
+    return tuple(
+        (e.question, e.label, None if e.rationale is None else tuple(extract_keywords(e.rationale)))
+        for e in examples
+    )
+
+
 def train(examples: list[DistillExample], config: TrainConfig) -> tuple[ToyModel, TrainReport]:
     """Deterministic full-batch gradient descent on the multi-task loss.
 
     Divergence (non-finite loss) aborts with the last finite parameters.
     """
+    # training_input must change whenever train starts reading something new
+    # of the examples: the ablation grid reuses one report for every dataset
+    # with an equal training input.
     if not examples:
         raise ValueError("dataset must be non-empty")
     train_rows, held_rows = split_dataset(examples, config.seed)

@@ -45,10 +45,6 @@ class EmissionError(TraceDistillError):
     """Dataset emission failed (e.g. rationale references a missing query)."""
 
 
-class GradCheckError(TraceDistillError):
-    """Gradient verification could not run (non-finite loss)."""
-
-
 class StageError(TraceDistillError):
     """A pipeline stage failed; carries the stage name and row index."""
 

@@ -9,7 +9,8 @@ row fails with its index and is recorded, aborting the batch only under
 --strict. Every run appends stage entries to the manifest, which tracks the
 filter funnel (generated, executed, faithful-kept, score-kept, emitted).
 ``run_ablation`` runs each cell's score, emit and train through the same
-stage functions, handed the cell's rationale rows and the queries in memory.
+stage functions, handed the cell's rationale rows and the queries in memory;
+train runs once per distinct training input in the grid.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import functools
 import gc
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from . import codegen, distill, editing, scenes as sw, students as st
 from .config import DEFAULT_STAGE_FILES, PipelineConfig
@@ -182,8 +183,9 @@ def _collector_paused(stage):
 #
 # Each stage takes ``held``: None when it is called on its own, when it
 # reads its inputs from their stage files; or, from run_all, the rows the
-# earlier stages produced, keyed by stage file name. A stage writes its file
-# and, given ``held``, adds its own rows to it. Called on its own, it keeps
+# earlier stages produced, keyed by stage file name (an ablation cell's
+# ``held`` also carries the grid's ``trained`` reports). A stage writes its
+# file and, given ``held``, adds its own rows to it. Called on its own, it keeps
 # no rows past its return, so its closing collection (see
 # ``_collector_paused``) neither walks them nor runs before they are freed.
 
@@ -492,11 +494,23 @@ def stage_emit(config: PipelineConfig, manifest: RunManifest,
 @_collector_paused
 def stage_train(config: PipelineConfig, manifest: RunManifest,
                 held: dict | None = None) -> None:
-    """Train on dataset.jsonl, which it reads even under run_all."""
+    """Train on dataset.jsonl, which it reads even under run_all. Given a
+    ``held["trained"]`` dict, as each ablation cell is, it trains once per
+    distinct (train settings, ``distill.training_input``) key: a key
+    already in the dict takes the report stored there, with the
+    workdir-relative path of the metrics.json that training wrote."""
     started = time.monotonic()
     examples = distill.load_dataset(config.path("dataset"))
     train_cfg = distill.TrainConfig(lam=config["lambda"], **config["train"], seed=config.seeds["train"])
-    _, report = distill.train(examples, train_cfg)
+    trained = (held or {}).get("trained")
+    key = None if trained is None else (astuple(train_cfg), distill.training_input(examples))
+    if key is not None and key in trained:
+        report, reused_from = trained[key]
+    else:
+        _, report = distill.train(examples, train_cfg)
+        reused_from = None
+        if key is not None:
+            trained[key] = report, config.path("metrics").relative_to(config.workdir).as_posix()
     write_json(
         config.path("metrics"),
         {
@@ -516,6 +530,7 @@ def stage_train(config: PipelineConfig, manifest: RunManifest,
             "diverged": report.diverged,
             "epochs_run": report.epochs_run,
             "loss_curve": report.loss_curve,
+            "reused_from": reused_from,
         },
     )
 
@@ -574,10 +589,12 @@ def run_ablation(config: PipelineConfig) -> dict:
     the queries and the decoded kept traces are loaded once, and each
     (prune, merge) draft is built once and finished with and without
     bridging. Each cell then runs score, emit and train through the stage
-    functions, handed its rationale rows and the queries in memory. Each
-    cell writes its stage files and its own manifest under
-    ``ablation/<cell>/``; one failed cell is recorded, not fatal. Each
-    cell's figures come from that manifest's stage entries."""
+    functions, handed its rationale rows and the queries in memory; a cell
+    whose dataset has the training input of an earlier cell reuses that
+    cell's training (see ``stage_train``). Each cell writes its stage files
+    and its own manifest under ``ablation/<cell>/``; one failed cell is
+    recorded, not fatal. Each cell's figures come from that manifest's stage
+    entries."""
     for stage in ("queries", "traces"):
         if not config.path(stage).exists():
             raise StageError("ablate", f"missing base corpus file: {config.path(stage)}")
@@ -585,6 +602,7 @@ def run_ablation(config: PipelineConfig) -> dict:
     bridger = _bridger(config)
     rows_in, kept = _kept_traces(config.path("traces"))
     kept = list(kept)
+    trained: dict = {}  # stage_train's reports, shared by every cell
     cells = {}
     for prune_on in (False, True):
         for merge_on in (False, True):
@@ -606,7 +624,7 @@ def run_ablation(config: PipelineConfig) -> dict:
                 try:
                     # Both cells of the pair record the whole shared edit pass.
                     _write_edit(cell_config, manifest, time.monotonic() - edit_s, rows_in, out)
-                    held = {"queries": queries, "rationales": out.rows}
+                    held = {"queries": queries, "rationales": out.rows, "trained": trained}
                     for name in ("score", "emit", "train"):
                         STAGES[name](cell_config, manifest, held)
                     cells[key] = _cell_figures(manifest)

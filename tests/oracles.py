@@ -6,11 +6,19 @@ functions (the world model under both interpreters) but none of the
 interpreter code, so agreement between the two is meaningful. Given a
 pruned trace, it runs only the statements the slice keeps, which checks that
 prune's slice still computes the answer without rebuilding it as source.
+
+``grad_check`` checks the toy student's analytic gradient against central
+finite differences of its loss.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 from tracedistill import scenes as sw
+from tracedistill.distill import DistillExample, ToyModel, encode, loss_and_grads
 from tracedistill.dsl import Ast, if_arms
 from tracedistill.scenes import Patch, Scene
 
@@ -202,3 +210,27 @@ def replay_check_uses(trace) -> None:
             )
         for name in event.bindings:
             last_def[name] = event.seq
+
+
+def grad_check(model: ToyModel, examples: list[DistillExample], epsilon: float = 1e-5) -> float:
+    """Max relative error between analytic and central-finite-difference
+    gradients over every parameter; relative error is measured against
+    max(1, |analytic|, |numeric|)."""
+    if not (0.0 < epsilon <= 1e-2):
+        raise ValueError("epsilon must be in (0, 1e-2]")
+    batch = encode(model, examples)
+    report, analytic = loss_and_grads(model, batch)
+    if not math.isfinite(report.total):
+        raise ValueError("loss is non-finite; cannot check gradients")
+    W = model.W
+    numeric = np.zeros_like(W)
+    for i in np.ndindex(W.shape):
+        saved = W[i]
+        W[i] = saved + epsilon
+        hi = loss_and_grads(model, batch)[0].total
+        W[i] = saved - epsilon
+        lo = loss_and_grads(model, batch)[0].total
+        W[i] = saved
+        numeric[i] = (hi - lo) / (2.0 * epsilon)
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -19,7 +19,7 @@ import pytest
 
 from tracedistill.codegen import generate_programs
 from tracedistill.config import load_config
-from tracedistill.distill import TrainConfig, build_model, encode, grad_check, loss_and_grads, train
+from tracedistill.distill import TrainConfig, build_model, encode, loss_and_grads, train
 from tracedistill.dsl import parse
 from tracedistill.editing import (
     keep_all,
@@ -39,7 +39,7 @@ from tracedistill.students import (
 )
 
 from .conftest import build_correlation_task, make_muffin_scene
-from .oracles import evaluate
+from .oracles import evaluate, grad_check
 
 PASS = "ACCEPTANCE PASS"
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tracedistill import distill
+from tracedistill import distill, pipeline
+from tracedistill.config import default_config
 from tracedistill.distill import (
     DistillExample,
     TrainConfig,
@@ -14,7 +15,6 @@ from tracedistill.distill import (
     emit_dataset,
     encode,
     extract_keywords,
-    grad_check,
     load_dataset,
     loss_and_grads,
     train,
@@ -24,6 +24,7 @@ from tracedistill.jsonlio import read_jsonl
 from tracedistill.scenes import Query
 
 from .conftest import build_correlation_task
+from .oracles import grad_check
 
 
 def make_queries(n, prefix="q"):
@@ -264,6 +265,37 @@ class TestGradCheck:
         model = build_model(batch, seed=0)
         assert "red" in model.label_vocab and "red" in model.keywords
         assert model.key_rows[model.keywords.index("red")] == model.label_vocab.index("red")
+
+
+class TestTrainingInput:
+    def test_a_masked_row_and_an_empty_rationale_differ(self):
+        masked = DistillExample("q0", "how many cups", "2", None)
+        empty = DistillExample("q0", "how many cups", "2", "")
+        assert distill.training_input([masked]) != distill.training_input([empty])
+
+    def test_rationales_with_equal_keywords_train_to_identical_metrics(self, tmp_path):
+        examples = build_correlation_task(0, n=60)
+        # other query ids, and rationales that add only stopwords, as the
+        # default bridge sentences do
+        reworded = [
+            DistillExample(
+                f"other-{e.query_id}", e.question, e.label,
+                None if e.rationale is None else f"Recall that {e.rationale}. Next, it comes into play.",
+            )
+            for e in examples
+        ]
+        assert [e.rationale for e in reworded] != [e.rationale for e in examples]
+        assert distill.training_input(reworded) == distill.training_input(examples)
+        metrics = []
+        for name, rows in (("plain", examples), ("reworded", reworded)):
+            (tmp_path / name).mkdir()
+            config = default_config(tmp_path / name)
+            queries = [Query(e.query_id, "s", e.question, e.label) for e in rows]
+            texts = {e.query_id: e.rationale for e in rows if e.rationale is not None}
+            emit_dataset(texts, queries, config.path("dataset"))
+            pipeline.stage_train(config, pipeline.new_manifest(config))
+            metrics.append(config.path("metrics").read_bytes())
+        assert metrics[0] == metrics[1]
 
 
 class TestTrain:

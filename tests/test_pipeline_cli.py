@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from tracedistill import cli, codegen, dsl, interp, jsonlio, pipeline, students
+from tracedistill import cli, codegen, distill, dsl, interp, jsonlio, pipeline, students
 from tracedistill import scenes as sw
 from tracedistill.config import apply_seed_override, default_config, load_config
 from tracedistill.editing import keep_all, raw_records, render
@@ -52,6 +52,36 @@ def count_calls(monkeypatch, targets):
         for m in bound:
             monkeypatch.setattr(m, name, counted)
     return calls
+
+
+@pytest.fixture
+def stub_server():
+    import threading
+    from http.server import BaseHTTPRequestHandler, HTTPServer
+
+    class Handler(BaseHTTPRequestHandler):
+        generator_source = "flag = image.exists('cup')\nreturn bool_to_yesno(flag)"
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            if "question" in body:
+                payload = {"source": type(self).generator_source}
+            else:
+                payload = {"bridge_text": "Hence the next step."}
+            data = json.dumps(payload).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_port}/"
+    server.shutdown()
+    server.server_close()
 
 
 def write_config(tmp_path, **overrides):
@@ -610,35 +640,6 @@ class TestCli:
 
 
 class TestExternalEndpoints:
-    @pytest.fixture
-    def stub_server(self):
-        import threading
-        from http.server import BaseHTTPRequestHandler, HTTPServer
-
-        class Handler(BaseHTTPRequestHandler):
-            generator_source = "flag = image.exists('cup')\nreturn bool_to_yesno(flag)"
-
-            def do_POST(self):
-                body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-                if "question" in body:
-                    payload = {"source": type(self).generator_source}
-                else:
-                    payload = {"bridge_text": "Hence the next step."}
-                data = json.dumps(payload).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
-
-            def log_message(self, *args):
-                pass
-
-        server = HTTPServer(("127.0.0.1", 0), Handler)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        yield f"http://127.0.0.1:{server.server_port}/"
-        server.shutdown()
-        server.server_close()
-
     def test_external_generator_feeds_pipeline(self, tmp_path, stub_server):
         config = load_config(
             write_config(
@@ -764,12 +765,18 @@ class TestAblate:
         run_all(config)
         report = run_ablation(config)
         assert len({cell["keep_rate"] for cell in report["cells"].values()}) > 1
+        self._assert_cells_match_the_stages(config, report, ref)
+
+    @staticmethod
+    def _assert_cells_match_the_stages(config, report, ref):
+        """Each cell's files equal those of the edit, score, emit and train
+        stages, each run on its own with the cell's toggles, into ``ref``."""
         for p in (0, 1):
             for m in (0, 1):
                 for b in (0, 1):
                     key = f"prune={p},merge={m},bridge={b}"
                     assert "error" not in report["cells"][key], key
-                    cell = base / "ablation" / f"prune{p}_merge{m}_bridge{b}"
+                    cell = config.workdir / "ablation" / f"prune{p}_merge{m}_bridge{b}"
                     paths = {stage: str(ref / key / name) for stage, name in pipeline.CELL_FILES.items()}
                     staged = config.with_overrides(
                         edit={"prune": bool(p), "merge": bool(m), "bridge": bool(b)},
@@ -780,6 +787,32 @@ class TestAblate:
                         pipeline.STAGES[stage](staged, manifest)
                     for stage, name in pipeline.CELL_FILES.items():
                         assert sha256_of(cell / name) == sha256_of(staged.path(stage)), (key, name)
+
+    @staticmethod
+    def _reused_from(config):
+        """Each cell's train ``extra.reused_from``, by cell directory name."""
+        return {
+            cell.name: next(e for e in read_json(cell / "manifest.json")["stages"]
+                            if e["stage"] == "train")["extra"]["reused_from"]
+            for cell in sorted((config.workdir / "ablation").iterdir())
+        }
+
+    def test_a_bridge_sentence_with_a_keyword_trains_its_own_cells(self, tmp_path, stub_server):
+        # The stub's "Hence the next step." adds the keyword "hence", so no
+        # bridged cell has an unbridged cell's training input.
+        base, ref = tmp_path / "base", tmp_path / "ref"
+        base.mkdir(), ref.mkdir()
+        config = load_config(write_config(
+            base, corruption_rate=0.0, external_bridger={"enabled": True, "endpoint": stub_server},
+        ))
+        run_all(config)
+        report = run_ablation(config)
+        reused = self._reused_from(config)
+        assert len(reused) == 8
+        for cell, source in reused.items():
+            if cell.endswith("bridge1"):
+                assert source is None or source.endswith("bridge1/metrics.json"), (cell, source)
+        self._assert_cells_match_the_stages(config, report, ref)
 
     # sha256 of each cell's rationales.jsonl after run-all and ablate at
     # n=60, corruption 0.2, default seeds. Any change to an edited byte
@@ -808,13 +841,22 @@ class TestAblate:
         config = load_config(write_config(tmp_path, scene_count=16))
         run_all(config)
         calls = count_calls(monkeypatch, [(interp, "trace_from_record"), (sw, "load_scenes"),
-                                          (sw, "load_queries")])
+                                          (sw, "load_queries"), (distill, "train")])
         run_ablation(config)
         kept = sum(r["reject_reason"] is None for r in read_jsonl(config.path("traces")))
+        inputs = {distill.training_input(distill.load_dataset(cell / "dataset.jsonl"))
+                  for cell in (tmp_path / "ablation").iterdir()}
+        assert len(inputs) < 8  # some cells share a training input
         # Counter equality counts a missing name as 0
         assert Counter(name for name, _ in calls) == Counter({
-            "trace_from_record": kept, "load_scenes": 0, "load_queries": 1,
+            "trace_from_record": kept, "load_scenes": 0, "load_queries": 1, "train": len(inputs),
         })
+        reused = self._reused_from(config)
+        assert sum(source is None for source in reused.values()) == len(inputs)
+        for cell, source in reused.items():
+            if source is not None:
+                assert (tmp_path / source).read_bytes() == (
+                    tmp_path / "ablation" / cell / "metrics.json").read_bytes()
 
     def _break_one_kept_trace(self, config):
         rows = list(read_jsonl(config.path("traces")))
