@@ -113,17 +113,18 @@ class ToyModel:
     def n_features(self) -> int:
         return len(self.feature_index)
 
+    def feature_key(self, question: str) -> tuple[int, ...]:
+        """Sorted indices of the question's known tokens: the positions
+        where its feature row is 1. Questions with equal keys share their
+        logits."""
+        return tuple(sorted({
+            idx for idx in map(self.feature_index.get, _question_tokens(question)) if idx is not None
+        }))
+
     def featurize(self, question: str) -> np.ndarray:
         x = np.zeros(self.n_features)
-        for tok in _question_tokens(question):
-            idx = self.feature_index.get(tok)
-            if idx is not None:
-                x[idx] = 1.0
+        x[list(self.feature_key(question))] = 1.0
         return x
-
-    def predict_label(self, question: str) -> str:
-        logits = self.W[: len(self.label_vocab)] @ self.featurize(question)
-        return self.label_vocab[int(np.argmax(logits))]
 
 
 def build_model(
@@ -170,15 +171,39 @@ class LossReport:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """Examples encoded against one model's vocabularies."""
+    """Examples encoded against one model's vocabularies, grouped by
+    feature row.
 
-    X: np.ndarray  # (N, F) question features
-    y: np.ndarray  # (N,) label index into model.label_vocab
-    mask: np.ndarray  # (N,) True where the row has a rationale
-    T: np.ndarray  # (mask.sum(), K) keyword targets of the unmasked rows, in row order
-    # (N, K) buffer every loss evaluation writes the rationale logits into,
-    # so that no call pages in a fresh N x K array
-    R: np.ndarray
+    The student reads only question features, so rows with one feature row
+    share their logits, and the loss and its gradient depend on the rows
+    only through each distinct feature row's row count, label counts and
+    summed keyword targets. Groups are sorted by their feature indices, so
+    the batch does not depend on row order.
+    """
+
+    n: int  # rows
+    X: np.ndarray  # (G, F) the distinct feature rows
+    counts: np.ndarray  # (G,) rows with each feature row
+    Y: np.ndarray  # (G, V) label counts
+    m: int  # unmasked rows (rows with a rationale)
+    Xm: np.ndarray  # (Gm, F) the distinct feature rows of the unmasked rows
+    counts_m: np.ndarray  # (Gm,) unmasked rows with each of them
+    T: np.ndarray  # (Gm, K) keyword targets summed over those rows
+
+
+def _group(model: ToyModel, row_keys: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The distinct feature rows among ``row_keys`` (sorted by key), the
+    number of rows with each, and each row's index among them."""
+    keys = sorted(set(row_keys))
+    index = {key: g for g, key in enumerate(keys)}
+    X = np.zeros((len(keys), model.n_features))
+    for g, key in enumerate(keys):
+        X[g, list(key)] = 1.0
+    group = [index[key] for key in row_keys]
+    counts = np.zeros(len(keys))
+    for g in group:
+        counts[g] += 1.0
+    return X, counts, group
 
 
 def encode(model: ToyModel, examples: list[DistillExample]) -> Batch:
@@ -194,17 +219,18 @@ def encode(model: ToyModel, examples: list[DistillExample]) -> Batch:
     if unknown:
         raise ValueError(f"labels not in the model's vocabulary: {unknown}")
     key_pos = {k: j for j, k in enumerate(model.keywords)}
-    rationales = [e.rationale for e in examples if e.rationale is not None]
-    T = np.zeros((len(rationales), len(model.keywords)))
-    for i, text in enumerate(rationales):
-        T[i, [key_pos[k] for k in extract_keywords(text) if k in key_pos]] = 1.0
-    return Batch(
-        X=np.stack([model.featurize(e.question) for e in examples]),
-        y=np.array([label_pos[e.label] for e in examples]),
-        mask=np.array([e.rationale is not None for e in examples]),
-        T=T,
-        R=np.empty((len(examples), len(model.keywords))),
-    )
+    row_keys = [model.feature_key(e.question) for e in examples]
+    X, counts, group = _group(model, row_keys)
+    Y = np.zeros((len(X), len(model.label_vocab)))
+    for g, e in zip(group, examples):
+        Y[g, label_pos[e.label]] += 1.0
+    rationales = [(key, e.rationale) for key, e in zip(row_keys, examples) if e.rationale is not None]
+    Xm, counts_m, group_m = _group(model, [key for key, _ in rationales])
+    T = np.zeros((len(Xm), len(model.keywords)))
+    for g, (_, text) in zip(group_m, rationales):
+        T[g, [key_pos[k] for k in extract_keywords(text) if k in key_pos]] += 1.0
+    return Batch(n=len(examples), X=X, counts=counts, Y=Y,
+                 m=len(rationales), Xm=Xm, counts_m=counts_m, T=T)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -213,60 +239,48 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _bce_and_sigmoid(r: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise-stable BCE-with-logits and sigmoid of ``r``, sharing one
-    ``exp(-|r|)``."""
-    e = np.exp(-np.abs(r))
-    bce = np.maximum(r, 0.0) - r * t + np.log1p(e)
-    # 1/(1+exp(-r)) for r >= 0, exp(r)/(1+exp(r)) otherwise
-    sig = np.where(r >= 0, 1.0, e) / (1.0 + e)
-    return bce, sig
-
-
 def loss_and_grads(model: ToyModel, batch: Batch) -> tuple[LossReport, np.ndarray]:
     """LossReport plus the analytic gradient for ``model.W``.
 
     Overflow is not trapped: a diverged model yields a non-finite loss,
-    which train() detects. Overwrites ``batch.R``.
+    which train() detects.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _loss_and_grads(model, batch)
 
 
 def _loss_and_grads(model: ToyModel, batch: Batch):
-    X, y, mask = batch.X, batch.y, batch.mask
-    n = len(y)
-    rows = np.arange(n)
+    X, counts, Y, n = batch.X, batch.counts[:, None], batch.Y, batch.n
     V = len(model.label_vocab)
 
-    Z = X @ model.W[:V].T  # (N, V)
-    dZ = _softmax(Z)
-    label_loss = float((-np.log(np.clip(dZ[rows, y], 1e-12, None))).mean())
-    dZ[rows, y] -= 1.0
+    P = _softmax(X @ model.W[:V].T)  # (G, V)
+    label_loss = float((Y * -np.log(np.clip(P, 1e-12, None))).sum() / n)
     dW = np.zeros_like(model.W)
-    dW[:V] = (dZ.T @ X) / n
+    dW[:V] = ((counts * P - Y).T @ X) / n
 
-    unmasked = len(batch.T)
     rationale_loss = 0.0
-    if model.keywords and unmasked > 0:
-        Wk = model.W[model.key_rows]  # (K, F)
-        # R and dR.T @ X stay full-matrix products, so BLAS sums in the same
-        # order whatever the mask; only the elementwise head is row-selected.
-        R = np.matmul(X, Wk.T, out=batch.R)  # (N, K)
-        bce, sig = _bce_and_sigmoid(R[mask], batch.T)
+    if model.keywords and batch.m > 0:
+        Xm, counts_m, T, m = batch.Xm, batch.counts_m[:, None], batch.T, batch.m
+        R = Xm @ model.W[model.key_rows].T  # (Gm, K)
+        # softplus(r) = max(r, 0) + log1p(exp(-|r|)); softplus(-r) the same
+        # with max(-r, 0). Both share one exp(-|r|), as does the sigmoid.
+        e = np.exp(-np.abs(R))
+        log1p_e = np.log1p(e)
+        # BCE-with-logits summed over a group's rows: the rows without a
+        # keyword pay softplus(r), the rows with it softplus(-r). The two
+        # terms are non-negative; the shorter counts*softplus(r) - r*T
+        # subtracts nearly equal numbers on confident, correct groups.
+        bce = (counts_m - T) * (np.maximum(R, 0.0) + log1p_e) + T * (np.maximum(-R, 0.0) + log1p_e)
         # Per-row loss sums the per-keyword BCEs (one generation task per
         # row). The sum grows with the keyword count, so at lambda=1 this
         # term dominates: L_rationale / L_label is 14.0 for run-all at
         # n=2000, corruption 0.2.
-        rationale_loss = float(bce.sum(axis=1).mean())
-        # d/dr of bce-with-logits is sigmoid(r) - t; masked rows get none.
-        # R is not read again, so its buffer becomes dR: a second N x K
-        # array would be paged in afresh on every call.
-        dR = R
-        dR[~mask] = 0.0
-        dR[mask] = (sig - batch.T) / unmasked
+        rationale_loss = float(bce.sum() / m)
+        # 1/(1+exp(-r)) for r >= 0, exp(r)/(1+exp(r)) otherwise
+        sig = np.where(R >= 0, 1.0, e) / (1.0 + e)
+        # d/dr of bce-with-logits is sigmoid(r) - t, summed over the rows;
         # key_rows holds distinct rows, so this adds to each row once
-        dW[model.key_rows] += model.lam * (dR.T @ X)
+        dW[model.key_rows] += model.lam * (((counts_m * sig - T).T @ Xm) / m)
 
     report = LossReport(
         label_loss=label_loss,
@@ -300,6 +314,8 @@ class TrainReport:
     seed: int
     epochs_run: int
     loss_curve: list[float]  # total L before training, then after each epoch run
+    feature_rows: int  # distinct feature rows of the training rows
+    unmasked_feature_rows: int  # distinct feature rows of those with a rationale
     diverged: bool = False
 
 
@@ -317,7 +333,12 @@ def split_dataset(
 def _accuracy(model: ToyModel, examples: list[DistillExample]) -> float:
     if not examples:
         return 0.0
-    hits = sum(1 for e in examples if model.predict_label(e.question) == e.label)
+    W_label = model.W[: len(model.label_vocab)]
+    predicted = {
+        question: model.label_vocab[int(np.argmax(W_label @ model.featurize(question)))]
+        for question in {e.question for e in examples}
+    }
+    hits = sum(1 for e in examples if predicted[e.question] == e.label)
     return hits / len(examples)
 
 
@@ -370,5 +391,7 @@ def train(examples: list[DistillExample], config: TrainConfig) -> tuple[ToyModel
         seed=config.seed,
         epochs_run=epochs_run,
         loss_curve=loss_curve,
+        feature_rows=len(batch.X),
+        unmasked_feature_rows=len(batch.Xm),
         diverged=diverged,
     )

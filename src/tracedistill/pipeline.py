@@ -529,8 +529,10 @@ def stage_train(config: PipelineConfig, manifest: RunManifest,
             "accuracy_heldout": report.accuracy_heldout,
             "diverged": report.diverged,
             "epochs_run": report.epochs_run,
+            "feature_rows": report.feature_rows,
             "loss_curve": report.loss_curve,
             "reused_from": reused_from,
+            "unmasked_feature_rows": report.unmasked_feature_rows,
         },
     )
 

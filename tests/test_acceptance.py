@@ -227,19 +227,13 @@ STAGE_FILES = [
 ]
 
 
-def _run_cli(workdir: Path, hash_seed: str) -> None:
+SMALL_RUN = {"workdir": ".", "scene_count": 30, "corruption_rate": 0.2, "train": {"epochs": 5, "step_size": 0.5}}
+
+
+def _run_cli(workdir: Path, env: dict, config: dict = SMALL_RUN) -> None:
     config_path = workdir / "config.json"
-    config_path.write_text(
-        json.dumps(
-            {
-                "workdir": ".",
-                "scene_count": 30,
-                "corruption_rate": 0.2,
-                "train": {"epochs": 5, "step_size": 0.5},
-            }
-        )
-    )
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    config_path.write_text(json.dumps(config))
+    env = dict(os.environ, **env)
     proc = subprocess.run(
         [sys.executable, "-m", "tracedistill.cli", "--config", str(config_path), "run-all"],
         capture_output=True,
@@ -255,11 +249,26 @@ def test_determinism_audit(tmp_path):
     it records wall-clock stage timings."""
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     dir_a.mkdir(), dir_b.mkdir()
-    _run_cli(dir_a, hash_seed="1")
-    _run_cli(dir_b, hash_seed="42")
+    _run_cli(dir_a, {"PYTHONHASHSEED": "1"})
+    _run_cli(dir_b, {"PYTHONHASHSEED": "42"})
     for name in STAGE_FILES:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
     print(f"\n{PASS}: determinism audit (byte-identical across processes and hash seeds)")
+
+
+def test_metrics_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """run-all at n=500 under one and two OpenBLAS threads writes the same
+    metrics.json. Train's products are small enough that OpenBLAS sums them
+    the same way at both counts; this is observed at this size, not
+    guaranteed by construction."""
+    dirs = []
+    for threads in ("1", "2"):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        _run_cli(workdir, {"OPENBLAS_NUM_THREADS": threads},
+                 {"workdir": ".", "scene_count": 500, "corruption_rate": 0.2})
+        dirs.append(workdir)
+    assert (dirs[0] / "metrics.json").read_bytes() == (dirs[1] / "metrics.json").read_bytes()
 
 
 def test_funnel_integrity(tmp_path):

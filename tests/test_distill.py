@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -214,6 +215,18 @@ def masked_batches(draw):
     return rows, batch
 
 
+def assert_matches_dense_reference(model, batch):
+    """The grouped loss sums rows in another order than the per-row formula,
+    so they agree to rounding: each loss within 1e-12 relative, dW within
+    1e-12 of the reference's largest entry."""
+    report, dW = loss_and_grads(model, encode(model, batch))
+    label_loss, rationale_loss, total, ref_dW = dense_reference(model, batch)
+    for got, want in ((report.label_loss, label_loss), (report.rationale_loss, rationale_loss),
+                      (report.total, total)):
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+    assert np.max(np.abs(dW - ref_dW)) <= 1e-12 * np.max(np.abs(ref_dW))
+
+
 class TestMaskedHead:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -222,17 +235,50 @@ class TestMaskedHead:
         st.integers(0, 5),
         st.sampled_from([0.01, 1.0, 8.0]),
     )
-    def test_matches_dense_reference_exactly(self, drawn, lam, seed, scale):
+    def test_matches_dense_reference_to_rounding(self, drawn, lam, seed, scale):
         corpus, batch = drawn
         # the model's keywords come from the unmasked corpus, so an
         # all-masked batch still has a non-empty rationale head
         model = build_model(corpus, lam=lam, seed=seed, init_scale=scale)
-        report, dW = loss_and_grads(model, encode(model, batch))
-        label_loss, rationale_loss, total, ref_dW = dense_reference(model, batch)
-        assert report.label_loss == label_loss
-        assert report.rationale_loss == rationale_loss
-        assert report.total == total
-        assert np.array_equal(dW, ref_dW)
+        assert_matches_dense_reference(model, batch)
+
+    def test_a_question_with_no_known_token_has_a_zero_feature_row(self):
+        batch = small_batch() + [
+            DistillExample("e", "?", "blue", "answer blue"),
+            DistillExample("f", "?", "2", None),
+        ]
+        model = build_model(batch, lam=1.0, seed=3, init_scale=1.0)
+        encoded = encode(model, batch)
+        assert not encoded.X[0].any() and not encoded.Xm[0].any()
+        assert_matches_dense_reference(model, batch)
+        assert grad_check(model, batch, epsilon=1e-5) <= 1e-5
+
+
+class TestGrouping:
+    """The loss reads the rows only through each feature row's counts, so
+    row order and a uniform repetition of the rows change no bit of it."""
+
+    @staticmethod
+    def _loss(examples):
+        model = build_model(build_correlation_task(0, n=200), lam=1.0, seed=0, init_scale=1.0)
+        report, dW = loss_and_grads(model, encode(model, examples))
+        return report, dW
+
+    def test_permuting_the_rows_changes_no_bit(self):
+        examples = build_correlation_task(0, n=200)
+        shuffled = list(examples)
+        random.Random(1).shuffle(shuffled)
+        report, dW = self._loss(examples)
+        report_shuffled, dW_shuffled = self._loss(shuffled)
+        assert report_shuffled == report
+        assert np.array_equal(dW_shuffled, dW)
+
+    def test_repeating_every_row_changes_no_bit(self):
+        examples = build_correlation_task(0, n=200)
+        report, dW = self._loss(examples)
+        report_twice, dW_twice = self._loss(examples + examples)
+        assert report_twice == report
+        assert np.array_equal(dW_twice, dW)
 
 
 class TestGradCheck:
