@@ -410,11 +410,11 @@ def stage_edit(config: PipelineConfig, manifest: RunManifest,
         held["rationales"] = out.rows
 
 
-def _load_students(config: PipelineConfig, queries) -> list:
+def _load_students(config: PipelineConfig) -> list:
     # A noisy oracle's seed defaults to the effective seeds.students, which
     # --seed may have rebased after the config was loaded.
     specs = [{"seed": config.seeds["students"], **spec} for spec in config["students"]]
-    return st.builtin_students(specs, queries=queries)
+    return st.builtin_students(specs)
 
 
 def scored_row(text: str, query, ensemble: list, harm_value: int) -> dict:
@@ -440,9 +440,8 @@ def stage_score(config: PipelineConfig, manifest: RunManifest,
                 held: dict | None = None) -> None:
     """Score each rationale with the student ensemble; reads no scene."""
     started = time.monotonic()
-    queries = _input(config, held, "queries", sw.load_queries)
-    ensemble = _load_students(config, queries)
-    by_id = {q.query_id: q for q in queries}
+    by_id = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
+    ensemble = _load_students(config)
     harm_value = config["harm_verdict"]
     rationales = _input(config, held, "rationales", lambda path: list(read_jsonl(path)))
     out, errors = _map_rows(

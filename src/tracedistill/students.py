@@ -1,7 +1,7 @@
 """Utility scoring of rationales against an ensemble of student oracles.
 
-Each student is asked the bare question first, then the question with the
-rationale prepended as context. Per-student verdicts follow the fixed table
+Each student is asked the query bare first, then with the rationale as
+context. Per-student verdicts follow the fixed table
 (wrong-to-right +1, wrong-to-wrong -1, right-to-right 0; right-to-wrong is
 configurable between -1 and 0) and the ensemble score is their sum.
 Rationales with score >= min_score (default 0) are retained.
@@ -24,8 +24,9 @@ from .scenes import Query
 class StudentOracle(Protocol):
     name: str
 
-    def answer(self, question: str, context: str | None = None) -> str:
-        """Deterministic answer; ``context`` carries the rationale text."""
+    def answer(self, query: Query, context: str | None = None) -> str:
+        """Deterministic answer to ``query``, the row being scored;
+        ``context`` carries the rationale text."""
         ...
 
 
@@ -76,8 +77,8 @@ def utility_score(
     expected = normalize_answer(query.expected_answer)
     outcomes = []
     for student in students:
-        before = normalize_answer(student.answer(query.question)) == expected
-        after = normalize_answer(student.answer(query.question, text)) == expected
+        before = normalize_answer(student.answer(query)) == expected
+        after = normalize_answer(student.answer(query, text)) == expected
         verdict, value = verdict_for(before, after, harm_value)
         outcomes.append(UtilityOutcome(student.name, before, after, verdict, value))
     return ScoredRationale(
@@ -102,14 +103,13 @@ def _tokens(text: str) -> set[str]:
 
 @dataclass
 class NoisyOracleStudent:
-    """Answers the recorded ``expected_answer`` (looked up by question text,
-    so a shared text answers as its last query), but fails on a seeded
-    per-question subset; context cannot sway it. Only a hand-edited
-    queries.jsonl whose ``expected_answer`` disagrees with its scene makes
-    this differ from the scene's oracle answer; the faithfulness filter, the
-    labels and ``rationale_sensitive`` already take ``expected_answer``."""
+    """Answers the query's recorded ``expected_answer``, but fails on a
+    seeded subset of question texts (every query sharing a text fails
+    together); context cannot sway it. Only a hand-edited queries.jsonl
+    whose ``expected_answer`` disagrees with its scene makes this differ
+    from the scene's oracle answer; the faithfulness filter, the labels and
+    ``rationale_sensitive`` already take ``expected_answer``."""
 
-    expected_by_question: dict[str, str]
     seed: int = 0
     failure_rate: float = 0.0
     name: str = "noisy_oracle"
@@ -118,9 +118,9 @@ class NoisyOracleStudent:
         digest = sha256(f"noisy|{self.seed}|{question}".encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") / 2**64 < self.failure_rate
 
-    def answer(self, question: str, context: str | None = None) -> str:
-        truth = self.expected_by_question.get(question, "unknown")
-        if self._fails(question):
+    def answer(self, query: Query, context: str | None = None) -> str:
+        truth = query.expected_answer
+        if self._fails(query.question):
             return "unknown" if truth != "unknown" else "yes"
         return truth
 
@@ -133,24 +133,22 @@ class RationaleSensitiveStudent:
     "...answer is no."). An optional token budget models a short attention
     span: the trigger must appear within the first ``token_budget`` tokens."""
 
-    expected_by_question: dict[str, str]
     trigger_mode: str = "answer"
     token_budget: int | None = None
     name: str = "rationale_sensitive"
 
-    def answer(self, question: str, context: str | None = None) -> str:
-        expected = self.expected_by_question.get(question)
-        if expected is None or not context:
+    def answer(self, query: Query, context: str | None = None) -> str:
+        if not context:
             return "unknown"
         window = context.split()
         if self.token_budget is not None:
             window = window[: self.token_budget]
         seen = _tokens(" ".join(window))
         if self.trigger_mode == "answer":
-            hit = normalize_answer(expected) in seen
+            hit = normalize_answer(query.expected_answer) in seen
         else:
-            hit = bool(_tokens(question) & seen)
-        return expected if hit else "unknown"
+            hit = bool(_tokens(query.question) & seen)
+        return query.expected_answer if hit else "unknown"
 
 
 @dataclass
@@ -161,28 +159,24 @@ class StubbornStudent:
     fixed_answer: str = "yes"
     name: str = "stubborn"
 
-    def answer(self, question: str, context: str | None = None) -> str:
+    def answer(self, query: Query, context: str | None = None) -> str:
         return self.fixed_answer
 
 
-def builtin_students(
-    specs: list[dict],
-    *,
-    queries: list[Query],
-) -> list[StudentOracle]:
+_KINDS = {
+    "noisy_oracle": NoisyOracleStudent,
+    "rationale_sensitive": RationaleSensitiveStudent,
+    "stubborn": StubbornStudent,
+}
+
+
+def builtin_students(specs: list[dict]) -> list[StudentOracle]:
     """Build the configured ensemble from specs in the config's normal form.
     A key a spec omits takes its default from ``config.student_keys``; a key
     its kind does not have is ignored."""
-    expected_by_question = {q.question: q.expected_answer for q in queries}
     students: list[StudentOracle] = []
     for i, spec in enumerate(specs):
         keys = student_keys(spec, i)
         args = {key: spec[key] if key in spec else default for key, default in keys.items()}
-        kind = args.pop("kind")
-        if kind == "noisy_oracle":
-            students.append(NoisyOracleStudent(expected_by_question, **args))
-        elif kind == "rationale_sensitive":
-            students.append(RationaleSensitiveStudent(expected_by_question, **args))
-        else:
-            students.append(StubbornStudent(**args))
+        students.append(_KINDS[args.pop("kind")](**args))
     return students

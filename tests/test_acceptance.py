@@ -159,9 +159,7 @@ def test_directional_distillation_effect():
         queries = [
             Query(e.query_id, "synthetic", e.question, e.label) for e in examples
         ]
-        student = RationaleSensitiveStudent(
-            expected_by_question={q.question: q.expected_answer for q in queries}
-        )
+        student = RationaleSensitiveStudent()
         filtered = []
         for example, query in zip(examples, queries):
             if example.rationale is None:
@@ -294,6 +292,11 @@ def test_funnel_integrity(tmp_path):
     assert counts["faithful_kept"] / counts["executed"] == 1 - 0.3
     saved = read_json(config.path("manifest"))
     assert saved["counts"] == counts
+    # Question texts repeat at n = 200 with different answers; every
+    # rationale states its own query's answer, so the answer-trigger
+    # student finds each one useful.
+    score = {e["stage"]: e for e in saved["stages"]}["score"]
+    assert score["extra"]["verdicts"]["rationale_sensitive_1"]["useful"] == counts["faithful_kept"]
     rows = [r for r in read_jsonl(config.path("dataset")) if "__meta__" not in r]
     masked = sum(1 for r in rows if r["rationale"] is None)
     assert len(rows) == counts["score_kept"] + masked

@@ -546,7 +546,7 @@ class TestCli:
         specs = [{"kind": "noisy_oracle"}, {"kind": "noisy_oracle", "seed": 3}]
         config = apply_seed_override(load_config(write_config(tmp_path, students=specs)), 7)
         assert config["students"] == specs
-        unset, given = pipeline._load_students(config, [])
+        unset, given = pipeline._load_students(config)
         assert (unset.seed, given.seed) == (config.seeds["students"], 3) == (10, 3)
 
     def test_with_overrides_validates(self):

@@ -135,18 +135,14 @@ class TestBuiltinStudents:
 
     def test_stubborn_verdicts_limited(self):
         queries = self._corpus()
-        student = builtin_students(
-            [{"kind": "stubborn"}], queries=queries
-        )[0]
+        student = builtin_students([{"kind": "stubborn"}])[0]
         for query in queries:
             scored = utility_score("text", query, [student])
             assert scored.outcomes[0].value in (0, -1)
 
     def test_rationale_sensitive_empty_rationale(self):
         queries = self._corpus()
-        student = builtin_students(
-            [{"kind": "rationale_sensitive"}], queries=queries
-        )[0]
+        student = builtin_students([{"kind": "rationale_sensitive"}])[0]
         query = queries[0]
         scored = utility_score("", query, [student])
         assert scored.outcomes[0].verdict == "non_useful"
@@ -154,9 +150,7 @@ class TestBuiltinStudents:
 
     def test_rationale_sensitive_flips_on_answer_mention(self):
         queries = self._corpus()
-        student = builtin_students(
-            [{"kind": "rationale_sensitive"}], queries=queries
-        )[0]
+        student = builtin_students([{"kind": "rationale_sensitive"}])[0]
         query = queries[0]
         text = f"Therefore the answer is {query.expected_answer}."
         scored = utility_score(text, query, [student])
@@ -172,11 +166,10 @@ class TestBuiltinStudents:
             [
                 {"kind": "rationale_sensitive", "token_budget": 10},
                 {"kind": "rationale_sensitive", "token_budget": 200},
-            ],
-            queries=queries,
+            ]
         )
-        assert narrow.answer(query.question, text) == "unknown"
-        assert wide.answer(query.question, text) == query.expected_answer
+        assert narrow.answer(query, text) == "unknown"
+        assert wide.answer(query, text) == query.expected_answer
 
     @pytest.mark.parametrize("question, expected, context, budget, answer", [
         ("how many cups", "2", "There are 2 cups.", None, "2"),
@@ -186,20 +179,18 @@ class TestBuiltinStudents:
         ("is there a cup", "no", "Therefore the answer is no.", None, "no"),
     ])
     def test_rationale_sensitive_fact_mode(self, question, expected, context, budget, answer):
-        student = RationaleSensitiveStudent(
-            {question: expected}, trigger_mode="fact", token_budget=budget
-        )
-        assert student.answer(question, context) == answer
+        student = RationaleSensitiveStudent(trigger_mode="fact", token_budget=budget)
+        query = Query("q0", "s0", question, expected)
+        assert student.answer(query, context) == answer
 
     def test_noisy_oracle_reproducible_accuracy(self):
         queries = self._corpus()
         make = lambda: builtin_students(
-            [{"kind": "noisy_oracle", "seed": 9, "failure_rate": 0.4}],
-            queries=queries,
+            [{"kind": "noisy_oracle", "seed": 9, "failure_rate": 0.4}]
         )[0]
         def accuracy(student):
             hits = sum(
-                1 for q in queries if student.answer(q.question) == q.expected_answer
+                1 for q in queries if student.answer(q) == q.expected_answer
             )
             return hits / len(queries)
 
@@ -210,13 +201,26 @@ class TestBuiltinStudents:
     def test_noisy_oracle_ignores_context(self):
         queries = self._corpus()
         student = builtin_students(
-            [{"kind": "noisy_oracle", "seed": 9, "failure_rate": 0.4}],
-            queries=queries,
+            [{"kind": "noisy_oracle", "seed": 9, "failure_rate": 0.4}]
         )[0]
         for query in queries[:10]:
-            assert student.answer(query.question) == student.answer(query.question, "hint")
+            assert student.answer(query) == student.answer(query, "hint")
 
     def test_unknown_kind_rejected(self):
-        queries = self._corpus()
         with pytest.raises(ConfigError, match="unknown student kind"):
-            builtin_students([{"kind": "psychic"}], queries=queries)
+            builtin_students([{"kind": "psychic"}])
+
+    def test_queries_sharing_a_question_text_each_answer_their_own(self):
+        # Two scenes can hold different answers to one question text; each
+        # query must be answered (and scored) for itself, not for the other.
+        queries = [Query("q0", "s0", "how many cups", "2"),
+                   Query("q1", "s1", "how many cups", "5")]
+        oracle, sensitive = builtin_students(
+            [{"kind": "noisy_oracle", "failure_rate": 0.0}, {"kind": "rationale_sensitive"}]
+        )
+        for query in queries:
+            text = f"Therefore the answer is {query.expected_answer}."
+            assert oracle.answer(query) == query.expected_answer
+            assert sensitive.answer(query, text) == query.expected_answer
+            verdicts = [o.verdict for o in utility_score(text, query, [oracle, sensitive]).outcomes]
+            assert verdicts == ["unsure", "useful"]
