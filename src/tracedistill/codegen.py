@@ -156,31 +156,22 @@ def generate_programs(queries: list[Query], corruption_rate: float, seed: int) -
 # ---------------------------------------------------------------------------
 # external generator client (the LLM role; disabled by default)
 
-@dataclass
-class ExternalGeneratorConfig:
-    enabled: bool = False
-    endpoint: str = ""
-    api_doc_version: str = "v1"
-    timeout: float = 5.0
-
-
 def scene_summary(scene: Scene) -> str:
     parts = [f"{o.name}@{o.box}" for o in scene.objects]
     return f"scene {scene.scene_id}: " + "; ".join(parts)
 
 
-def external_generate(config: ExternalGeneratorConfig, query: Query, summary: str) -> Program:
-    """Fetch a program from a remote generator; the returned source must
-    parse or the example is rejected with a GenerationError."""
-    if not config.enabled:
-        raise GenerationError("external generator is disabled")
+def external_generate(settings: dict, query: Query, summary: str) -> Program:
+    """Fetch a program from the remote generator that ``settings`` (the
+    config's ``external_generator``) names; the returned source must parse
+    or the example is rejected with a GenerationError."""
     request = {
         "question": query.question,
         "scene_summary": summary,
-        "api_doc_version": config.api_doc_version,
+        "api_doc_version": settings["api_doc_version"],
     }
     try:
-        payload = post_json(config.endpoint, request, config.timeout)
+        payload = post_json(settings["endpoint"], request, settings["timeout"])
     except Exception as exc:
         raise GenerationError(f"external generator transport failure: {exc}") from exc
     source = payload.get("source", "")

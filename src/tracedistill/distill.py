@@ -38,6 +38,8 @@ STOPWORDS = {
 
 @dataclass
 class DistillExample:
+    """One dataset.jsonl row: these fields."""
+
     query_id: str
     question: str
     label: str
@@ -59,35 +61,18 @@ def emit_dataset(texts: dict[str, str], queries: list[Query], path: str | Path) 
     dangling = sorted(set(texts) - {q.query_id for q in queries})
     if dangling:
         raise EmissionError(f"kept rationales reference unknown queries: {dangling}")
-    rows = [
-        {
-            "query_id": q.query_id,
-            "question": q.question,
-            "label": normalize_answer(q.expected_answer),
-            "rationale": texts.get(q.query_id),
-        }
+    examples = [
+        DistillExample(q.query_id, q.question, normalize_answer(q.expected_answer), texts.get(q.query_id))
         for q in queries
     ]
-    masked = sum(1 for row in rows if row["rationale"] is None)
-    header = {"__meta__": {"rows": len(rows), "masked": masked}}
-    write_jsonl(path, [header] + rows)
-    return len(rows)
+    masked = sum(1 for e in examples if e.rationale is None)
+    header = {"__meta__": {"rows": len(examples), "masked": masked}}
+    write_jsonl(path, [header] + [vars(e) for e in examples])
+    return len(examples)
 
 
 def load_dataset(path: str | Path) -> list[DistillExample]:
-    examples = []
-    for row in read_jsonl(path):
-        if "__meta__" in row:
-            continue
-        examples.append(
-            DistillExample(
-                query_id=row["query_id"],
-                question=row["question"],
-                label=row["label"],
-                rationale=row["rationale"],
-            )
-        )
-    return examples
+    return [DistillExample(**row) for row in read_jsonl(path) if "__meta__" not in row]
 
 
 # ---------------------------------------------------------------------------
@@ -299,16 +284,16 @@ HELDOUT_FRACTION = 0.2
 
 @dataclass
 class TrainConfig:
-    lam: float = 1.0
-    epochs: int = 60
-    step_size: float = 0.5
-    seed: int = 0
+    lam: float
+    epochs: int
+    step_size: float
+    seed: int
 
 
 @dataclass
 class TrainReport:
     accuracy_train: float
-    accuracy_heldout: float
+    accuracy_heldout: float | None  # None when one example leaves no held-out row
     loss: LossReport
     lam: float
     seed: int
@@ -322,17 +307,19 @@ class TrainReport:
 def split_dataset(
     examples: list[DistillExample], seed: int
 ) -> tuple[list[DistillExample], list[DistillExample]]:
-    """Fixed seeded 80/20 split."""
+    """Fixed seeded 80/20 split. Each side keeps at least one row, except
+    that a single row goes to train."""
     order = list(range(len(examples)))
     random.Random(seed).shuffle(order)
-    cut = max(1, int(round(len(examples) * (1.0 - HELDOUT_FRACTION))))
+    cut = max(1, min(len(examples) - 1, int(round(len(examples) * (1.0 - HELDOUT_FRACTION)))))
     train_idx, held_idx = order[:cut], order[cut:]
     return [examples[i] for i in train_idx], [examples[i] for i in held_idx]
 
 
-def _accuracy(model: ToyModel, examples: list[DistillExample]) -> float:
+def _accuracy(model: ToyModel, examples: list[DistillExample]) -> float | None:
+    """None when there are no examples to score."""
     if not examples:
-        return 0.0
+        return None
     W_label = model.W[: len(model.label_vocab)]
     predicted = {
         question: model.label_vocab[int(np.argmax(W_label @ model.featurize(question)))]

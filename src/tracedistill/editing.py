@@ -397,6 +397,8 @@ class HttpBridger:
 
 @dataclass
 class CotRationale:
+    """A rationales.jsonl row is these fields plus the edit's ``lineage``."""
+
     query_id: str
     program_id: str
     text: str

@@ -25,12 +25,12 @@ Value = Any  # int | float | bool | str | list[Value] | Patch
 
 
 MAX_LIST_LEN = 10_000
+SNAPSHOT_LIST_CAP = 64
 
 
 @dataclass
 class StepLimits:
     max_steps: int = 10_000
-    snapshot_list_cap: int = 64
 
 
 @dataclass
@@ -68,11 +68,12 @@ class _Return(Exception):
         self.value = value
 
 
-def _snapshot(value: Value, cap: int) -> Value:
-    """Copy of ``value`` with lists capped at ``cap`` items. Lists are the only
-    mutable runtime values; every other value is returned as it is."""
+def _snapshot(value: Value) -> Value:
+    """Copy of ``value`` with lists capped at ``SNAPSHOT_LIST_CAP`` items.
+    Lists are the only mutable runtime values; every other value is
+    returned as it is."""
     if isinstance(value, list):
-        return [_snapshot(v, cap) for v in value[:cap]]
+        return [_snapshot(v) for v in value[:SNAPSHOT_LIST_CAP]]
     return value
 
 
@@ -163,9 +164,6 @@ class _Interp:
         self.events.append(event)
         return event
 
-    def snap(self, value: Value) -> Value:
-        return _snapshot(value, self.limits.snapshot_list_cap)
-
     def tick(self) -> None:
         self.steps += 1
         if self.steps > self.limits.max_steps:
@@ -205,14 +203,14 @@ class _Interp:
                 node_id,
                 "assign",
                 ctrl,
-                bindings={target: self.snap(value)},
+                bindings={target: _snapshot(value)},
                 invocation=invocation,
                 uses=self._dedup_uses(),
             )
             self.env[target] = (value, event.seq)
         elif node.kind == "Return":
             event = self.emit(node_id, "return", ctrl, invocation=invocation, uses=self._dedup_uses())
-            event.detail["value"] = self.snap(value)
+            event.detail["value"] = _snapshot(value)
             raise _Return(value)
         elif invocation is not None:
             kind = "tool_call" if self._is_tool(self.ast.node(node.children[0])) else "builtin_call"
@@ -252,7 +250,7 @@ class _Interp:
         for i, item in enumerate(iterable):
             self.tick()
             iter_event = self.emit(
-                node.id, "loop_iter", enter.seq, bindings={var: self.snap(item)}
+                node.id, "loop_iter", enter.seq, bindings={var: _snapshot(item)}
             )
             iter_event.detail["iteration"] = i
             self.env[var] = (item, iter_event.seq)
@@ -280,7 +278,7 @@ class _Interp:
         if node.kind not in ("Call", "MethodCall"):
             return value, None
         callee = node.payload["func" if node.kind == "Call" else "method"]
-        return value, (callee, [self.snap(a) for a in self._last_args], self.snap(value))
+        return value, (callee, [_snapshot(a) for a in self._last_args], _snapshot(value))
 
     def eval_expr(self, node_id: int) -> Value:
         node = self.ast.node(node_id)

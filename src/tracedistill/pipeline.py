@@ -19,7 +19,7 @@ import functools
 import gc
 import time
 from collections import Counter
-from dataclasses import astuple, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 from . import codegen, distill, editing, scenes as sw, students as st
 from .config import DEFAULT_STAGE_FILES, PipelineConfig
@@ -60,12 +60,7 @@ class RunManifest:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "config_hash": self.config_hash,
-            "seeds": self.seeds,
-            "stages": self.stages,
-            "counts": self.counts,
-        }
+        return asdict(self)
 
     def check_funnel(self) -> None:
         c = self.counts
@@ -82,14 +77,13 @@ def new_manifest(config: PipelineConfig) -> RunManifest:
 
 def load_or_new_manifest(config: PipelineConfig) -> RunManifest:
     """Continue an existing manifest (single-stage reruns append to it)."""
+    manifest = new_manifest(config)
     path = config.path("manifest")
     if path.exists():
         raw = read_json(path)
-        manifest = RunManifest(config_hash=config.config_hash(), seeds=dict(config.seeds))
         manifest.stages = raw.get("stages", [])
         manifest.counts = raw.get("counts", {})
-        return manifest
-    return new_manifest(config)
+    return manifest
 
 
 class _Rows:
@@ -212,12 +206,11 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest,
     errors: list[dict] = []
     external = config["external_generator"]
     if external["enabled"]:
-        gen_config = codegen.ExternalGeneratorConfig(**external)
         scenes_by_id = _by_scene_id(_input(config, held, "scenes", sw.load_scenes))
 
         def run_row(i, query):
             summary = codegen.scene_summary(scenes_by_id[query.scene_id])
-            return codegen.external_generate(gen_config, query, summary)
+            return codegen.external_generate(external, query, summary)
 
         programs, errors = _map_rows("program_gen", queries, run_row, config["strict"])
     else:
@@ -341,21 +334,14 @@ def edit_draft(trace: ExecutionTrace, flags: dict) -> tuple[editing.TaggedDraft,
 
 def rationale_row(draft, query_id: str, flags: dict, bridger) -> dict:
     """Finish a draft with or without bridging, as ``flags`` say, into its
-    rationales.jsonl row."""
+    rationales.jsonl row: the ``CotRationale``'s fields plus ``lineage``."""
     tagged, symbolic = draft
     if flags["bridge"]:
         rationale = editing.bridge(tagged, symbolic, bridger, query_id=query_id)
     else:
         rationale = editing.no_bridge(tagged, symbolic, query_id=query_id)
-    return {
-        "query_id": rationale.query_id,
-        "program_id": rationale.program_id,
-        "text": rationale.text,
-        "lineage": {"pruned": flags["prune"], "merged": flags["merge"], "bridged": flags["bridge"]},
-        "bridge_fallback": rationale.bridge_fallback,
-        "sentences": rationale.sentences,
-        "joints": rationale.joints,
-    }
+    lineage = {"pruned": flags["prune"], "merged": flags["merge"], "bridged": flags["bridge"]}
+    return {**vars(rationale), "lineage": lineage}
 
 
 def _edit_rows(kept, flag_sets: list[dict], bridger, strict: bool) -> list[_Rows]:
@@ -418,21 +404,10 @@ def _load_students(config: PipelineConfig) -> list:
 
 
 def scored_row(text: str, query, ensemble: list, harm_value: int) -> dict:
-    """Score one rationale text into its scored.jsonl row."""
+    """Score one rationale text into its scored.jsonl row: the
+    ``ScoredRationale``'s fields, each outcome a ``UtilityOutcome``'s."""
     scored = st.utility_score(text, query, ensemble, harm_value=harm_value)
-    return {
-        "query_id": scored.query_id,
-        "score": scored.score,
-        "outcomes": [
-            {
-                "student": o.student,
-                "before_correct": o.before_correct,
-                "after_correct": o.after_correct,
-                "verdict": o.verdict,
-            }
-            for o in scored.outcomes
-        ],
-    }
+    return {**vars(scored), "outcomes": [vars(o) for o in scored.outcomes]}
 
 
 @_collector_paused

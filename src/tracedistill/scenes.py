@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from hashlib import sha256
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import SceneLookupError, SchemaError
-from .jsonlio import read_json, write_json
+from .jsonlio import read_json, read_jsonl, write_json, write_jsonl
 
 CANVAS = (224, 224)
 
@@ -109,6 +109,8 @@ class Patch:
 
 @dataclass(frozen=True)
 class Query:
+    """One queries.jsonl row: these fields."""
+
     query_id: str
     scene_id: str
     question: str
@@ -562,34 +564,21 @@ def _plan_question(scene: Scene, form: str, rng: random.Random) -> str | None:
 
 
 def load_queries(path: str | Path) -> list[Query]:
-    from .jsonlio import read_jsonl
-
+    """Read queries.jsonl: one row per ``Query``, keyed by its fields."""
+    names = [f.name for f in fields(Query)]
     queries = []
     seen: set[str] = set()
     for i, row in enumerate(read_jsonl(path)):
-        for key in ("query_id", "scene_id", "question", "expected_answer"):
+        for key in names:
             if key not in row:
                 raise SchemaError(f"queries row {i}: missing field {key!r}")
         if row["query_id"] in seen:
             raise SchemaError(f"queries row {i}: duplicate query_id {row['query_id']!r}")
         seen.add(row["query_id"])
-        queries.append(Query(**{k: row[k] for k in (
-            "query_id", "scene_id", "question", "expected_answer")}))
+        queries.append(Query(**{key: row[key] for key in names}))
     return queries
 
 
 def save_queries(path: str | Path, queries: Iterable[Query]) -> int:
-    from .jsonlio import write_jsonl
-
-    return write_jsonl(
-        path,
-        (
-            {
-                "query_id": q.query_id,
-                "scene_id": q.scene_id,
-                "question": q.question,
-                "expected_answer": q.expected_answer,
-            }
-            for q in queries
-        ),
-    )
+    """Write queries.jsonl: each row is the ``Query``'s fields."""
+    return write_jsonl(path, (vars(q) for q in queries))

@@ -39,11 +39,13 @@ class UtilityOutcome:
     before_correct: bool
     after_correct: bool
     verdict: str  # one of VERDICTS
-    value: int
 
 
 @dataclass
 class ScoredRationale:
+    """One scored.jsonl row: these fields, each outcome a
+    ``UtilityOutcome``'s fields."""
+
     query_id: str
     outcomes: list[UtilityOutcome]
     score: int
@@ -76,16 +78,14 @@ def utility_score(
         raise ValueError("utility_score needs at least one student")
     expected = normalize_answer(query.expected_answer)
     outcomes = []
+    score = 0
     for student in students:
         before = normalize_answer(student.answer(query)) == expected
         after = normalize_answer(student.answer(query, text)) == expected
         verdict, value = verdict_for(before, after, harm_value)
-        outcomes.append(UtilityOutcome(student.name, before, after, verdict, value))
-    return ScoredRationale(
-        query_id=query.query_id,
-        outcomes=outcomes,
-        score=sum(o.value for o in outcomes),
-    )
+        outcomes.append(UtilityOutcome(student.name, before, after, verdict))
+        score += value
+    return ScoredRationale(query_id=query.query_id, outcomes=outcomes, score=score)
 
 
 def keeps(score: int, min_score: int = 0) -> bool:

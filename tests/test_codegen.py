@@ -8,13 +8,13 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from tracedistill.codegen import (
-    ExternalGeneratorConfig,
     external_generate,
     generate_program,
     generate_programs,
     scene_summary,
     template_source,
 )
+from tracedistill.config import DEFAULTS
 from tracedistill.dsl import parse
 from tracedistill.errors import GenerationError
 from tracedistill.interp import execute
@@ -122,10 +122,15 @@ def stub_endpoint():
     server.server_close()
 
 
+def enabled_generator(endpoint: str, **settings) -> dict:
+    """The config's ``external_generator`` settings, enabled at ``endpoint``."""
+    return {**DEFAULTS["external_generator"], "enabled": True, "endpoint": endpoint, **settings}
+
+
 class TestExternalGenerator:
     def test_valid_source_accepted(self, table_scene, stub_endpoint):
         _StubHandler.response_source = "flag = image.exists('dog')\nreturn bool_to_yesno(flag)"
-        config = ExternalGeneratorConfig(enabled=True, endpoint=stub_endpoint)
+        config = enabled_generator(stub_endpoint)
         query = Query("q", "table", "is there a dog", "no")
         program = external_generate(config, query, scene_summary(table_scene))
         assert program.source == _StubHandler.response_source
@@ -134,19 +139,13 @@ class TestExternalGenerator:
 
     def test_unparseable_source_rejected(self, table_scene, stub_endpoint):
         _StubHandler.response_source = "def nope(:"
-        config = ExternalGeneratorConfig(enabled=True, endpoint=stub_endpoint)
+        config = enabled_generator(stub_endpoint)
         query = Query("q", "table", "is there a dog", "no")
         with pytest.raises(GenerationError, match="unparseable"):
             external_generate(config, query, scene_summary(table_scene))
 
-    def test_disabled_endpoint_never_invoked(self, table_scene):
-        config = ExternalGeneratorConfig(enabled=False, endpoint="http://127.0.0.1:1/")
-        query = Query("q", "table", "is there a dog", "no")
-        with pytest.raises(GenerationError, match="disabled"):
-            external_generate(config, query, scene_summary(table_scene))
-
     def test_transport_failure_reported(self, table_scene):
-        config = ExternalGeneratorConfig(enabled=True, endpoint="http://127.0.0.1:1/", timeout=0.2)
+        config = enabled_generator("http://127.0.0.1:1/", timeout=0.2)
         query = Query("q", "table", "is there a dog", "no")
         with pytest.raises(GenerationError, match="transport"):
             external_generate(config, query, scene_summary(table_scene))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from tracedistill import interp
 from tracedistill.codegen import generate_program, generate_programs
 from tracedistill.dsl import parse
 from tracedistill.interp import (
@@ -77,9 +78,10 @@ class TestExecute:
         expected, _, _ = evaluate(parse(source), table_scene)
         assert trace.result == expected
 
-    def test_snapshot_truncation(self, muffins3):
+    def test_snapshot_truncation(self, muffins3, monkeypatch):
+        monkeypatch.setattr(interp, "SNAPSHOT_LIST_CAP", 2)
         source = "xs = [1, 1, 1]\nys = xs + xs\nreturn len(ys)"
-        trace = execute(parse(source), muffins3, StepLimits(snapshot_list_cap=2))
+        trace = execute(parse(source), muffins3)
         assign = [e for e in trace.events if "ys" in e.bindings][0]
         assert len(assign.bindings["ys"]) == 2  # snapshot capped
         assert trace.result == 6  # the environment keeps the full value

@@ -150,6 +150,24 @@ class TestRunAll:
         assert saved["config_hash"] == load_config(failing).config_hash()
         assert [e["stage"] for e in saved["stages"]] == ["scene_gen"]
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_tiny_corpus_holds_out_a_row_or_reports_null(self, tmp_path, n):
+        # Two rows split one and one; a single row trains, and its held-out
+        # accuracy is null, not a 0.0 measured on no rows.
+        config = load_config(write_config(tmp_path, scene_count=n))
+        run_all(config)
+        report = run_ablation(config)
+        examples = distill.load_dataset(config.path("dataset"))
+        train_rows, held_rows = distill.split_dataset(examples, config.seeds["train"])
+        assert (len(train_rows), len(held_rows)) == (1, n - 1)
+        train = next(e for e in read_json(config.path("manifest"))["stages"] if e["stage"] == "train")
+        assert train["extra"]["feature_rows"] == 1
+        heldout = read_json(config.path("metrics"))["accuracy_heldout"]
+        assert heldout is None if n == 1 else heldout in (0.0, 1.0)
+        assert train["extra"]["accuracy_heldout"] == heldout
+        assert {cell["accuracy_heldout"] for cell in report["cells"].values()} == {heldout}
+        assert read_json(config.path("ablation")) == report
+
 
 class TestStageHandoff:
     def test_exec_records_reject_reasons(self, tmp_path):
@@ -828,6 +846,23 @@ class TestAblate:
         "prune1_merge1_bridge1": "03d7ddfe7ca8086ee84e61ffef61d19caf25fefb29be8c91ddb25f2471cac76b",
     }
 
+    # The same run's queries.jsonl, every cell's scored.jsonl (the default
+    # students' verdicts do not depend on the edit toggles) and each cell's
+    # dataset.jsonl. Each of these rows is written from its dataclass's
+    # fields, so renaming a field moves its file's hash.
+    PINNED_QUERIES = "2ca58a0d434ad2db4097ca498e542d1d9734b31be097b8a0cba95cd71ea0537d"
+    PINNED_SCORED = "cd169195c7438c648f66d727071f8c93ddcac75846d840da71caecd2017d00bf"
+    PINNED_DATASETS = {
+        "prune0_merge0_bridge0": "3f0b7114947692e114070b25643352ddc4113eda1c7ce4ca208a2ea63d1d3b36",
+        "prune0_merge0_bridge1": "9bc547ed8bcbe06d9774dfcbe7ebf53e1a53360f420917292c3f51d0465c7b24",
+        "prune0_merge1_bridge0": "41513c74947f8de3ad780e9363d6b36e308bea60badbac9c23ec22a41e6f83fe",
+        "prune0_merge1_bridge1": "6069a25c8b71c2deded37a0cd7c207032de02b5a903685e22a9e45edb37a5d58",
+        "prune1_merge0_bridge0": "b6309d0e85efe04d135f0b271a9819b583968665dc4a1ed621a98b21803e2ccd",
+        "prune1_merge0_bridge1": "d738caf90f4913221679c2df073a7142ee87fc3704a27c0f62ca7acf73b22454",
+        "prune1_merge1_bridge0": "5340b7f67c4585a7970e8fdbf0921462edad46d6d685719cc79aad754c8a960a",
+        "prune1_merge1_bridge1": "9024e8210e4db1803523961487e56fc197cb7e9ca41673db5338861ce178156f",
+    }
+
     def test_cell_rationales_are_pinned(self, tmp_path):
         config = load_config(write_config(tmp_path, scene_count=60, corruption_rate=0.2))
         run_all(config)
@@ -836,6 +871,11 @@ class TestAblate:
         assert {cell.name: sha256_of(cell / "rationales.jsonl") for cell in cells} == (
             self.PINNED_RATIONALES
         )
+        assert sha256_of(config.path("queries")) == self.PINNED_QUERIES
+        assert {cell.name: sha256_of(cell / "scored.jsonl") for cell in cells} == (
+            dict.fromkeys(self.PINNED_DATASETS, self.PINNED_SCORED)
+        )
+        assert {cell.name: sha256_of(cell / "dataset.jsonl") for cell in cells} == self.PINNED_DATASETS
 
     def test_shared_work_runs_once(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, scene_count=16))

@@ -138,7 +138,7 @@ class TestBuiltinStudents:
         student = builtin_students([{"kind": "stubborn"}])[0]
         for query in queries:
             scored = utility_score("text", query, [student])
-            assert scored.outcomes[0].value in (0, -1)
+            assert scored.score in (0, -1)
 
     def test_rationale_sensitive_empty_rationale(self):
         queries = self._corpus()
