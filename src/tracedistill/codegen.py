@@ -23,12 +23,12 @@ from .scenes import Query, Scene
 
 @dataclass
 class Program:
-    """A generated program as source text; exec is the stage that parses it."""
+    """One programs.jsonl row: a generated program as source text; exec is
+    the stage that parses it."""
 
     program_id: str
     query_id: str
     source: str
-    corrupted: bool = False
 
 
 def _count_source(name: str, corrupted: bool) -> str:
@@ -139,7 +139,6 @@ def generate_program(query: Query, *, corrupted: bool = False) -> Program:
         program_id=f"p{query.query_id}",
         query_id=query.query_id,
         source=template_source(query.question, corrupted),
-        corrupted=corrupted,
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import EmissionError
 from .interp import normalize_answer
-from .jsonlio import read_jsonl, write_jsonl
+from .jsonlio import read_rows, write_rows
 from .scenes import Query
 
 STOPWORDS = {
@@ -66,13 +66,11 @@ def emit_dataset(texts: dict[str, str], queries: list[Query], path: str | Path) 
         for q in queries
     ]
     masked = sum(1 for e in examples if e.rationale is None)
-    header = {"__meta__": {"rows": len(examples), "masked": masked}}
-    write_jsonl(path, [header] + [vars(e) for e in examples])
-    return len(examples)
+    return write_rows(path, examples, meta={"rows": len(examples), "masked": masked})
 
 
 def load_dataset(path: str | Path) -> list[DistillExample]:
-    return [DistillExample(**row) for row in read_jsonl(path) if "__meta__" not in row]
+    return read_rows(path, DistillExample)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +293,6 @@ class TrainReport:
     accuracy_train: float
     accuracy_heldout: float | None  # None when one example leaves no held-out row
     loss: LossReport
-    lam: float
-    seed: int
     epochs_run: int
     loss_curve: list[float]  # total L before training, then after each epoch run
     feature_rows: int  # distinct feature rows of the training rows
@@ -374,8 +370,6 @@ def train(examples: list[DistillExample], config: TrainConfig) -> tuple[ToyModel
         accuracy_train=_accuracy(model, train_rows),
         accuracy_heldout=_accuracy(model, held_rows),
         loss=report,
-        lam=config.lam,
-        seed=config.seed,
         epochs_run=epochs_run,
         loss_curve=loss_curve,
         feature_rows=len(batch.X),

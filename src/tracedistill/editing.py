@@ -397,7 +397,7 @@ class HttpBridger:
 
 @dataclass
 class CotRationale:
-    """A rationales.jsonl row is these fields plus the edit's ``lineage``."""
+    """One rationales.jsonl row: these fields."""
 
     query_id: str
     program_id: str
@@ -405,6 +405,7 @@ class CotRationale:
     bridge_fallback: bool  # an external bridger failed and the default one filled in
     sentences: list[str]
     joints: list[str]
+    lineage: dict = dc_field(default_factory=dict)  # the edit's {pruned, merged, bridged}
 
 
 def bridge(

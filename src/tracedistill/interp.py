@@ -29,11 +29,6 @@ SNAPSHOT_LIST_CAP = 64
 
 
 @dataclass
-class StepLimits:
-    max_steps: int = 10_000
-
-
-@dataclass
 class TraceEvent:
     seq: int
     node_id: int
@@ -143,10 +138,10 @@ def _truthy(value: Value) -> bool:
 
 
 class _Interp:
-    def __init__(self, ast: Ast, scene: Scene, limits: StepLimits, tools: ToolConfig | None):
+    def __init__(self, ast: Ast, scene: Scene, max_steps: int, tools: ToolConfig | None):
         self.ast = ast
         self.scene = scene
-        self.limits = limits
+        self.max_steps = max_steps
         self.tools = tools
         self.env: dict[str, tuple[Value, int]] = {}
         self.events: list[TraceEvent] = []
@@ -166,7 +161,7 @@ class _Interp:
 
     def tick(self) -> None:
         self.steps += 1
-        if self.steps > self.limits.max_steps:
+        if self.steps > self.max_steps:
             raise _StepLimit()
 
     def _dedup_uses(self) -> list[tuple[str, int]]:
@@ -484,7 +479,7 @@ def _sort_key(v: Value):
 def execute(
     ast: Ast,
     scene: Scene,
-    limits: StepLimits | None = None,
+    max_steps: int = 10_000,
     tools: ToolConfig | None = None,
     program_id: str = "",
 ) -> ExecutionTrace:
@@ -492,27 +487,23 @@ def execute(
 
     Never raises for program-level failures: name errors, type errors, bad
     indexing, division by zero and the like yield status ``runtime_error``,
-    and exceeding ``limits.max_steps`` yields ``step_limit``.
+    and exceeding ``max_steps`` yields ``step_limit``.
     """
-    limits = limits or StepLimits()
-    if limits.max_steps < 1:
+    if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    interp = _Interp(ast, scene, limits, tools)
+    interp = _Interp(ast, scene, max_steps, tools)
+    result, status, error = None, "ok", None
     try:
         interp.run()
+        raise AssertionError("unreachable")
     except _Return as ret:
-        return ExecutionTrace(program_id=program_id, events=interp.events, result=ret.value, status="ok")
+        result = ret.value
     except _Fault as fault:
-        return ExecutionTrace(
-            program_id=program_id,
-            events=interp.events,
-            result=None,
-            status="runtime_error",
-            error={"node_id": fault.node_id, "message": str(fault)},
-        )
+        status, error = "runtime_error", {"node_id": fault.node_id, "message": str(fault)}
     except _StepLimit:
-        return ExecutionTrace(program_id=program_id, events=interp.events, result=None, status="step_limit")
-    raise AssertionError("unreachable")
+        status = "step_limit"
+    return ExecutionTrace(program_id=program_id, events=interp.events, result=result, status=status,
+                          error=error)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Small JSON / JSONL helpers with deterministic byte output, and the one
+"""Small JSON / JSONL helpers with deterministic byte output, the row
+reader and writer every dataclass row file goes through, and the one
 JSON-over-HTTP POST the external clients share.
 
 Every stage file is written through these functions so that identical
@@ -7,10 +8,15 @@ in-memory rows always serialize to identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
+import typing
 import urllib.request
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
+
+from .errors import SchemaError
 
 
 def dumps_canonical(obj: Any) -> str:
@@ -36,6 +42,55 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
             line = line.strip()
             if line:
                 yield json.loads(line)
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(cls: type) -> tuple[frozenset, dict]:
+    """``cls``'s field names, and the dataclass of each field typed as a
+    list of dataclasses."""
+    hints = typing.get_type_hints(cls)
+    names = frozenset(f.name for f in fields(cls))
+    lists = {n: typing.get_args(hints[n])[0] for n in names if typing.get_origin(hints[n]) is list}
+    return names, {name: inner for name, inner in lists.items() if is_dataclass(inner)}
+
+
+def _record(row) -> dict:
+    lists = {name: [vars(x) for x in getattr(row, name)] for name in _schema(type(row))[1]}
+    return {**vars(row), **lists} if lists else vars(row)
+
+
+def write_rows(path: str | Path, rows: Iterable, meta: dict | None = None) -> int:
+    """Write each dataclass row as its fields, read with a shallow ``vars()``;
+    a field holding a list of dataclasses is written as their fields. With
+    ``meta``, a ``{"__meta__": meta}`` header line comes first. Returns the
+    row count, the header not counted."""
+    header = [] if meta is None else [{"__meta__": meta}]
+    return write_jsonl(path, [*header, *map(_record, rows)]) - len(header)
+
+
+def _build(cls: type, row, where: str):
+    names, nested = _schema(cls)
+    keys = row.keys() if isinstance(row, dict) else frozenset()
+    if keys != names:
+        missing = names - keys
+        raise SchemaError(f"{where}missing field {min(missing)!r}" if missing
+                          else f"{where}unknown field {min(keys - names)!r}")
+    for name, inner in nested.items():
+        row[name] = [_build(inner, item, f"{where}{name}[{j}] ") for j, item in enumerate(row[name])]
+    return cls(**row)
+
+
+def read_rows(path: str | Path, cls: type) -> list:
+    """Read a file ``write_rows`` wrote back into ``cls`` rows, skipping a
+    first-line ``__meta__`` header. A row whose keys are not exactly
+    ``cls``'s fields (or, in a list of dataclasses, its items') raises a
+    SchemaError naming the file, the row (counted from 0, the header not
+    counted) and the field."""
+    out = []
+    for i, row in enumerate(read_jsonl(path)):
+        if i or not (isinstance(row, dict) and "__meta__" in row):
+            out.append(_build(cls, row, f"{path} row {len(out)}: "))
+    return out
 
 
 def write_json(path: str | Path, obj: Any) -> None:

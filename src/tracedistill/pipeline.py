@@ -28,13 +28,12 @@ from .errors import EmissionError, StageError
 from .interp import (
     REJECT_REASONS,
     ExecutionTrace,
-    StepLimits,
     execute,
     faithfulness_filter,
     trace_from_record,
     trace_to_record,
 )
-from .jsonlio import read_json, read_jsonl, write_json, write_jsonl
+from .jsonlio import read_json, read_jsonl, read_rows, write_json, write_jsonl, write_rows
 from .scenes import ToolConfig
 
 
@@ -88,9 +87,8 @@ def load_or_new_manifest(config: PipelineConfig) -> RunManifest:
 
 class _Rows:
     """One stage's output rows with per-row crash isolation. A failed row is
-    recorded by index and by its query and program ids, read from a dict
-    row's keys or a dataclass row's fields; under strict the first failure
-    becomes ``error`` instead, and the stage must stop."""
+    recorded by index and its (query_id, program_id) ``ids``; under strict
+    the first failure becomes ``error`` instead, and the stage must stop."""
 
     def __init__(self, stage: str, strict: bool):
         self.stage = stage
@@ -99,25 +97,20 @@ class _Rows:
         self.errors: list[dict] = []
         self.error: StageError | None = None
 
-    def fail(self, i: int, row, exc: Exception) -> None:
+    def fail(self, i: int, ids: tuple, exc: Exception) -> None:
         if self.strict:
             self.error = StageError(self.stage, str(exc), row=i)
             self.error.__cause__ = exc
             return
-        ids = row if isinstance(row, dict) else vars(row)
-        self.errors.append({
-            "row": i,
-            "query_id": ids.get("query_id"),
-            "program_id": ids.get("program_id"),
-            "error": str(exc),
-        })
+        query_id, program_id = ids
+        self.errors.append({"row": i, "query_id": query_id, "program_id": program_id, "error": str(exc)})
 
-    def run(self, i: int, row, fn, *args) -> None:
-        """Append ``fn(*args)``, or record its exception against ``row``."""
+    def run(self, i: int, ids: tuple, fn, *args) -> None:
+        """Append ``fn(*args)``, or record its exception against ``ids``."""
         try:
             self.rows.append(fn(*args))
         except Exception as exc:
-            self.fail(i, row, exc)
+            self.fail(i, ids, exc)
 
 
 def _map_rows(stage: str, rows, fn, strict: bool):
@@ -125,20 +118,16 @@ def _map_rows(stage: str, rows, fn, strict: bool):
     first failed row aborts the stage."""
     out = _Rows(stage, strict)
     for i, row in enumerate(rows):
-        out.run(i, row, fn, i, row)
+        out.run(i, (row.query_id, getattr(row, "program_id", None)), fn, i, row)
         if out.error is not None:
             raise out.error
     return out.rows, out.errors
 
 
-def _by_scene_id(scenes) -> dict:
-    return {s.scene_id: s for s in scenes}
-
-
-def _input(config: PipelineConfig, held: dict | None, name: str, load):
+def _input(config: PipelineConfig, held: dict | None, name: str, load, *args):
     """A stage's ``name`` rows: ``held[name]`` from run_all, or, for a stage
-    called on its own, ``load`` of that stage file."""
-    return load(config.path(name)) if held is None else held[name]
+    called on its own, ``load`` of that stage file and ``args``."""
+    return load(config.path(name), *args) if held is None else held[name]
 
 
 def _collector_paused(stage):
@@ -191,7 +180,7 @@ def stage_scene_gen(config: PipelineConfig, manifest: RunManifest,
     scene_list = sw.generate_scenes(n, config.seeds["scene_gen"])
     sw.save_scenes(config.path("scenes"), scene_list)
     queries = sw.generate_queries(scene_list, config.seeds["query_gen"])
-    sw.save_queries(config.path("queries"), queries)
+    write_rows(config.path("queries"), queries)
     manifest.counts["generated"] = len(queries)
     manifest.record("scene_gen", started, rows_in=n, rows_out=len(queries))
     if held is not None:
@@ -206,7 +195,7 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest,
     errors: list[dict] = []
     external = config["external_generator"]
     if external["enabled"]:
-        scenes_by_id = _by_scene_id(_input(config, held, "scenes", sw.load_scenes))
+        scenes_by_id = {s.scene_id: s for s in _input(config, held, "scenes", sw.load_scenes)}
 
         def run_row(i, query):
             summary = codegen.scene_summary(scenes_by_id[query.scene_id])
@@ -217,13 +206,12 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest,
         programs = codegen.generate_programs(
             queries, config["corruption_rate"], config.seeds["program_gen"]
         )
-    rows = [{"program_id": p.program_id, "query_id": p.query_id, "source": p.source} for p in programs]
-    write_jsonl(config.path("programs"), rows)
+    write_rows(config.path("programs"), programs)
     manifest.record(
         "program_gen", started, rows_in=len(queries), rows_out=len(programs), errors=errors
     )
     if held is not None:
-        held["programs"] = rows
+        held["programs"] = programs
 
 
 def _handed_over(kept: list):
@@ -232,32 +220,30 @@ def _handed_over(kept: list):
     traces are not held past the edit stage."""
     for i, (trace, query) in enumerate(kept):
         kept[i] = None
-        yield {"query_id": query.query_id, "program_id": trace.program_id}, (query.query_id, trace)
+        yield query.query_id, trace.program_id, trace
 
 
 @_collector_paused
 def stage_exec(config: PipelineConfig, manifest: RunManifest,
                held: dict | None = None) -> None:
     started = time.monotonic()
-    scenes_by_id = _by_scene_id(_input(config, held, "scenes", sw.load_scenes))
+    scenes_by_id = {s.scene_id: s for s in _input(config, held, "scenes", sw.load_scenes)}
     queries = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
     tools = ToolConfig(noise_p=config["noise_p"], noise_seed=config.seeds["scene_gen"])
-    limits = StepLimits(max_steps=config["max_steps"])
     # One AST per distinct source, shared by every row that carries it:
     # execute only reads the AST. A source that fails to parse is not kept,
     # so each of its rows fails with the same error.
     asts = {}
 
-    def run_row(i, row):
-        query = queries[row["query_id"]]
-        scene = scenes_by_id[query.scene_id]
-        source = row["source"]
-        if source not in asts:
-            asts[source] = parse(source)
-        trace = execute(asts[source], scene, limits, tools, program_id=row["program_id"])
+    def run_row(i, program):
+        query = queries[program.query_id]
+        if program.source not in asts:
+            asts[program.source] = parse(program.source)
+        trace = execute(asts[program.source], scenes_by_id[query.scene_id], config["max_steps"],
+                        tools, program_id=program.program_id)
         return trace, query
 
-    rows = _input(config, held, "programs", lambda path: list(read_jsonl(path)))
+    rows = _input(config, held, "programs", read_rows, codegen.Program)
     pairs, errors = _map_rows("exec", rows, run_row, config["strict"])
     kept, verdicts = faithfulness_filter(pairs)
     write_jsonl(
@@ -285,10 +271,6 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
 # rows with edit's row code below, then runs score and emit on them
 # through the stage functions, handing the rows over in ``held``.
 
-def rationale_tokens(text: str) -> int:
-    return len(text.split())
-
-
 def _bridger(config: PipelineConfig):
     external = config["external_bridger"]
     if not external["enabled"]:
@@ -297,13 +279,12 @@ def _bridger(config: PipelineConfig):
 
 
 def _decode_kept(rec: dict):
-    """A kept traces.jsonl row's ids, and its (query_id, trace) or the
-    exception decoding it raised, which each edit of the row reports."""
-    ids = {"query_id": rec.get("query_id"), "program_id": rec.get("program_id")}
+    """A kept traces.jsonl row's query_id and program_id, and its trace or
+    the exception decoding it raised, which each edit of the row reports."""
     try:
-        return ids, (rec["query_id"], trace_from_record(rec))
+        return rec["query_id"], rec["program_id"], trace_from_record(rec)
     except Exception as exc:
-        return ids, exc
+        return rec.get("query_id"), rec.get("program_id"), exc
 
 
 def _kept_traces(path):
@@ -332,16 +313,16 @@ def edit_draft(trace: ExecutionTrace, flags: dict) -> tuple[editing.TaggedDraft,
     return editing.tag_gaps(editing.render(symbolic), symbolic), symbolic
 
 
-def rationale_row(draft, query_id: str, flags: dict, bridger) -> dict:
+def rationale_row(draft, query_id: str, flags: dict, bridger) -> editing.CotRationale:
     """Finish a draft with or without bridging, as ``flags`` say, into its
-    rationales.jsonl row: the ``CotRationale``'s fields plus ``lineage``."""
+    rationales.jsonl row, with the ``lineage`` ``flags`` give it."""
     tagged, symbolic = draft
     if flags["bridge"]:
         rationale = editing.bridge(tagged, symbolic, bridger, query_id=query_id)
     else:
         rationale = editing.no_bridge(tagged, symbolic, query_id=query_id)
-    lineage = {"pruned": flags["prune"], "merged": flags["merge"], "bridged": flags["bridge"]}
-    return {**vars(rationale), "lineage": lineage}
+    rationale.lineage = {"pruned": flags["prune"], "merged": flags["merge"], "bridged": flags["bridge"]}
+    return rationale
 
 
 def _edit_rows(kept, flag_sets: list[dict], bridger, strict: bool) -> list[_Rows]:
@@ -349,14 +330,14 @@ def _edit_rows(kept, flag_sets: list[dict], bridger, strict: bool) -> list[_Rows
     per flag set; the sets may differ only in "bridge". A failed decode or
     draft fails the row in every set."""
     outs = [_Rows("edit", strict) for _ in flag_sets]
-    for i, (ids, decoded) in enumerate(kept):
+    for i, (query_id, program_id, trace) in enumerate(kept):
         live = [(out, flags) for out, flags in zip(outs, flag_sets) if out.error is None]
         if not live:
             break
+        ids = query_id, program_id
         try:
-            if isinstance(decoded, Exception):
-                raise decoded
-            query_id, trace = decoded
+            if isinstance(trace, Exception):
+                raise trace
             draft = edit_draft(trace, flag_sets[0])
         except Exception as exc:
             for out, _ in live:
@@ -371,12 +352,12 @@ def _write_edit(config: PipelineConfig, manifest: RunManifest, started: float,
                 rows_in: int, out: _Rows) -> None:
     if out.error is not None:
         raise out.error
-    write_jsonl(config.path("rationales"), out.rows)
-    tokens = [rationale_tokens(row["text"]) for row in out.rows]
+    write_rows(config.path("rationales"), out.rows)
+    tokens = [len(row.text.split()) for row in out.rows]
     manifest.record(
         "edit", started, rows_in=rows_in, rows_out=len(out.rows), errors=out.errors,
         extra={
-            "bridge_fallbacks": sum(row["bridge_fallback"] for row in out.rows),
+            "bridge_fallbacks": sum(row.bridge_fallback for row in out.rows),
             "flags": dict(config.edit_flags),
             "mean_tokens": sum(tokens) / len(tokens) if tokens else 0.0,
         },
@@ -403,13 +384,6 @@ def _load_students(config: PipelineConfig) -> list:
     return st.builtin_students(specs)
 
 
-def scored_row(text: str, query, ensemble: list, harm_value: int) -> dict:
-    """Score one rationale text into its scored.jsonl row: the
-    ``ScoredRationale``'s fields, each outcome a ``UtilityOutcome``'s."""
-    scored = st.utility_score(text, query, ensemble, harm_value=harm_value)
-    return {**vars(scored), "outcomes": [vars(o) for o in scored.outcomes]}
-
-
 @_collector_paused
 def stage_score(config: PipelineConfig, manifest: RunManifest,
                 held: dict | None = None) -> None:
@@ -418,18 +392,18 @@ def stage_score(config: PipelineConfig, manifest: RunManifest,
     by_id = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
     ensemble = _load_students(config)
     harm_value = config["harm_verdict"]
-    rationales = _input(config, held, "rationales", lambda path: list(read_jsonl(path)))
+    rationales = _input(config, held, "rationales", read_rows, editing.CotRationale)
     out, errors = _map_rows(
         "score", rationales,
-        lambda i, row: scored_row(row["text"], by_id[row["query_id"]], ensemble, harm_value),
+        lambda i, row: st.utility_score(row.text, by_id[row.query_id], ensemble, harm_value=harm_value),
         config["strict"],
     )
-    write_jsonl(config.path("scored"), out)
-    kept = sum(1 for row in out if st.keeps(row["score"], config["min_score"]))
+    write_rows(config.path("scored"), out)
+    kept = sum(1 for row in out if st.keeps(row.score, config["min_score"]))
     verdicts = {student.name: Counter() for student in ensemble}
     for row in out:
-        for o in row["outcomes"]:
-            verdicts[o["student"]][o["verdict"]] += 1
+        for o in row.outcomes:
+            verdicts[o.student][o.verdict] += 1
     manifest.counts["score_kept"] = kept
     manifest.record(
         "score", started, rows_in=len(rationales), rows_out=len(out), errors=errors,
@@ -450,9 +424,9 @@ def stage_emit(config: PipelineConfig, manifest: RunManifest,
                held: dict | None = None) -> None:
     started = time.monotonic()
     queries = _input(config, held, "queries", sw.load_queries)
-    texts = {row["query_id"]: row["text"] for row in _input(config, held, "rationales", read_jsonl)}
-    kept_ids = [row["query_id"] for row in _input(config, held, "scored", read_jsonl)
-                if st.keeps(row["score"], config["min_score"])]
+    texts = {r.query_id: r.text for r in _input(config, held, "rationales", read_rows, editing.CotRationale)}
+    kept_ids = [r.query_id for r in _input(config, held, "scored", read_rows, st.ScoredRationale)
+                if st.keeps(r.score, config["min_score"])]
     missing = sorted(set(kept_ids) - texts.keys())
     if missing:
         raise EmissionError(f"score-kept queries have no rationale: {missing}")
@@ -493,8 +467,8 @@ def stage_train(config: PipelineConfig, manifest: RunManifest,
             "L_label": report.loss.label_loss,
             "L_rationale": report.loss.rationale_loss,
             "L": report.loss.total,
-            "lambda": report.lam,
-            "seed": report.seed,
+            "lambda": train_cfg.lam,
+            "seed": train_cfg.seed,
         },
     )
     manifest.record(

@@ -14,13 +14,13 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import SceneLookupError, SchemaError
-from .jsonlio import read_json, read_jsonl, write_json, write_jsonl
+from .jsonlio import read_json, read_rows, write_json
 
 CANVAS = (224, 224)
 
@@ -505,13 +505,8 @@ def generate_queries(scenes: Sequence[Scene], seed: int) -> list[Query]:
     forms = ["count", "exists", "attribute", "spatial", "relation"]
     for i, scene in enumerate(scenes):
         order = forms[i % len(forms):] + forms[: i % len(forms)]
-        question = None
-        for form in order:
-            question = _plan_question(scene, form, rng)
-            if question is not None:
-                break
-        if question is None:  # every scene supports counting, so unreachable
-            question = f"how many {scene.objects[0].name}s"
+        # "count" and "exists" always plan a question, so one form does.
+        question = next(q for q in (_plan_question(scene, form, rng) for form in order) if q)
         queries.append(
             Query(
                 query_id=f"q{i:04d}",
@@ -560,25 +555,15 @@ def _plan_question(scene: Scene, form: str, rng: random.Random) -> str | None:
             return None
         name, pred = rng.choice(sorted(candidates))
         return f"what is the {name} {pred}"
-    return None
 
 
 def load_queries(path: str | Path) -> list[Query]:
-    """Read queries.jsonl: one row per ``Query``, keyed by its fields."""
-    names = [f.name for f in fields(Query)]
-    queries = []
+    """Read queries.jsonl: one ``Query`` per row; a repeated ``query_id`` is
+    a SchemaError."""
+    queries = read_rows(path, Query)
     seen: set[str] = set()
-    for i, row in enumerate(read_jsonl(path)):
-        for key in names:
-            if key not in row:
-                raise SchemaError(f"queries row {i}: missing field {key!r}")
-        if row["query_id"] in seen:
-            raise SchemaError(f"queries row {i}: duplicate query_id {row['query_id']!r}")
-        seen.add(row["query_id"])
-        queries.append(Query(**{key: row[key] for key in names}))
+    for i, query in enumerate(queries):
+        if query.query_id in seen:
+            raise SchemaError(f"queries row {i}: duplicate query_id {query.query_id!r}")
+        seen.add(query.query_id)
     return queries
-
-
-def save_queries(path: str | Path, queries: Iterable[Query]) -> int:
-    """Write queries.jsonl: each row is the ``Query``'s fields."""
-    return write_jsonl(path, (vars(q) for q in queries))

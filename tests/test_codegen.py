@@ -68,20 +68,26 @@ class TestTemplates:
             parse(template_source(query.question, corrupted=True))
 
 
+def corrupted_flags(queries, programs):
+    """Which programs are corrupted: every corrupted sketch differs from the
+    clean one for its question."""
+    return [p.source != template_source(q.question) for q, p in zip(queries, programs, strict=True)]
+
+
 class TestCorruption:
     @pytest.mark.parametrize("rate,n", [(0.3, 40), (0.25, 10), (1.0, 7), (0.0, 12)])
     def test_exact_corrupted_count(self, rate, n):
         scenes = generate_scenes(n, seed=5)
         queries = generate_queries(scenes, seed=6)
         programs = generate_programs(queries, rate, seed=7)
-        assert sum(p.corrupted for p in programs) == math.ceil(rate * n)
+        assert corrupted_flags(queries, programs).count(True) == math.ceil(rate * n)
 
     def test_corrupted_selection_is_seeded(self):
         scenes = generate_scenes(20, seed=5)
         queries = generate_queries(scenes, seed=6)
         a = generate_programs(queries, 0.5, seed=7)
         b = generate_programs(queries, 0.5, seed=7)
-        assert [p.corrupted for p in a] == [p.corrupted for p in b]
+        assert corrupted_flags(queries, a) == corrupted_flags(queries, b)
         assert [p.source for p in a] == [p.source for p in b]
 
     def test_corrupted_programs_always_wrong(self):

@@ -6,7 +6,6 @@ from tracedistill import interp
 from tracedistill.codegen import generate_program, generate_programs
 from tracedistill.dsl import parse
 from tracedistill.interp import (
-    StepLimits,
     execute,
     faithfulness_filter,
     normalize_answer,
@@ -46,7 +45,7 @@ class TestExecute:
         assert "missing" in trace.error["message"]
 
     def test_step_limit(self, muffins8):
-        trace = execute(parse(COUNTING), muffins8, StepLimits(max_steps=5))
+        trace = execute(parse(COUNTING), muffins8, max_steps=5)
         assert trace.status == "step_limit"
 
     def test_index_out_of_range(self, muffins3):
@@ -146,9 +145,9 @@ class TestSharedAst:
         for source in self.PROGRAMS:
             shared = parse(source)
             for scene in scenes:
-                for limits in (StepLimits(), StepLimits(max_steps=4)):
-                    trace = execute(shared, scene, limits)
-                    assert trace == execute(parse(source), scene, limits)
+                for max_steps in (10_000, 4):
+                    trace = execute(shared, scene, max_steps)
+                    assert trace == execute(parse(source), scene, max_steps)
             assert shared == parse(source)
 
     def test_corpus_sources_survive_every_scene(self):
@@ -254,7 +253,7 @@ class TestFaithfulnessFilter:
         assert reasons[0] == "runtime_error"
 
     def test_step_limit_reason(self, muffins8):
-        trace = execute(parse(COUNTING), muffins8, StepLimits(max_steps=3))
+        trace = execute(parse(COUNTING), muffins8, max_steps=3)
         query = Query("q", "muffins8", "how many muffins", "8")
         _, reasons = faithfulness_filter([(trace, query)])
         assert reasons[0] == "step_limit"

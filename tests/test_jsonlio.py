@@ -1,0 +1,94 @@
+from __future__ import annotations
+
+import json
+import re
+
+import pytest
+
+from tracedistill.codegen import Program
+from tracedistill.distill import DistillExample
+from tracedistill.editing import CotRationale
+from tracedistill.errors import SchemaError
+from tracedistill.jsonlio import read_jsonl, read_rows, write_rows
+from tracedistill.scenes import Query
+from tracedistill.students import ScoredRationale, UtilityOutcome
+
+ROWS = {
+    Query: [Query("q0", "scene_0000", "how many cups", "2"),
+            Query("q1", "scene_0001", "is there a fork", "no")],
+    Program: [Program("pq0", "q0", "count = 0\nreturn str(count)")],
+    CotRationale: [CotRationale("q0", "pq0", "Set n = 2. Therefore the answer is 2.", False,
+                                ["Set n = 2.", "Therefore the answer is 2."], ["<no-gap>"],
+                                {"pruned": True, "merged": False, "bridged": True})],
+    ScoredRationale: [ScoredRationale("q0", [UtilityOutcome("noisy_oracle_0", False, True, "useful"),
+                                             UtilityOutcome("stubborn_2", True, True, "unsure")], 1),
+                      ScoredRationale("q1", [], 0)],
+    DistillExample: [DistillExample("q0", "how many cups", "2", "Set n = 2."),
+                     DistillExample("q1", "is there a fork", "no", None)],
+}
+
+
+class TestRowRoundTrip:
+    @pytest.mark.parametrize("cls", list(ROWS), ids=lambda cls: cls.__name__)
+    def test_rows_read_back_equal(self, tmp_path, cls):
+        path = tmp_path / "rows.jsonl"
+        assert write_rows(path, ROWS[cls]) == len(ROWS[cls])
+        assert read_rows(path, cls) == ROWS[cls]
+
+    def test_outcomes_read_back_as_utility_outcomes(self, tmp_path):
+        path = tmp_path / "scored.jsonl"
+        write_rows(path, ROWS[ScoredRationale])
+        [first, _] = read_rows(path, ScoredRationale)
+        assert all(type(o) is UtilityOutcome for o in first.outcomes)
+        assert list(read_jsonl(path))[0]["outcomes"][0] == vars(first.outcomes[0])
+
+    def test_meta_header_is_written_first_and_skipped(self, tmp_path):
+        path = tmp_path / "dataset.jsonl"
+        assert write_rows(path, ROWS[DistillExample], meta={"rows": 2, "masked": 1}) == 2
+        assert next(read_jsonl(path)) == {"__meta__": {"rows": 2, "masked": 1}}
+        assert read_rows(path, DistillExample) == ROWS[DistillExample]
+
+    def test_bytes_are_the_fields_in_key_order(self, tmp_path):
+        path = tmp_path / "programs.jsonl"
+        write_rows(path, ROWS[Program])
+        assert path.read_text() == (
+            '{"program_id":"pq0","query_id":"q0","source":"count = 0\\nreturn str(count)"}\n'
+        )
+
+
+class TestRowSchemaErrors:
+    def write(self, tmp_path, rows):
+        path = tmp_path / "rows.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return path
+
+    def test_missing_field_names_file_row_and_field(self, tmp_path):
+        good = vars(ROWS[Query][0])
+        path = self.write(tmp_path, [good, {k: v for k, v in good.items() if k != "question"}])
+        with pytest.raises(SchemaError, match=re.escape(f"{path} row 1: missing field 'question'")):
+            read_rows(path, Query)
+
+    def test_unknown_field_names_file_row_and_field(self, tmp_path):
+        path = self.write(tmp_path, [{**vars(ROWS[Query][0]), "extra": 1}])
+        with pytest.raises(SchemaError, match=re.escape(f"{path} row 0: unknown field 'extra'")):
+            read_rows(path, Query)
+
+    def test_row_index_does_not_count_the_header(self, tmp_path):
+        rows = [vars(e) for e in ROWS[DistillExample]]
+        path = self.write(tmp_path, [{"__meta__": {}}, rows[0], {**rows[1], "label2": "x"}])
+        with pytest.raises(SchemaError, match=r"row 1: unknown field 'label2'"):
+            read_rows(path, DistillExample)
+
+    def test_a_bad_outcome_names_its_index(self, tmp_path):
+        row = {"query_id": "q0", "score": 0, "outcomes": [
+            {"student": "s", "before_correct": True, "after_correct": True, "verdict": "unsure"},
+            {"student": "s", "before_correct": True, "after_correct": True},
+        ]}
+        path = self.write(tmp_path, [row])
+        with pytest.raises(SchemaError, match=r"row 0: outcomes\[1\] missing field 'verdict'"):
+            read_rows(path, ScoredRationale)
+
+    def test_a_row_that_is_not_an_object(self, tmp_path):
+        path = self.write(tmp_path, [["q0", "s", "how many cups", "2"]])
+        with pytest.raises(SchemaError, match=r"row 0: missing field"):
+            read_rows(path, Query)

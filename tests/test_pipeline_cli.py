@@ -251,12 +251,11 @@ class TestStageHandoff:
         scenes_by_id = {s.scene_id: s for s in sw.load_scenes(config.path("scenes"))}
         queries = {q.query_id: q for q in sw.load_queries(config.path("queries"))}
         tools = sw.ToolConfig(noise_p=float(config["noise_p"]), noise_seed=config.seeds["scene_gen"])
-        limits = interp.StepLimits(max_steps=int(config["max_steps"]))
         pairs = []
         for row in rows:
             query = queries[row["query_id"]]
             trace = interp.execute(dsl.parse(row["source"]), scenes_by_id[query.scene_id],
-                                   limits, tools, program_id=row["program_id"])
+                                   int(config["max_steps"]), tools, program_id=row["program_id"])
             pairs.append((trace, query))
         _, reasons = interp.faithfulness_filter(pairs)
         fresh = tmp_path / "fresh_traces.jsonl"
@@ -473,6 +472,45 @@ class TestCli:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "EmissionError"
         assert str(sorted(gone)) in report["message"]
+
+    # Each row file, the single-stage verb that reads it, and a field its
+    # rows carry.
+    ROW_FILES = [
+        ("queries.jsonl", "program-gen", "question"),
+        ("programs.jsonl", "exec", "source"),
+        ("rationales.jsonl", "score", "lineage"),
+        ("scored.jsonl", "emit", "score"),
+        ("dataset.jsonl", "train", "rationale"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        workdir = tmp_path_factory.mktemp("built")
+        assert cli.main(["--config", str(write_config(workdir, scene_count=8)), "run-all"]) == 0
+        return workdir
+
+    @pytest.mark.parametrize("change", ["missing", "unknown"])
+    @pytest.mark.parametrize("name,verb,field", ROW_FILES)
+    def test_a_malformed_row_fails_its_reader_with_a_schema_error(
+        self, built, tmp_path, capsys, name, verb, field, change
+    ):
+        workdir = tmp_path / "run"
+        shutil.copytree(built, workdir)
+        lines = (workdir / name).read_text().splitlines()
+        row = 2 if name == "dataset.jsonl" else 1  # the dataset's line 0 is its header
+        record = json.loads(lines[row])
+        if change == "missing":
+            del record[field]
+        else:
+            record["stray"] = 0
+        lines[row] = json.dumps(record)
+        (workdir / name).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["--config", str(workdir / "config.json"), verb]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "SchemaError"
+        named = f"missing field {field!r}" if change == "missing" else "unknown field 'stray'"
+        assert f"{name} row 1: {named}" in report["message"]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
