@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .jsonlio import dumps_canonical, read_json
 
 DEFAULT_STAGE_FILES = {
-    "scenes": "scenes.json",
+    "scenes": "scenes.jsonl",
     "queries": "queries.jsonl",
     "programs": "programs.jsonl",
     "traces": "traces.jsonl",

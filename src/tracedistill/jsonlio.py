@@ -9,7 +9,9 @@ in-memory rows always serialize to identical bytes.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import os
 import typing
 import urllib.request
 from dataclasses import fields, is_dataclass
@@ -24,15 +26,24 @@ def dumps_canonical(obj: Any) -> str:
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    """Write one canonical JSON object per line; returns the row count."""
+    """Write one canonical JSON object per line; returns the row count.
+
+    ``rows`` is consumed one row at a time, into a temp file beside ``path``
+    that replaces ``path`` once every row is written. If ``rows`` raises,
+    the temp file is deleted and ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(dumps_canonical(row))
-            fh.write("\n")
-            n += 1
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for row in rows:
+                fh.write(dumps_canonical(row))
+                fh.write("\n")
+                n += 1
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return n
 
 
@@ -65,7 +76,7 @@ def write_rows(path: str | Path, rows: Iterable, meta: dict | None = None) -> in
     ``meta``, a ``{"__meta__": meta}`` header line comes first. Returns the
     row count, the header not counted."""
     header = [] if meta is None else [{"__meta__": meta}]
-    return write_jsonl(path, [*header, *map(_record, rows)]) - len(header)
+    return write_jsonl(path, itertools.chain(header, map(_record, rows))) - len(header)
 
 
 def _build(cls: type, row, where: str):
@@ -76,6 +87,8 @@ def _build(cls: type, row, where: str):
         raise SchemaError(f"{where}missing field {min(missing)!r}" if missing
                           else f"{where}unknown field {min(keys - names)!r}")
     for name, inner in nested.items():
+        if not (isinstance(row[name], list) and all(isinstance(item, dict) for item in row[name])):
+            raise SchemaError(f"{where}field {name!r} must be a list of objects")
         row[name] = [_build(inner, item, f"{where}{name}[{j}] ") for j, item in enumerate(row[name])]
     return cls(**row)
 
@@ -83,9 +96,10 @@ def _build(cls: type, row, where: str):
 def read_rows(path: str | Path, cls: type) -> list:
     """Read a file ``write_rows`` wrote back into ``cls`` rows, skipping a
     first-line ``__meta__`` header. A row whose keys are not exactly
-    ``cls``'s fields (or, in a list of dataclasses, its items') raises a
-    SchemaError naming the file, the row (counted from 0, the header not
-    counted) and the field."""
+    ``cls``'s fields (or, in a list of dataclasses, its items'), or whose
+    list-of-dataclasses field is not a list of objects, raises a SchemaError
+    naming the file, the row (counted from 0, the header not counted) and
+    the field."""
     out = []
     for i, row in enumerate(read_jsonl(path)):
         if i or not (isinstance(row, dict) and "__meta__" in row):

@@ -4,7 +4,9 @@ Every stage writes its JSONL/JSON stage file. A stage called on its own
 (a single-stage CLI verb) reads its inputs back from those files, so any
 stage can be rerun in isolation; ``run_all`` instead hands each stage the
 rows the earlier stages produced, in memory, and only train reads a file
-an earlier stage wrote. Rows are processed in input order; a malformed
+an earlier stage wrote. Exec writes each trace as it runs, and edit, called
+on its own, reads traces.jsonl one row at a time, so neither holds the
+whole traces file. Rows are processed in input order; a malformed
 row fails with its index and is recorded, aborting the batch only under
 --strict. Every run appends stage entries to the manifest, which tracks the
 filter funnel (generated, executed, faithful-kept, score-kept, emitted).
@@ -112,16 +114,25 @@ class _Rows:
         except Exception as exc:
             self.fail(i, ids, exc)
 
+    def each(self, rows, fn):
+        """Lazily yield ``fn(i, row)`` for each row in order, recording a row
+        whose call raises instead; under strict the first failed row raises."""
+        for i, row in enumerate(rows):
+            try:
+                result = fn(i, row)
+            except Exception as exc:
+                self.fail(i, (row.query_id, getattr(row, "program_id", None)), exc)
+            else:
+                yield result
+            if self.error is not None:
+                raise self.error
+
 
 def _map_rows(stage: str, rows, fn, strict: bool):
     """Order-preserving per-row map with crash isolation; under strict the
     first failed row aborts the stage."""
     out = _Rows(stage, strict)
-    for i, row in enumerate(rows):
-        out.run(i, (row.query_id, getattr(row, "program_id", None)), fn, i, row)
-        if out.error is not None:
-            raise out.error
-    return out.rows, out.errors
+    return list(out.each(rows, fn)), out.errors
 
 
 def _input(config: PipelineConfig, held: dict | None, name: str, load, *args):
@@ -226,6 +237,10 @@ def _handed_over(kept: list):
 @_collector_paused
 def stage_exec(config: PipelineConfig, manifest: RunManifest,
                held: dict | None = None) -> None:
+    """Execute each program, give its trace the faithfulness filter's
+    verdict and write it to traces.jsonl, one row at a time. Only under
+    run_all is a trace kept past its row: the kept (trace, query) pairs,
+    which edit takes in memory."""
     started = time.monotonic()
     scenes_by_id = {s.scene_id: s for s in _input(config, held, "scenes", sw.load_scenes)}
     queries = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
@@ -234,6 +249,8 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
     # execute only reads the AST. A source that fails to parse is not kept,
     # so each of its rows fails with the same error.
     asts = {}
+    reasons = Counter()
+    kept = []
 
     def run_row(i, program):
         query = queries[program.query_id]
@@ -241,29 +258,28 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
             asts[program.source] = parse(program.source)
         trace = execute(asts[program.source], scenes_by_id[query.scene_id], config["max_steps"],
                         tools, program_id=program.program_id)
-        return trace, query
+        pair, [reason] = faithfulness_filter([(trace, query)])
+        record = trace_to_record(trace, query.query_id, reason)
+        reasons[reason] += 1
+        if held is not None:
+            kept.extend(pair)
+        return record
 
     rows = _input(config, held, "programs", read_rows, codegen.Program)
-    pairs, errors = _map_rows("exec", rows, run_row, config["strict"])
-    kept, verdicts = faithfulness_filter(pairs)
-    write_jsonl(
-        config.path("traces"),
-        (trace_to_record(trace, query.query_id, reason)
-         for (trace, query), reason in zip(pairs, verdicts)),
-    )
-    reasons = Counter(verdicts)
-    manifest.counts["executed"] = len(pairs)
-    manifest.counts["faithful_kept"] = len(kept)
+    out = _Rows("exec", config["strict"])
+    executed = write_jsonl(config.path("traces"), out.each(rows, run_row))
+    manifest.counts["executed"] = executed
+    manifest.counts["faithful_kept"] = reasons[None]
     manifest.record(
-        "exec", started, rows_in=len(rows), rows_out=len(pairs), errors=errors,
+        "exec", started, rows_in=len(rows), rows_out=executed, errors=out.errors,
         extra={
             "distinct_sources": len(asts),
-            "faithful_kept": len(kept),
+            "faithful_kept": reasons[None],
             "rejected": {reason: reasons[reason] for reason in REJECT_REASONS},
         },
     )
     if held is not None:
-        held["traces"] = len(pairs), _handed_over(kept)
+        held["traces"] = Counter(rows=executed), _handed_over(kept)
 
 
 # ---------------------------------------------------------------------------
@@ -288,21 +304,20 @@ def _decode_kept(rec: dict):
 
 
 def _kept_traces(path):
-    """The number of rows in traces.jsonl at ``path``, and a lazy stream of
-    the decoded traces exec kept (see ``_decode_kept``)."""
-    rows = list(read_jsonl(path))
-    if any("reject_reason" not in rec for rec in rows):
-        raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
-    kept = [rec for rec in rows if rec["reject_reason"] is None]
+    """A Counter whose "rows" counts the traces.jsonl rows at ``path`` read so
+    far, and a lazy stream of the decoded traces exec kept (see
+    ``_decode_kept``), read one row at a time."""
+    read = Counter()
 
     def decoded():
-        # Drop each raw row once it is decoded, so that the raw and the
-        # decoded corpus are never held in full at the same time.
-        for i, rec in enumerate(kept):
-            kept[i] = None
-            yield _decode_kept(rec)
+        for rec in read_jsonl(path):
+            read["rows"] += 1
+            if "reject_reason" not in rec:
+                raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
+            if rec["reject_reason"] is None:
+                yield _decode_kept(rec)
 
-    return len(rows), decoded()
+    return read, decoded()
 
 
 def edit_draft(trace: ExecutionTrace, flags: dict) -> tuple[editing.TaggedDraft, editing.SymbolicTrace]:
@@ -370,9 +385,9 @@ def stage_edit(config: PipelineConfig, manifest: RunManifest,
     """Edit the traces exec kept: exec's in-memory traces from run_all,
     otherwise traces.jsonl and nothing else."""
     started = time.monotonic()
-    rows_in, kept = _input(config, held, "traces", _kept_traces)
+    read, kept = _input(config, held, "traces", _kept_traces)
     [out] = _edit_rows(kept, [config.edit_flags], _bridger(config), config["strict"])
-    _write_edit(config, manifest, started, rows_in, out)
+    _write_edit(config, manifest, started, read["rows"], out)
     if held is not None:
         held["rationales"] = out.rows
 
@@ -550,8 +565,9 @@ def run_ablation(config: PipelineConfig) -> dict:
             raise StageError("ablate", f"missing base corpus file: {config.path(stage)}")
     queries = sw.load_queries(config.path("queries"))
     bridger = _bridger(config)
-    rows_in, kept = _kept_traces(config.path("traces"))
+    read, kept = _kept_traces(config.path("traces"))
     kept = list(kept)
+    rows_in = read["rows"]
     trained: dict = {}  # stage_train's reports, shared by every cell
     cells = {}
     for prune_on in (False, True):

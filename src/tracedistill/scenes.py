@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import SceneLookupError, SchemaError
-from .jsonlio import read_json, read_rows, write_json
+from .jsonlio import read_jsonl, read_rows, write_jsonl
 
 CANVAS = (224, 224)
 
@@ -213,23 +213,25 @@ def scene_to_record(scene: Scene) -> dict:
 
 
 def load_scenes(path: str | Path) -> list[Scene]:
-    """Load and validate a scenes.json file (top-level list of records)."""
-    raw = read_json(path)
-    if not isinstance(raw, list):
-        raise SchemaError("scenes file must hold a top-level list")
+    """Load and validate scenes.jsonl, one scene record per line, read one
+    line at a time. An invalid record or a repeated ``scene_id`` is a
+    SchemaError that starts ``<path> row <i>:``."""
     scenes = []
     seen: set[str] = set()
-    for rec in raw:
-        scene = scene_from_record(rec)
+    for i, rec in enumerate(read_jsonl(path)):
+        try:
+            scene = scene_from_record(rec)
+        except SchemaError as exc:
+            raise SchemaError(f"{path} row {i}: {exc}") from exc
         if scene.scene_id in seen:
-            raise SchemaError(f"duplicate scene_id {scene.scene_id!r}")
+            raise SchemaError(f"{path} row {i}: duplicate scene_id {scene.scene_id!r}")
         seen.add(scene.scene_id)
         scenes.append(scene)
     return scenes
 
 
 def save_scenes(path: str | Path, scenes: Iterable[Scene]) -> None:
-    write_json(path, [scene_to_record(s) for s in scenes])
+    write_jsonl(path, map(scene_to_record, scenes))
 
 
 # ---------------------------------------------------------------------------
@@ -564,6 +566,6 @@ def load_queries(path: str | Path) -> list[Query]:
     seen: set[str] = set()
     for i, query in enumerate(queries):
         if query.query_id in seen:
-            raise SchemaError(f"queries row {i}: duplicate query_id {query.query_id!r}")
+            raise SchemaError(f"{path} row {i}: duplicate query_id {query.query_id!r}")
         seen.add(query.query_id)
     return queries

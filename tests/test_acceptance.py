@@ -220,7 +220,7 @@ def test_conciseness_and_keep_rate_ordering(ablation_report):
 
 
 STAGE_FILES = [
-    "scenes.json", "queries.jsonl", "programs.jsonl", "traces.jsonl",
+    "scenes.jsonl", "queries.jsonl", "programs.jsonl", "traces.jsonl",
     "rationales.jsonl", "scored.jsonl", "dataset.jsonl", "metrics.json",
 ]
 

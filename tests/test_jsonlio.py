@@ -9,7 +9,7 @@ from tracedistill.codegen import Program
 from tracedistill.distill import DistillExample
 from tracedistill.editing import CotRationale
 from tracedistill.errors import SchemaError
-from tracedistill.jsonlio import read_jsonl, read_rows, write_rows
+from tracedistill.jsonlio import read_jsonl, read_rows, write_jsonl, write_rows
 from tracedistill.scenes import Query
 from tracedistill.students import ScoredRationale, UtilityOutcome
 
@@ -92,3 +92,27 @@ class TestRowSchemaErrors:
         path = self.write(tmp_path, [["q0", "s", "how many cups", "2"]])
         with pytest.raises(SchemaError, match=r"row 0: missing field"):
             read_rows(path, Query)
+
+    @pytest.mark.parametrize("outcomes", [None, {}, [1]], ids=["null", "object", "item_not_an_object"])
+    def test_outcomes_not_a_list_of_objects_names_file_row_and_field(self, tmp_path, outcomes):
+        good = {"query_id": "q0", "score": 0, "outcomes": []}
+        path = self.write(tmp_path, [good, {**good, "outcomes": outcomes}])
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path} row 1: field 'outcomes' must be a list of objects")):
+            read_rows(path, ScoredRationale)
+
+
+class TestWriteJsonl:
+    def test_a_failed_write_leaves_the_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"a": 1}, {"a": 2}])
+        before = path.read_bytes()
+
+        def rows():
+            yield {"a": 3}
+            raise RuntimeError("row 1 failed")
+
+        with pytest.raises(RuntimeError, match="row 1 failed"):
+            write_jsonl(path, rows())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]

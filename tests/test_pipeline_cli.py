@@ -20,7 +20,7 @@ from tracedistill.jsonlio import read_json, read_jsonl, write_jsonl
 from tracedistill.pipeline import new_manifest, run_ablation, run_all, stage_edit
 
 STAGE_FILES = [
-    "scenes.json",
+    "scenes.jsonl",
     "queries.jsonl",
     "programs.jsonl",
     "traces.jsonl",
@@ -314,6 +314,68 @@ class TestStageHandoff:
         assert extra["mean_tokens"] == sum(len(t.split()) for t in texts) / len(texts)
 
 
+class TestStreaming:
+    """A stage called on its own holds one trace at a time: exec writes each
+    trace before it runs the next program, and edit decodes the kept traces
+    while it is still reading traces.jsonl."""
+
+    def test_exec_writes_each_trace_before_it_runs_the_next(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path))
+        manifest = new_manifest(config)
+        pipeline.stage_scene_gen(config, manifest)
+        pipeline.stage_program_gen(config, manifest)
+        calls = count_calls(monkeypatch, [(interp, "execute"), (interp, "trace_to_record")])
+        pipeline.stage_exec(config, manifest)
+        assert [name for name, _ in calls] == ["execute", "trace_to_record"] * 20
+
+    def test_edit_decodes_a_kept_trace_before_the_last_row_is_read(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        before = config.path("rationales").read_bytes()
+        events = []
+
+        def read_logged(path, _real=jsonlio.read_jsonl):
+            for row in _real(path):
+                events.append("row")
+                yield row
+
+        def decode_logged(rec, _real=pipeline.trace_from_record):
+            events.append("decode")
+            return _real(rec)
+
+        monkeypatch.setattr(pipeline, "read_jsonl", read_logged)
+        monkeypatch.setattr(pipeline, "trace_from_record", decode_logged)
+        stage_edit(config, new_manifest(config))
+        assert (events.count("row"), events.count("decode")) == (20, 15)
+        last_row = max(i for i, event in enumerate(events) if event == "row")
+        assert events.index("decode") < last_row
+        assert config.path("rationales").read_bytes() == before
+
+    def test_a_late_row_without_a_verdict_writes_no_rationale(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        before = config.path("rationales").read_bytes()
+        rows = list(read_jsonl(config.path("traces")))
+        del rows[-1]["reject_reason"]
+        write_jsonl(config.path("traces"), rows)
+        with pytest.raises(StageError, match="rerun exec"):
+            stage_edit(config, new_manifest(config))
+        assert config.path("rationales").read_bytes() == before
+
+    def test_strict_exec_abort_leaves_the_traces_file_as_it_was(self, tmp_path):
+        config = load_config(write_config(tmp_path, strict=True))
+        run_all(config)
+        before = config.path("traces").read_bytes()
+        rows = list(read_jsonl(config.path("programs")))
+        rows[2]["source"] = "this is (not valid"
+        write_jsonl(config.path("programs"), rows)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(StageError, match="exec row 2"):
+            pipeline.stage_exec(config, new_manifest(config))
+        assert config.path("traces").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
 class TestEditToggles:
     def test_identity_edit_equals_rendered_raw_trace(self, tmp_path):
         config = load_config(write_config(tmp_path, corruption_rate=0.0))
@@ -588,7 +650,7 @@ class TestCli:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "ConfigError"
         assert message in report["message"]
-        assert not (tmp_path / "scenes.json").exists()
+        assert not (tmp_path / "scenes.jsonl").exists()
 
     def test_negative_seed_rejected_before_scene_gen(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -596,7 +658,7 @@ class TestCli:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "ConfigError"
         assert "must be >= 0" in report["message"]
-        assert not (tmp_path / "scenes.json").exists()
+        assert not (tmp_path / "scenes.jsonl").exists()
 
     def test_noisy_oracle_seed_defaults_to_the_rebased_students_seed(self, tmp_path):
         specs = [{"kind": "noisy_oracle"}, {"kind": "noisy_oracle", "seed": 3}]
@@ -666,13 +728,13 @@ class TestCli:
 
     def test_score_emit_and_ablate_read_no_scenes(self, tmp_path):
         """Students take the answer scene-gen recorded, so score, emit and
-        ablate write the same bytes without scenes.json."""
+        ablate write the same bytes without scenes.jsonl."""
         kept, gone = tmp_path / "kept", tmp_path / "gone"
         kept.mkdir()
         config_path = write_config(kept, scene_count=40, corruption_rate=0.2)
         assert cli.main(["--config", str(config_path), "run-all"]) == 0
         shutil.copytree(kept, gone)
-        (gone / "scenes.json").unlink()
+        (gone / "scenes.jsonl").unlink()
         for workdir in (kept, gone):
             for verb in ["score", "emit", "ablate"]:
                 rc = cli.main(["--config", str(workdir / "config.json"), verb])
@@ -680,7 +742,7 @@ class TestCli:
 
         def written(workdir):
             return sorted(p.relative_to(workdir) for p in workdir.rglob("*")
-                          if p.is_file() and p.name not in ("manifest.json", "scenes.json"))
+                          if p.is_file() and p.name not in ("manifest.json", "scenes.jsonl"))
 
         assert written(kept) == written(gone)
         assert len(written(kept)) > 8 * len(pipeline.CELL_FILES)
@@ -692,7 +754,7 @@ class TestCli:
         dir_a.mkdir(), dir_b.mkdir()
         assert cli.main(["--config", str(write_config(dir_a)), "--seed", "1", "run-all"]) == 0
         assert cli.main(["--config", str(write_config(dir_b)), "--seed", "2", "run-all"]) == 0
-        assert (dir_a / "scenes.json").read_bytes() != (dir_b / "scenes.json").read_bytes()
+        assert (dir_a / "scenes.jsonl").read_bytes() != (dir_b / "scenes.jsonl").read_bytes()
 
 
 class TestExternalEndpoints:
@@ -979,8 +1041,10 @@ class TestAblate:
 class TestExecPinned:
     """Exec's bytes and the parser's trees, pinned at n=60, corruption 0.2,
     default seeds. A change to the lexer, parser or interpreter that moves a
-    node id, a payload or a trace event moves one of these."""
+    node id, a payload or a trace event moves one of these. Exec's inputs
+    are pinned too: scenes.jsonl here, queries.jsonl in TestAblate."""
 
+    SCENES_SHA256 = "0eda2a46fac0f6107387b56ce125fd9ed937a8550206b78d1d43d5df041d1c12"
     TRACES_SHA256 = "a4a5aaf85a7c462b1b56066f2ba64c2e9dee14a668efeca9c826be56e7822377"
     # over the (id, kind, children, payload) lists of the 48 distinct sources
     PARSE_SHA256 = "69e70d8497506de235e8d7adbf9a04fb300587efa37c60b20922f621e978a403"
@@ -993,6 +1057,9 @@ class TestExecPinned:
         for stage in ("scene-gen", "program-gen", "exec"):
             pipeline.STAGES[stage](config, manifest)
         return config
+
+    def test_scenes_are_pinned(self, staged):
+        assert sha256_of(staged.path("scenes")) == self.SCENES_SHA256
 
     def test_traces_are_pinned(self, staged):
         assert sha256_of(staged.path("traces")) == self.TRACES_SHA256

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from tracedistill.scenes import (
     load_scenes,
     parse_question,
     save_scenes,
+    scene_to_record,
     tool_best_text_match,
     tool_compute_depth,
     tool_distance,
@@ -30,8 +32,8 @@ from tracedistill.scenes import (
 
 
 def write_scene_file(tmp_path, records):
-    path = tmp_path / "scenes.json"
-    path.write_text(json.dumps(records))
+    path = tmp_path / "scenes.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     return path
 
 
@@ -58,8 +60,17 @@ class TestLoadScenes:
             load_scenes(write_scene_file(tmp_path, [bad]))
 
     def test_duplicate_scene_id_rejected(self, tmp_path):
-        with pytest.raises(SchemaError, match="duplicate scene_id"):
-            load_scenes(write_scene_file(tmp_path, [GOOD_SCENE, GOOD_SCENE]))
+        path = write_scene_file(tmp_path, [GOOD_SCENE, GOOD_SCENE])
+        with pytest.raises(SchemaError, match=re.escape(f"{path} row 1: duplicate scene_id 's0'")):
+            load_scenes(path)
+
+    def test_invalid_record_names_file_and_row(self, tmp_path):
+        bad = {**json.loads(json.dumps(GOOD_SCENE)), "scene_id": "s1"}
+        del bad["relations"]
+        path = write_scene_file(tmp_path, [GOOD_SCENE, bad])
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path} row 1: scene record missing field 'relations'")):
+            load_scenes(path)
 
     def test_missing_field_named(self, tmp_path):
         bad = json.loads(json.dumps(GOOD_SCENE))
@@ -81,11 +92,19 @@ class TestLoadScenes:
 
     def test_save_load_round_trip_byte_identical(self, tmp_path):
         scenes = generate_scenes(50, seed=123)
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
+        first = tmp_path / "a.jsonl"
+        second = tmp_path / "b.jsonl"
         save_scenes(first, scenes)
         save_scenes(second, load_scenes(first))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_one_scene_record_per_line(self, tmp_path):
+        scenes = generate_scenes(5, seed=123)
+        path = tmp_path / "scenes.jsonl"
+        save_scenes(path, scenes)
+        lines = path.read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [scene_to_record(s) for s in scenes]
+        assert lines[0] == json.dumps(scene_to_record(scenes[0]), sort_keys=True, separators=(",", ":"))
 
 
 class TestLoadQueries:
@@ -98,8 +117,9 @@ class TestLoadQueries:
 
     def test_duplicate_query_id_rejected(self, tmp_path):
         second = {**self.ROW, "question": "Is there a cup?", "expected_answer": "yes"}
-        with pytest.raises(SchemaError, match="queries row 1: duplicate query_id 'q0'"):
-            load_queries(self.write(tmp_path, [self.ROW, second]))
+        path = self.write(tmp_path, [self.ROW, second])
+        with pytest.raises(SchemaError, match=re.escape(f"{path} row 1: duplicate query_id 'q0'")):
+            load_queries(path)
 
 
 class TestGenerateScenes:
