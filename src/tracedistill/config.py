@@ -5,7 +5,9 @@ reproducible; the config hash pins a run in the manifest.
 This module alone knows the config's shape: a key's default (in ``DEFAULTS``
 or ``STUDENT_DEFAULTS``) gives its type, and ``BOUNDS`` what it must be
 beyond that. Each ``PipelineConfig`` is walked against them when built, so
-the stages read every value as it is.
+the stages read every value as it is. Each default is written here once;
+the student classes have none. An external client is on exactly when its
+``endpoint`` is non-empty.
 """
 
 from __future__ import annotations
@@ -40,16 +42,16 @@ DEFAULTS = {
     "edit": {"prune": True, "merge": True, "bridge": True},
     "students": [
         {"kind": "noisy_oracle", "seed": 11, "failure_rate": 0.5},
-        {"kind": "rationale_sensitive", "trigger_mode": "answer"},
-        {"kind": "stubborn", "fixed_answer": "yes"},
+        {"kind": "rationale_sensitive"},
+        {"kind": "stubborn"},
     ],
     "min_score": 0,
     "harm_verdict": -1,
     "lambda": 1.0,
     "train": {"epochs": 60, "step_size": 0.5},
     "max_steps": 10_000,
-    "external_generator": {"enabled": False, "endpoint": "", "api_doc_version": "v1", "timeout": 5.0},
-    "external_bridger": {"enabled": False, "endpoint": "", "timeout": 5.0},
+    "external_generator": {"endpoint": "", "api_doc_version": "v1", "timeout": 5.0},
+    "external_bridger": {"endpoint": "", "timeout": 5.0},
     "seeds": {"scene_gen": 101, "query_gen": 102, "program_gen": 103, "students": 104, "train": 105},
     "strict": False,
 }
@@ -60,7 +62,7 @@ DEFAULTS = {
 # `seed` the effective `seeds.students` instead of this table's 0.
 STUDENT_DEFAULTS = {
     "noisy_oracle": {"seed": 0, "failure_rate": 0.0},
-    "rationale_sensitive": {"trigger_mode": "answer", "token_budget": None},
+    "rationale_sensitive": {"token_budget": None},
     "stubborn": {"fixed_answer": "yes"},
 }
 
@@ -89,7 +91,6 @@ BOUNDS = {
     "external_generator.timeout": _POSITIVE,
     "external_bridger.timeout": _POSITIVE,
     "students.failure_rate": _RATE,
-    "students.trigger_mode": (lambda v: v in ("answer", "fact"), "unknown trigger_mode {1!r}"),
     "students.token_budget": _bound(lambda v: v >= 0, "be null or an integer >= 0"),
     "students.fixed_answer": _bound(lambda v: v != "", "be a non-empty string"),
 }

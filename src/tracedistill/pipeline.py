@@ -205,7 +205,7 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest,
     queries = _input(config, held, "queries", sw.load_queries)
     errors: list[dict] = []
     external = config["external_generator"]
-    if external["enabled"]:
+    if external["endpoint"]:
         scenes_by_id = {s.scene_id: s for s in _input(config, held, "scenes", sw.load_scenes)}
 
         def run_row(i, query):
@@ -289,7 +289,7 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
 
 def _bridger(config: PipelineConfig):
     external = config["external_bridger"]
-    if not external["enabled"]:
+    if not external["endpoint"]:
         return None
     return editing.HttpBridger(external["endpoint"], external["timeout"])
 
@@ -510,7 +510,7 @@ STAGES = {
     "train": stage_train,
 }
 
-RUN_ALL_ORDER = ["scene-gen", "program-gen", "exec", "edit", "score", "emit", "train"]
+RUN_ALL_ORDER = list(STAGES)
 
 
 @_collector_paused

@@ -57,7 +57,6 @@ class Scene:
     scene_id: str
     objects: tuple[SceneObject, ...]
     relations: tuple[tuple[str, str, str], ...]  # (subject_id, predicate, object_id)
-    canvas: tuple[int, int] = CANVAS
 
     def object_by_id(self, oid: str) -> SceneObject:
         for obj in self.objects:
@@ -135,16 +134,20 @@ class ToolConfig:
 
 
 def full_canvas_patch(scene: Scene) -> Patch:
-    w, h = scene.canvas
-    return Patch(scene_ref=scene.scene_id, box=(0, 0, w, h))
+    return Patch(scene_ref=scene.scene_id, box=(0, 0, *CANVAS))
 
 
 # ---------------------------------------------------------------------------
 # validation / persistence
 
-def _validate_box(box: Sequence[int], where: str) -> tuple[int, int, int, int]:
-    if len(box) != 4 or not all(isinstance(v, (int, float)) for v in box):
-        raise SchemaError(f"{where}: box must be four numbers")
+def _is_number(value) -> bool:
+    """A finite int or float, as JSON gives them; a bool is not a number."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def _validate_box(box, where: str) -> tuple[int, int, int, int]:
+    if not isinstance(box, list) or len(box) != 4 or not all(map(_is_number, box)):
+        raise SchemaError(f"{where}: box must be four finite numbers, got {box!r}")
     l, lo, r, u = (int(v) for v in box)
     if not (0 <= l < r <= CANVAS[0]):
         raise SchemaError(f"{where}: box horizontal extent invalid ({l}, {r})")
@@ -153,40 +156,57 @@ def _validate_box(box: Sequence[int], where: str) -> tuple[int, int, int, int]:
     return (l, lo, r, u)
 
 
-def scene_from_record(rec: dict) -> Scene:
+def scene_from_record(rec) -> Scene:
+    """The scene a scenes.jsonl record holds. A record with a field missing,
+    or of the wrong type or out of bounds, is a SchemaError naming it."""
+    if not isinstance(rec, dict):
+        raise SchemaError(f"scene record must be an object, got {rec!r}")
     for key in ("scene_id", "objects", "relations"):
         if key not in rec:
             raise SchemaError(f"scene record missing field {key!r}")
     sid = rec["scene_id"]
+    if not isinstance(sid, str):
+        raise SchemaError(f"scene_id must be a string, got {sid!r}")
+    for key in ("objects", "relations"):
+        if not isinstance(rec[key], list):
+            raise SchemaError(f"scene {sid!r}: {key} must be a list, got {rec[key]!r}")
     objects = []
     seen_ids: set[str] = set()
     for obj in rec["objects"]:
+        if not isinstance(obj, dict):
+            raise SchemaError(f"scene {sid!r}: object must be an object, got {obj!r}")
         for key in ("id", "name", "box", "attributes", "depth"):
             if key not in obj:
                 raise SchemaError(f"scene {sid!r}: object missing field {key!r}")
-        if not obj["name"]:
-            raise SchemaError(f"scene {sid!r}: object {obj['id']!r} has empty name")
+        if not isinstance(obj["id"], str):
+            raise SchemaError(f"scene {sid!r}: object id must be a string, got {obj['id']!r}")
+        where = f"scene {sid!r}: object {obj['id']!r}"
+        if not isinstance(obj["name"], str) or not obj["name"]:
+            raise SchemaError(f"{where} name must be a non-empty string, got {obj['name']!r}")
         if obj["id"] in seen_ids:
             raise SchemaError(f"scene {sid!r}: duplicate object id {obj['id']!r}")
         seen_ids.add(obj["id"])
         attrs = obj["attributes"]
-        if len(attrs) != len(set(attrs)):
-            raise SchemaError(f"scene {sid!r}: object {obj['id']!r} has duplicate attributes")
-        depth = float(obj["depth"])
-        if not math.isfinite(depth) or depth < 0:
-            raise SchemaError(f"scene {sid!r}: object {obj['id']!r} depth must be finite and >= 0")
+        if not isinstance(attrs, list) or not all(isinstance(a, str) for a in attrs):
+            raise SchemaError(f"{where} attributes must be a list of strings, got {attrs!r}")
+        attributes = frozenset(attrs)
+        if len(attributes) != len(attrs):
+            raise SchemaError(f"{where} has duplicate attributes")
+        depth = obj["depth"]
+        if not _is_number(depth) or depth < 0:
+            raise SchemaError(f"{where} depth must be a finite number >= 0, got {depth!r}")
         objects.append(
             SceneObject(
                 id=obj["id"],
                 name=obj["name"],
-                box=_validate_box(obj["box"], f"scene {sid!r} object {obj['id']!r}"),
-                attributes=frozenset(attrs),
-                depth=depth,
+                box=_validate_box(obj["box"], where),
+                attributes=attributes,
+                depth=float(depth),
             )
         )
     relations = []
     for rel in rec["relations"]:
-        if len(rel) != 3:
+        if not isinstance(rel, list) or len(rel) != 3 or not all(isinstance(part, str) for part in rel):
             raise SchemaError(f"scene {sid!r}: relation must be [subject, predicate, object]")
         subj, pred, obj_id = rel
         if subj not in seen_ids or obj_id not in seen_ids:

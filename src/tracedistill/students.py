@@ -8,6 +8,11 @@ Rationales with score >= min_score (default 0) are retained.
 
 A student's truth is the query's ``expected_answer``, which scene-gen
 computed on the query's own scene, so scoring needs no scene.
+
+A built-in student kind is a dataclass here, named in ``_KINDS``, whose
+fields are ``name`` and its spec keys, none with a default: the keys'
+defaults and bounds are in ``config``, and ``builtin_students`` passes
+every field.
 """
 
 from __future__ import annotations
@@ -110,9 +115,9 @@ class NoisyOracleStudent:
     from the scene's oracle answer; the faithfulness filter, the labels and
     ``rationale_sensitive`` already take ``expected_answer``."""
 
-    seed: int = 0
-    failure_rate: float = 0.0
-    name: str = "noisy_oracle"
+    name: str
+    seed: int
+    failure_rate: float
 
     def _fails(self, question: str) -> bool:
         digest = sha256(f"noisy|{self.seed}|{question}".encode("utf-8")).digest()
@@ -128,14 +133,11 @@ class NoisyOracleStudent:
 @dataclass
 class RationaleSensitiveStudent:
     """Fails by default; succeeds when the rationale mentions the expected
-    answer (trigger_mode "answer") or shares any token with the question,
-    function words included (trigger_mode "fact": "is there a cup" fires on
-    "...answer is no."). An optional token budget models a short attention
-    span: the trigger must appear within the first ``token_budget`` tokens."""
+    answer. An optional token budget models a short attention span: the
+    answer must appear within the first ``token_budget`` tokens."""
 
-    trigger_mode: str = "answer"
-    token_budget: int | None = None
-    name: str = "rationale_sensitive"
+    name: str
+    token_budget: int | None
 
     def answer(self, query: Query, context: str | None = None) -> str:
         if not context:
@@ -143,11 +145,7 @@ class RationaleSensitiveStudent:
         window = context.split()
         if self.token_budget is not None:
             window = window[: self.token_budget]
-        seen = _tokens(" ".join(window))
-        if self.trigger_mode == "answer":
-            hit = normalize_answer(query.expected_answer) in seen
-        else:
-            hit = bool(_tokens(query.question) & seen)
+        hit = normalize_answer(query.expected_answer) in _tokens(" ".join(window))
         return query.expected_answer if hit else "unknown"
 
 
@@ -156,8 +154,8 @@ class StubbornStudent:
     """Ignores context entirely; answers a fixed token, so its verdicts can
     only be unsure (0) or non-useful (-1)."""
 
-    fixed_answer: str = "yes"
-    name: str = "stubborn"
+    name: str
+    fixed_answer: str
 
     def answer(self, query: Query, context: str | None = None) -> str:
         return self.fixed_answer
@@ -176,7 +174,6 @@ def builtin_students(specs: list[dict]) -> list[StudentOracle]:
     its kind does not have is ignored."""
     students: list[StudentOracle] = []
     for i, spec in enumerate(specs):
-        keys = student_keys(spec, i)
-        args = {key: spec[key] if key in spec else default for key, default in keys.items()}
+        args = {key: spec.get(key, default) for key, default in student_keys(spec, i).items()}
         students.append(_KINDS[args.pop("kind")](**args))
     return students

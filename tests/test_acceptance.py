@@ -32,7 +32,7 @@ from tracedistill.jsonlio import read_json, read_jsonl
 from tracedistill.pipeline import run_ablation, run_all
 from tracedistill.scenes import Query, generate_queries, generate_scenes, parse_question
 from tracedistill.students import (
-    RationaleSensitiveStudent,
+    builtin_students,
     keeps,
     utility_score,
     verdict_for,
@@ -159,7 +159,7 @@ def test_directional_distillation_effect():
         queries = [
             Query(e.query_id, "synthetic", e.question, e.label) for e in examples
         ]
-        student = RationaleSensitiveStudent()
+        [student] = builtin_students([{"kind": "rationale_sensitive"}])
         filtered = []
         for example, query in zip(examples, queries):
             if example.rationale is None:

@@ -128,15 +128,15 @@ def stub_endpoint():
     server.server_close()
 
 
-def enabled_generator(endpoint: str, **settings) -> dict:
-    """The config's ``external_generator`` settings, enabled at ``endpoint``."""
-    return {**DEFAULTS["external_generator"], "enabled": True, "endpoint": endpoint, **settings}
+def generator_at(endpoint: str, **settings) -> dict:
+    """The config's ``external_generator`` settings, pointed at ``endpoint``."""
+    return {**DEFAULTS["external_generator"], "endpoint": endpoint, **settings}
 
 
 class TestExternalGenerator:
     def test_valid_source_accepted(self, table_scene, stub_endpoint):
         _StubHandler.response_source = "flag = image.exists('dog')\nreturn bool_to_yesno(flag)"
-        config = enabled_generator(stub_endpoint)
+        config = generator_at(stub_endpoint)
         query = Query("q", "table", "is there a dog", "no")
         program = external_generate(config, query, scene_summary(table_scene))
         assert program.source == _StubHandler.response_source
@@ -145,13 +145,13 @@ class TestExternalGenerator:
 
     def test_unparseable_source_rejected(self, table_scene, stub_endpoint):
         _StubHandler.response_source = "def nope(:"
-        config = enabled_generator(stub_endpoint)
+        config = generator_at(stub_endpoint)
         query = Query("q", "table", "is there a dog", "no")
         with pytest.raises(GenerationError, match="unparseable"):
             external_generate(config, query, scene_summary(table_scene))
 
     def test_transport_failure_reported(self, table_scene):
-        config = enabled_generator("http://127.0.0.1:1/", timeout=0.2)
+        config = generator_at("http://127.0.0.1:1/", timeout=0.2)
         query = Query("q", "table", "is there a dog", "no")
         with pytest.raises(GenerationError, match="transport"):
             external_generate(config, query, scene_summary(table_scene))

@@ -4,15 +4,17 @@ import gc
 import hashlib
 import json
 import math
+import re
 import shutil
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from tracedistill import cli, codegen, distill, dsl, interp, jsonlio, pipeline, students
 from tracedistill import scenes as sw
-from tracedistill.config import apply_seed_override, default_config, load_config
+from tracedistill.config import DEFAULTS, STUDENT_DEFAULTS, apply_seed_override, default_config, load_config
 from tracedistill.editing import keep_all, raw_records, render
 from tracedistill.errors import ConfigError, StageError
 from tracedistill.interp import trace_from_record
@@ -143,7 +145,7 @@ class TestRunAll:
         assert cli.main(["--config", str(write_config(tmp_path, scene_count=5)), "run-all"]) == 0
         failing = write_config(
             tmp_path, scene_count=5, strict=True,
-            external_generator={"enabled": True, "endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
+            external_generator={"endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
         )
         assert cli.main(["--config", str(failing), "run-all"]) == 1
         saved = read_json(tmp_path / "manifest.json")
@@ -588,8 +590,16 @@ class TestCli:
             ({"students": []}, "at least one student"),
             ({"students": [{"kind": "bogus"}]}, "unknown student kind 'bogus'"),
             (
-                {"students": [{"kind": "rationale_sensitive", "trigger_mode": "bogus"}]},
-                "unknown trigger_mode 'bogus'",
+                {"external_generator": {"enabled": True}},
+                "unknown config keys: ['external_generator.enabled']",
+            ),
+            (
+                {"external_bridger": {"enabled": False}},
+                "unknown config keys: ['external_bridger.enabled']",
+            ),
+            (
+                {"students": [{"kind": "rationale_sensitive", "trigger_mode": "answer"}]},
+                "unknown config keys: ['students.trigger_mode']",
             ),
             (
                 {"students": [{"kind": "rationale_sensitive", "token_budget": "abc"}]},
@@ -671,12 +681,30 @@ class TestCli:
         with pytest.raises(ConfigError, match="edit.prune must be true or false"):
             default_config().with_overrides(edit={"prune": "no"})
 
-    # The default config's hash as it was before configs were normalised:
-    # normalising the defaults must not move it.
+    # A change to the defaults moves the default config's hash, and with it
+    # every default run's manifest: it must move on purpose.
     def test_default_config_hash_is_pinned(self):
         assert default_config().config_hash() == (
-            "fd5861f5f1421674458ab2a5f58a3ac10dec547526ad52bb6c4da2049be16137"
+            "a616e944fd7444bf11e28a1837be593381d42c59b07baf514c129337b8db9daa"
         )
+
+    @staticmethod
+    def _readme_configuration():
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        return readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_readme_config_block_is_the_defaults(self):
+        block = self._readme_configuration().split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == DEFAULTS
+
+    def test_readme_student_key_table_lists_each_kinds_keys(self):
+        table = self._readme_configuration().split("A student spec's keys", 1)[1].split("\n\n", 2)[1]
+        listed = {kind: set() for kind in STUDENT_DEFAULTS}
+        for row in table.splitlines()[2:]:
+            key, kinds = (re.findall(r"`(\w+)`", cell) for cell in row.split("|")[1:3])
+            for kind in kinds or STUDENT_DEFAULTS:
+                listed[kind].update(key)
+        assert listed == {kind: {"kind", "name", *keys} for kind, keys in STUDENT_DEFAULTS.items()}
 
     def test_digit_string_hashes_like_its_number(self, tmp_path):
         as_text = load_config(write_config(tmp_path, max_steps="5")).config_hash()
@@ -764,7 +792,7 @@ class TestExternalEndpoints:
                 tmp_path,
                 scene_count=4,
                 corruption_rate=0.0,
-                external_generator={"enabled": True, "endpoint": stub_server},
+                external_generator={"endpoint": stub_server},
             )
         )
         from tracedistill.pipeline import stage_program_gen, stage_scene_gen
@@ -784,7 +812,7 @@ class TestExternalEndpoints:
             write_config(
                 tmp_path,
                 scene_count=3,
-                external_generator={"enabled": True, "endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
+                external_generator={"endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
             )
         )
         from tracedistill.pipeline import stage_program_gen, stage_scene_gen
@@ -806,7 +834,7 @@ class TestExternalEndpoints:
                 tmp_path,
                 scene_count=5,
                 strict=True,
-                external_generator={"enabled": True, "endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
+                external_generator={"endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
             )
         )
         from tracedistill.pipeline import stage_program_gen, stage_scene_gen
@@ -822,7 +850,7 @@ class TestExternalEndpoints:
             write_config(
                 tmp_path,
                 corruption_rate=0.0,
-                external_bridger={"enabled": True, "endpoint": stub_server},
+                external_bridger={"endpoint": stub_server},
             )
         )
         run_all(config)
@@ -834,7 +862,7 @@ class TestExternalEndpoints:
             write_config(
                 tmp_path,
                 corruption_rate=0.0,
-                external_bridger={"enabled": True, "endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
+                external_bridger={"endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
             )
         )
         manifest = run_all(config)
@@ -921,7 +949,7 @@ class TestAblate:
         base, ref = tmp_path / "base", tmp_path / "ref"
         base.mkdir(), ref.mkdir()
         config = load_config(write_config(
-            base, corruption_rate=0.0, external_bridger={"enabled": True, "endpoint": stub_server},
+            base, corruption_rate=0.0, external_bridger={"endpoint": stub_server},
         ))
         run_all(config)
         report = run_ablation(config)

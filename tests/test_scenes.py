@@ -90,6 +90,26 @@ class TestLoadScenes:
         with pytest.raises(SchemaError, match="duplicate attributes"):
             load_scenes(write_scene_file(tmp_path, [bad]))
 
+    @pytest.mark.parametrize("where, key, value, message", [
+        ("object", "depth", "x", "scene 's1': object 'a' depth must be a finite number >= 0, got 'x'"),
+        ("object", "depth", True, "scene 's1': object 'a' depth must be a finite number >= 0, got True"),
+        ("object", "box", 5, "scene 's1': object 'a': box must be four finite numbers, got 5"),
+        ("object", "box", [10, 10, 30, True],
+         "scene 's1': object 'a': box must be four finite numbers, got [10, 10, 30, True]"),
+        ("object", "attributes", 3, "scene 's1': object 'a' attributes must be a list of strings, got 3"),
+        ("object", "id", ["a"], "scene 's1': object id must be a string, got ['a']"),
+        ("scene", "objects", 5, "scene 's1': objects must be a list, got 5"),
+        ("scene", "objects", [5], "scene 's1': object must be an object, got 5"),
+        ("scene", "relations", [5], "scene 's1': relation must be [subject, predicate, object]"),
+        ("scene", "scene_id", 7, "scene_id must be a string, got 7"),
+    ])
+    def test_a_value_of_the_wrong_type_names_file_and_row(self, tmp_path, where, key, value, message):
+        bad = {**json.loads(json.dumps(GOOD_SCENE)), "scene_id": "s1"}
+        (bad["objects"][0] if where == "object" else bad)[key] = value
+        path = write_scene_file(tmp_path, [GOOD_SCENE, bad])
+        with pytest.raises(SchemaError, match=re.escape(f"{path} row 1: {message}")):
+            load_scenes(path)
+
     def test_save_load_round_trip_byte_identical(self, tmp_path):
         scenes = generate_scenes(50, seed=123)
         first = tmp_path / "a.jsonl"

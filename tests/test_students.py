@@ -1,17 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import asdict
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tracedistill.config import STUDENT_DEFAULTS
 from tracedistill.errors import ConfigError
 from tracedistill.scenes import Query, generate_queries, generate_scenes
 from tracedistill.students import (
-    NoisyOracleStudent,
-    RationaleSensitiveStudent,
     ScoredRationale,
-    StubbornStudent,
     builtin_students,
     keeps,
     utility_score,
@@ -170,18 +169,16 @@ class TestBuiltinStudents:
         )
         assert narrow.answer(query, text) == "unknown"
         assert wide.answer(query, text) == query.expected_answer
-
-    @pytest.mark.parametrize("question, expected, context, budget, answer", [
-        ("how many cups", "2", "There are 2 cups.", None, "2"),
-        ("how many cups", "2", "Therefore the answer is 2.", None, "unknown"),
-        ("how many cups", "2", "There are 2 cups.", 2, "unknown"),
-        # function words count: "is" is shared with the question
-        ("is there a cup", "no", "Therefore the answer is no.", None, "no"),
-    ])
-    def test_rationale_sensitive_fact_mode(self, question, expected, context, budget, answer):
-        student = RationaleSensitiveStudent(trigger_mode="fact", token_budget=budget)
-        query = Query("q0", "s0", question, expected)
-        assert student.answer(query, context) == answer
+        # The budget counts whitespace-split tokens: the answer is the third.
+        short, exact = builtin_students(
+            [
+                {"kind": "rationale_sensitive", "token_budget": 2},
+                {"kind": "rationale_sensitive", "token_budget": 3},
+            ]
+        )
+        cups = Query("q0", "s0", "how many cups", "2")
+        assert short.answer(cups, "There are 2 cups.") == "unknown"
+        assert exact.answer(cups, "There are 2 cups.") == "2"
 
     def test_noisy_oracle_reproducible_accuracy(self):
         queries = self._corpus()
@@ -205,6 +202,12 @@ class TestBuiltinStudents:
         )[0]
         for query in queries[:10]:
             assert student.answer(query) == student.answer(query, "hint")
+
+    def test_a_bare_spec_takes_every_field_from_student_defaults(self):
+        built = builtin_students([{"kind": kind} for kind in STUDENT_DEFAULTS])
+        assert [asdict(student) for student in built] == [
+            {"name": f"{kind}_{i}", **defaults} for i, (kind, defaults) in enumerate(STUDENT_DEFAULTS.items())
+        ]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="unknown student kind"):
