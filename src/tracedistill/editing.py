@@ -311,21 +311,24 @@ def _line_tokens(line: str) -> set[str]:
 
 @dataclass
 class TaggedDraft:
+    """The pre-bridge draft of one symbolic trace: a sentence per record and
+    a tag per adjacent pair of sentences."""
+
+    trace: SymbolicTrace
     sentences: list[str]
     joints: list[str]  # len == len(sentences) - 1
 
 
-def tag_gaps(sentences: list[str], context: SymbolicTrace) -> TaggedDraft:
-    """Tag each adjacent sentence pair; sentences must align 1:1 with the
-    context records (the pre-bridge draft). A joint is <no-gap> when the
-    later record references a variable or entity the earlier record defined
-    or mentioned, or is directly control-dependent on it. A record mentions
-    the names and words its symbolic line shows."""
+def tag_gaps(trace: SymbolicTrace) -> TaggedDraft:
+    """Render each record of ``trace`` and tag each adjacent sentence pair.
+    A joint is <no-gap> when the later record references a variable or
+    entity the earlier record defined or mentioned, or is directly
+    control-dependent on it. A record mentions the names and words its
+    symbolic line shows."""
+    sentences = render(trace)
     if not sentences:
         raise ValueError("tag_gaps needs at least one sentence")
-    records = context.records
-    if len(sentences) != len(records):
-        raise ValueError("draft sentences must align with symbolic records")
+    records = trace.records
     mentions = [_line_tokens(record_to_line(r)) for r in records]
     joints = []
     for i, (earlier, later) in enumerate(zip(records, records[1:])):
@@ -333,32 +336,23 @@ def tag_gaps(sentences: list[str], context: SymbolicTrace) -> TaggedDraft:
         anchors = earlier.defines | earlier.reads | mentions[i]
         ctrl_link = bool(later.ctrl_seqs & set(earlier.source_seqs))
         joints.append(NO_GAP if (refs & anchors) or ctrl_link else GAP)
-    return TaggedDraft(sentences=list(sentences), joints=joints)
+    return TaggedDraft(trace, sentences, joints)
 
 
 # ---------------------------------------------------------------------------
-# bridging
-
-@dataclass
-class BridgeRequest:
-    prev: str
-    next: str
-    trace: SymbolicTrace
-    next_index: int  # record index of the sentence after the gap
-
+# bridging. A bridger's ``fill(draft, at)`` returns the text for the gap
+# before draft sentence ``at``.
 
 class DefaultBridger:
     """Deterministic bridger: restates the nearest fact shared with the next
     sentence, preferring the latest earlier definition of a variable the
     next record reads."""
 
-    name = "default"
-
-    def fill(self, request: BridgeRequest) -> str:
-        records = request.trace.records
-        rec = records[request.next_index]
+    def fill(self, draft: TaggedDraft, at: int) -> str:
+        records = draft.trace.records
+        rec = records[at]
         for name in sorted(rec.reads):
-            for earlier in reversed(records[: request.next_index]):
+            for earlier in reversed(records[:at]):
                 if name in earlier.defines and earlier.operation == "assigned":
                     value = _display(earlier.arguments[name])
                     return f"Recall that {name} = {value}."
@@ -376,17 +370,15 @@ class HttpBridger:
     recorded as bridge_fallback.
     """
 
-    name = "http"
-
     def __init__(self, endpoint: str, timeout: float = 5.0):
         self.endpoint = endpoint
         self.timeout = timeout
 
-    def fill(self, request: BridgeRequest) -> str:
-        facts = [record_to_line(r) for r in request.trace.records]
+    def fill(self, draft: TaggedDraft, at: int) -> str:
+        facts = [record_to_line(r) for r in draft.trace.records]
         payload = post_json(
             self.endpoint,
-            {"prev": request.prev, "next": request.next, "facts": facts},
+            {"prev": draft.sentences[at - 1], "next": draft.sentences[at], "facts": facts},
             self.timeout,
         )
         text = payload.get("bridge_text", "")
@@ -408,59 +400,34 @@ class CotRationale:
     lineage: dict = dc_field(default_factory=dict)  # the edit's {pruned, merged, bridged}
 
 
-def bridge(
-    tagged: TaggedDraft,
-    trace: SymbolicTrace,
-    bridger=None,
-    *,
-    query_id: str = "",
-) -> CotRationale:
+def _rationale(draft: TaggedDraft, sentences: list[str], fell_back: bool,
+               query_id: str) -> CotRationale:
+    return CotRationale(query_id=query_id, program_id=draft.trace.program_id,
+                        text=" ".join(sentences), bridge_fallback=fell_back,
+                        sentences=sentences, joints=list(draft.joints))
+
+
+def bridge(draft: TaggedDraft, bridger=None, *, query_id: str = "") -> CotRationale:
     """Insert connective text at every <gap> joint.
 
     External bridger failures fall back to the default bridger and are
     recorded as bridge_fallback.
     """
     primary = bridger or DefaultBridger()
-    fallback = DefaultBridger()
-    sentences: list[str] = [tagged.sentences[0]]
+    sentences = [draft.sentences[0]]
     fell_back = False
-    for i, joint in enumerate(tagged.joints):
+    for at, joint in enumerate(draft.joints, 1):
         if joint == GAP:
-            request = BridgeRequest(
-                prev=tagged.sentences[i],
-                next=tagged.sentences[i + 1],
-                trace=trace,
-                next_index=i + 1,
-            )
             try:
-                text = primary.fill(request)
+                text = primary.fill(draft, at)
             except Exception:
-                text = fallback.fill(request)
+                text = DefaultBridger().fill(draft, at)
                 fell_back = True
             sentences.append(text)
-        sentences.append(tagged.sentences[i + 1])
-    return CotRationale(
-        query_id=query_id,
-        program_id=trace.program_id,
-        text=" ".join(sentences),
-        bridge_fallback=fell_back,
-        sentences=sentences,
-        joints=list(tagged.joints),
-    )
+        sentences.append(draft.sentences[at])
+    return _rationale(draft, sentences, fell_back, query_id)
 
 
-def no_bridge(
-    tagged: TaggedDraft,
-    trace: SymbolicTrace,
-    *,
-    query_id: str = "",
-) -> CotRationale:
+def no_bridge(draft: TaggedDraft, *, query_id: str = "") -> CotRationale:
     """Assemble a rationale without filling gaps (bridge toggled off)."""
-    return CotRationale(
-        query_id=query_id,
-        program_id=trace.program_id,
-        text=" ".join(tagged.sentences),
-        bridge_fallback=False,
-        sentences=list(tagged.sentences),
-        joints=list(tagged.joints),
-    )
+    return _rationale(draft, list(draft.sentences), False, query_id)

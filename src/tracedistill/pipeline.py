@@ -6,10 +6,12 @@ stage can be rerun in isolation; ``run_all`` instead hands each stage the
 rows the earlier stages produced, in memory, and only train reads a file
 an earlier stage wrote. Exec writes each trace as it runs, and edit, called
 on its own, reads traces.jsonl one row at a time, so neither holds the
-whole traces file. Rows are processed in input order; a malformed
-row fails with its index and is recorded, aborting the batch only under
---strict. Every run appends stage entries to the manifest, which tracks the
-filter funnel (generated, executed, faithful-kept, score-kept, emitted).
+whole traces file; either way edit takes one (query_id, program_id, trace)
+row per traces.jsonl row. Rows are processed in input order; a malformed
+row fails with its index in the stage's input file and is recorded,
+aborting the batch only under --strict. Every run appends stage entries to
+the manifest, which tracks the filter funnel (generated, executed,
+faithful-kept, score-kept, emitted).
 ``run_ablation`` runs each cell's score, emit and train through the same
 stage functions, handed the cell's rationale rows and the queries in memory;
 train runs once per distinct training input in the grid.
@@ -89,8 +91,9 @@ def load_or_new_manifest(config: PipelineConfig) -> RunManifest:
 
 class _Rows:
     """One stage's output rows with per-row crash isolation. A failed row is
-    recorded by index and its (query_id, program_id) ``ids``; under strict
-    the first failure becomes ``error`` instead, and the stage must stop."""
+    recorded by its index in the stage's input file and its (query_id,
+    program_id) ``ids``; under strict the first failure becomes ``error``
+    instead, and the stage must stop."""
 
     def __init__(self, stage: str, strict: bool):
         self.stage = stage
@@ -106,13 +109,6 @@ class _Rows:
             return
         query_id, program_id = ids
         self.errors.append({"row": i, "query_id": query_id, "program_id": program_id, "error": str(exc)})
-
-    def run(self, i: int, ids: tuple, fn, *args) -> None:
-        """Append ``fn(*args)``, or record its exception against ``ids``."""
-        try:
-            self.rows.append(fn(*args))
-        except Exception as exc:
-            self.fail(i, ids, exc)
 
     def each(self, rows, fn):
         """Lazily yield ``fn(i, row)`` for each row in order, recording a row
@@ -225,13 +221,13 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest,
         held["programs"] = programs
 
 
-def _handed_over(kept: list):
-    """Exec's kept (trace, query) pairs as edit's input stream (see
-    ``_decode_kept``), dropping each pair as edit takes it, so that the
-    traces are not held past the edit stage."""
-    for i, (trace, query) in enumerate(kept):
-        kept[i] = None
-        yield query.query_id, trace.program_id, trace
+def _handed_over(rows: list):
+    """Exec's trace rows as edit's input stream (see ``_trace_rows``),
+    dropping each row as edit takes it, so that the traces are not held
+    past the edit stage."""
+    for i, row in enumerate(rows):
+        rows[i] = None
+        yield row
 
 
 @_collector_paused
@@ -239,8 +235,8 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
                held: dict | None = None) -> None:
     """Execute each program, give its trace the faithfulness filter's
     verdict and write it to traces.jsonl, one row at a time. Only under
-    run_all is a trace kept past its row: the kept (trace, query) pairs,
-    which edit takes in memory."""
+    run_all is a trace kept past its row: each written row's (query_id,
+    program_id, trace or None), which edit takes in memory."""
     started = time.monotonic()
     scenes_by_id = {s.scene_id: s for s in _input(config, held, "scenes", sw.load_scenes)}
     queries = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
@@ -250,7 +246,7 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
     # so each of its rows fails with the same error.
     asts = {}
     reasons = Counter()
-    kept = []
+    handed = []
 
     def run_row(i, program):
         query = queries[program.query_id]
@@ -258,11 +254,11 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
             asts[program.source] = parse(program.source)
         trace = execute(asts[program.source], scenes_by_id[query.scene_id], config["max_steps"],
                         tools, program_id=program.program_id)
-        pair, [reason] = faithfulness_filter([(trace, query)])
+        _, [reason] = faithfulness_filter([(trace, query)])
         record = trace_to_record(trace, query.query_id, reason)
         reasons[reason] += 1
         if held is not None:
-            kept.extend(pair)
+            handed.append((query.query_id, program.program_id, None if reason else trace))
         return record
 
     rows = _input(config, held, "programs", read_rows, codegen.Program)
@@ -279,7 +275,7 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
         },
     )
     if held is not None:
-        held["traces"] = Counter(rows=executed), _handed_over(kept)
+        held["traces"] = _handed_over(handed)
 
 
 # ---------------------------------------------------------------------------
@@ -294,61 +290,58 @@ def _bridger(config: PipelineConfig):
     return editing.HttpBridger(external["endpoint"], external["timeout"])
 
 
-def _decode_kept(rec: dict):
-    """A kept traces.jsonl row's query_id and program_id, and its trace or
-    the exception decoding it raised, which each edit of the row reports."""
-    try:
-        return rec["query_id"], rec["program_id"], trace_from_record(rec)
-    except Exception as exc:
-        return rec.get("query_id"), rec.get("program_id"), exc
+def _trace_rows(path):
+    """Each traces.jsonl row at ``path``, read one at a time, as (query_id,
+    program_id, trace): the trace is None for a row the faithfulness filter
+    rejected, and for a kept row that fails to decode, the exception
+    decoding raised, which each edit of the row reports."""
+    for rec in read_jsonl(path):
+        if "reject_reason" not in rec:
+            raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
+        if rec["reject_reason"] is not None:
+            yield rec.get("query_id"), rec.get("program_id"), None
+            continue
+        try:
+            row = rec["query_id"], rec["program_id"], trace_from_record(rec)
+        except Exception as exc:
+            row = rec.get("query_id"), rec.get("program_id"), exc
+        yield row
 
 
-def _kept_traces(path):
-    """A Counter whose "rows" counts the traces.jsonl rows at ``path`` read so
-    far, and a lazy stream of the decoded traces exec kept (see
-    ``_decode_kept``), read one row at a time."""
-    read = Counter()
-
-    def decoded():
-        for rec in read_jsonl(path):
-            read["rows"] += 1
-            if "reject_reason" not in rec:
-                raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
-            if rec["reject_reason"] is None:
-                yield _decode_kept(rec)
-
-    return read, decoded()
-
-
-def edit_draft(trace: ExecutionTrace, flags: dict) -> tuple[editing.TaggedDraft, editing.SymbolicTrace]:
+def edit_draft(trace: ExecutionTrace, flags: dict) -> editing.TaggedDraft:
     """The bridge-independent part of editing one kept trace: prune (or keep
     every event), merge (or keep raw records), render and tag the gaps."""
     pruned = editing.prune(trace) if flags["prune"] else editing.keep_all(trace)
     symbolic = editing.merge(pruned) if flags["merge"] else editing.raw_records(pruned)
-    return editing.tag_gaps(editing.render(symbolic), symbolic), symbolic
+    return editing.tag_gaps(symbolic)
 
 
 def rationale_row(draft, query_id: str, flags: dict, bridger) -> editing.CotRationale:
     """Finish a draft with or without bridging, as ``flags`` say, into its
     rationales.jsonl row, with the ``lineage`` ``flags`` give it."""
-    tagged, symbolic = draft
     if flags["bridge"]:
-        rationale = editing.bridge(tagged, symbolic, bridger, query_id=query_id)
+        rationale = editing.bridge(draft, bridger, query_id=query_id)
     else:
-        rationale = editing.no_bridge(tagged, symbolic, query_id=query_id)
+        rationale = editing.no_bridge(draft, query_id=query_id)
     rationale.lineage = {"pruned": flags["prune"], "merged": flags["merge"], "bridged": flags["bridge"]}
     return rationale
 
 
-def _edit_rows(kept, flag_sets: list[dict], bridger, strict: bool) -> list[_Rows]:
-    """Edit each kept trace once up to its draft, then finish that draft once
-    per flag set; the sets may differ only in "bridge". A failed decode or
-    draft fails the row in every set."""
+def _edit_rows(rows, flag_sets: list[dict], bridger, strict: bool) -> tuple[int, list[_Rows]]:
+    """Edit each kept trace of the trace ``rows`` (see ``_trace_rows``) once
+    up to its draft, then finish that draft once per flag set; the sets may
+    differ only in "bridge". A failed decode or draft fails the row in every
+    set, under its place in ``rows``: its traces.jsonl index. Returns the
+    rows read and one ``_Rows`` per flag set."""
     outs = [_Rows("edit", strict) for _ in flag_sets]
-    for i, (query_id, program_id, trace) in enumerate(kept):
+    rows_in = 0
+    for i, (query_id, program_id, trace) in enumerate(rows):
+        rows_in += 1
         live = [(out, flags) for out, flags in zip(outs, flag_sets) if out.error is None]
         if not live:
             break
+        if trace is None:
+            continue
         ids = query_id, program_id
         try:
             if isinstance(trace, Exception):
@@ -359,8 +352,11 @@ def _edit_rows(kept, flag_sets: list[dict], bridger, strict: bool) -> list[_Rows
                 out.fail(i, ids, exc)
             continue
         for out, flags in live:
-            out.run(i, ids, rationale_row, draft, query_id, flags, bridger)
-    return outs
+            try:
+                out.rows.append(rationale_row(draft, query_id, flags, bridger))
+            except Exception as exc:
+                out.fail(i, ids, exc)
+    return rows_in, outs
 
 
 def _write_edit(config: PipelineConfig, manifest: RunManifest, started: float,
@@ -382,12 +378,12 @@ def _write_edit(config: PipelineConfig, manifest: RunManifest, started: float,
 @_collector_paused
 def stage_edit(config: PipelineConfig, manifest: RunManifest,
                held: dict | None = None) -> None:
-    """Edit the traces exec kept: exec's in-memory traces from run_all,
+    """Edit the traces exec kept: exec's in-memory trace rows from run_all,
     otherwise traces.jsonl and nothing else."""
     started = time.monotonic()
-    read, kept = _input(config, held, "traces", _kept_traces)
-    [out] = _edit_rows(kept, [config.edit_flags], _bridger(config), config["strict"])
-    _write_edit(config, manifest, started, read["rows"], out)
+    rows = _input(config, held, "traces", _trace_rows)
+    rows_in, [out] = _edit_rows(rows, [config.edit_flags], _bridger(config), config["strict"])
+    _write_edit(config, manifest, started, rows_in, out)
     if held is not None:
         held["rationales"] = out.rows
 
@@ -551,7 +547,7 @@ def _cell_figures(manifest: RunManifest) -> dict:
 def run_ablation(config: PipelineConfig) -> dict:
     """Run edit->score->emit->train for every toggle combination on the
     already-built base corpus, queries.jsonl and traces.jsonl, in one pass:
-    the queries and the decoded kept traces are loaded once, and each
+    the queries and the trace rows are loaded once, and each
     (prune, merge) draft is built once and finished with and without
     bridging. Each cell then runs score, emit and train through the stage
     functions, handed its rationale rows and the queries in memory; a cell
@@ -565,9 +561,7 @@ def run_ablation(config: PipelineConfig) -> dict:
             raise StageError("ablate", f"missing base corpus file: {config.path(stage)}")
     queries = sw.load_queries(config.path("queries"))
     bridger = _bridger(config)
-    read, kept = _kept_traces(config.path("traces"))
-    kept = list(kept)
-    rows_in = read["rows"]
+    rows = list(_trace_rows(config.path("traces")))
     trained: dict = {}  # stage_train's reports, shared by every cell
     cells = {}
     for prune_on in (False, True):
@@ -583,7 +577,8 @@ def run_ablation(config: PipelineConfig) -> dict:
                 )
                 pair.append((key, cell_dir, cell_config))
             started = time.monotonic()
-            edited = _edit_rows(kept, [c.edit_flags for _, _, c in pair], bridger, config["strict"])
+            rows_in, edited = _edit_rows(rows, [c.edit_flags for _, _, c in pair], bridger,
+                                         config["strict"])
             edit_s = time.monotonic() - started
             for (key, cell_dir, cell_config), out in zip(pair, edited):
                 manifest = new_manifest(cell_config)

@@ -7,7 +7,6 @@ from tracedistill.dsl import parse
 from tracedistill.editing import (
     GAP,
     NO_GAP,
-    BridgeRequest,
     DefaultBridger,
     bridge,
     keep_all,
@@ -320,29 +319,30 @@ class TestTagGaps:
         sym = self._sym(
             "patches = image.find('muffin')\nnum = len(patches)\nreturn str(num)", muffins8
         )
-        tagged = tag_gaps(render(sym), sym)
+        tagged = tag_gaps(sym)
         assert tagged.joints[0] == NO_GAP  # num computed from patches
 
     def test_disjoint_sentences_gap(self, muffins3):
         sym = self._sym("x = 1\ny = 2\nreturn y", muffins3)
         # prune drops x; rebuild a two-record trace about disjoint variables
         sym_raw = self._sym("x = 1\ny = 2\nreturn x + y", muffins3)
-        tagged = tag_gaps(render(sym_raw), sym_raw)
+        tagged = tag_gaps(sym_raw)
         assert tagged.joints[0] == GAP
 
     def test_single_sentence_empty_joints(self, muffins3):
         sym = self._sym("return 'yes'", muffins3)
-        tagged = tag_gaps(render(sym), sym)
+        tagged = tag_gaps(sym)
         assert tagged.joints == []
 
     def test_totality_and_idempotence(self):
         for program, _, trace in corpus_traces(20, seed=91):
             sym = merge(prune(trace))
             sentences = render(sym)
-            tagged = tag_gaps(sentences, sym)
+            tagged = tag_gaps(sym)
+            assert tagged.sentences == sentences
             assert len(tagged.joints) == len(sentences) - 1
             assert all(j in (GAP, NO_GAP) for j in tagged.joints)
-            again = tag_gaps(sentences, sym)
+            again = tag_gaps(sym)
             assert again.joints == tagged.joints
 
     def test_control_dependence_is_continuity(self, table_scene):
@@ -356,8 +356,7 @@ class TestTagGaps:
             "return answer",
             table_scene,
         )
-        sentences = render(sym)
-        tagged = tag_gaps(sentences, sym)
+        tagged = tag_gaps(sym)
         branch_idx = next(i for i, r in enumerate(sym.records) if r.operation == "branch")
         assert tagged.joints[branch_idx] == NO_GAP  # branch -> governed assign
 
@@ -374,7 +373,7 @@ class TestTagGaps:
             "return str(a + b)",
             muffins3,
         )
-        tagged = tag_gaps(render(sym), sym)
+        tagged = tag_gaps(sym)
         assert tagged.joints == [NO_GAP, GAP, NO_GAP, NO_GAP]
 
 
@@ -394,13 +393,12 @@ class TestBridge:
     def _tagged(self, scene):
         ast, trace = run(COUNTING, scene)
         sym = merge(prune(trace))
-        sentences = render(sym)
-        return sym, tag_gaps(sentences, sym)
+        return sym, tag_gaps(sym)
 
     def test_one_insertion_per_gap(self, muffins3):
         sym, tagged = self._tagged(make_muffin_scene(3))
         gaps = tagged.joints.count(GAP)
-        rationale = bridge(tagged, sym, query_id="q")
+        rationale = bridge(tagged, query_id="q")
         assert len(rationale.sentences) == len(tagged.sentences) + gaps
         inserted = [rationale.sentences[i] for i in inserted_sentences(rationale)]
         assert len(inserted) == gaps
@@ -413,39 +411,37 @@ class TestBridge:
             )
         )
         sentences = render(sym)
-        tagged = tag_gaps(sentences, sym)
+        tagged = tag_gaps(sym)
         assert set(tagged.joints) == {NO_GAP}
-        rationale = bridge(tagged, sym, query_id="q")
+        rationale = bridge(tagged, query_id="q")
         assert rationale.text == " ".join(sentences)
 
     def test_conservativeness_removing_insertions_recovers_draft(self):
         for program, scene, trace in corpus_traces(20, seed=95):
             sym = merge(prune(trace))
             sentences = render(sym)
-            tagged = tag_gaps(sentences, sym)
-            rationale = bridge(tagged, sym, query_id=program.query_id)
+            tagged = tag_gaps(sym)
+            rationale = bridge(tagged, query_id=program.query_id)
             inserted = set(inserted_sentences(rationale))
             originals = [s for i, s in enumerate(rationale.sentences) if i not in inserted]
             assert originals == tagged.sentences
 
     def test_failing_external_bridger_falls_back(self, muffins3):
         class Exploding:
-            name = "exploding"
-
-            def fill(self, request: BridgeRequest) -> str:
+            def fill(self, draft, at: int) -> str:
                 raise RuntimeError("boom")
 
         sym, tagged = self._tagged(make_muffin_scene(3))
         assert tagged.joints.count(GAP) >= 1
-        with_default = bridge(tagged, sym, DefaultBridger(), query_id="q")
-        with_fallback = bridge(tagged, sym, Exploding(), query_id="q")
+        with_default = bridge(tagged, DefaultBridger(), query_id="q")
+        with_fallback = bridge(tagged, Exploding(), query_id="q")
         assert with_fallback.sentences == with_default.sentences
         assert with_fallback.bridge_fallback is True
         assert with_default.bridge_fallback is False
 
     def test_no_bridge_keeps_draft(self, muffins3):
         sym, tagged = self._tagged(make_muffin_scene(3))
-        rationale = no_bridge(tagged, sym, query_id="q")
+        rationale = no_bridge(tagged, query_id="q")
         assert rationale.sentences == tagged.sentences
         assert rationale.bridge_fallback is False
 
@@ -475,7 +471,7 @@ class TestBridge:
             sym, tagged = self._tagged(make_muffin_scene(3))
             assert tagged.joints.count(GAP) >= 1
             bridger = HttpBridger(f"http://127.0.0.1:{server.server_port}/")
-            rationale = bridge(tagged, sym, bridger, query_id="q")
+            rationale = bridge(tagged, bridger, query_id="q")
             assert "And so the count follows." in rationale.sentences
             assert rationale.bridge_fallback is False
             assert set(Handler.last_request) == {"prev", "next", "facts"}

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tracedistill import cli, codegen, distill, dsl, interp, jsonlio, pipeline, students
+from tracedistill import cli, codegen, distill, dsl, editing, interp, jsonlio, pipeline, students
 from tracedistill import scenes as sw
 from tracedistill.config import DEFAULTS, STUDENT_DEFAULTS, apply_seed_override, default_config, load_config
 from tracedistill.editing import keep_all, raw_records, render
@@ -476,6 +476,54 @@ class TestCrashIsolation:
         self._share_one_bad_source(config)
         with pytest.raises(StageError, match="exec row 2"):
             pipeline.stage_exec(config, new_manifest(config))
+
+    @staticmethod
+    def _kept_row_after_a_rejected_one(config) -> int:
+        """The traces.jsonl index of the first kept row after a rejected
+        one: fewer kept rows than rows come before it."""
+        reasons = [r["reject_reason"] for r in read_jsonl(config.path("traces"))]
+        rejected = next(i for i, reason in enumerate(reasons) if reason is not None)
+        row = reasons.index(None, rejected + 1)
+        assert reasons[:row].count(None) < row
+        return row
+
+    def test_an_edit_row_error_names_its_traces_row(self, tmp_path):
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        row = self._kept_row_after_a_rejected_one(config)
+        rows = list(read_jsonl(config.path("traces")))
+        broken = rows[row]
+        del broken["events"]
+        write_jsonl(config.path("traces"), rows)
+        manifest = new_manifest(config)
+        stage_edit(config, manifest)
+        assert manifest.stages[-1]["row_errors"] == [{
+            "row": row, "query_id": broken["query_id"],
+            "program_id": broken["program_id"], "error": "'events'",
+        }]
+        strict = config.with_overrides(strict=True)
+        with pytest.raises(StageError, match=re.escape(f"[edit row {row}] 'events'")):
+            stage_edit(strict, new_manifest(strict))
+
+    def test_run_all_and_the_edit_verb_name_the_same_edit_row(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        row = self._kept_row_after_a_rejected_one(config)
+        target = list(read_jsonl(config.path("traces")))[row]
+
+        def prune(trace, _real=editing.prune):
+            if trace.program_id == target["program_id"]:
+                raise RuntimeError("prune broke")
+            return _real(trace)
+
+        monkeypatch.setattr(editing, "prune", prune)
+        entry = next(e for e in run_all(config).stages if e["stage"] == "edit")
+        manifest = new_manifest(config)
+        stage_edit(config, manifest)
+        assert entry["row_errors"] == manifest.stages[-1]["row_errors"] == [{
+            "row": row, "query_id": target["query_id"],
+            "program_id": target["program_id"], "error": "prune broke",
+        }]
 
     @pytest.fixture
     def broken_student(self, monkeypatch):
@@ -1027,17 +1075,19 @@ class TestAblate:
                     tmp_path / "ablation" / cell / "metrics.json").read_bytes()
 
     def _break_one_kept_trace(self, config):
+        """Delete the third kept row's events; returns the kept count, that
+        row's traces.jsonl index and the row."""
         rows = list(read_jsonl(config.path("traces")))
         kept = [i for i, r in enumerate(rows) if r["reject_reason"] is None]
         broken = rows[kept[2]]
         del broken["events"]
         write_jsonl(config.path("traces"), rows)
-        return len(kept), broken
+        return len(kept), kept[2], broken
 
     def test_broken_trace_dropped_from_every_cell_and_recorded(self, tmp_path):
         config = load_config(write_config(tmp_path))
         run_all(config)
-        kept, broken = self._break_one_kept_trace(config)
+        kept, row, broken = self._break_one_kept_trace(config)
         report = run_ablation(config)
         for key, figures in report["cells"].items():
             assert "error" not in figures, key
@@ -1048,7 +1098,7 @@ class TestAblate:
             assert list(entries) == ["edit", "score", "emit", "train"]
             assert entries["edit"]["rows_out"] == kept - 1
             assert entries["edit"]["row_errors"] == [{
-                "row": 2, "query_id": broken["query_id"],
+                "row": row, "query_id": broken["query_id"],
                 "program_id": broken["program_id"], "error": "'events'",
             }]
             edited = [r["query_id"] for r in read_jsonl(cell / "rationales.jsonl")]
@@ -1058,10 +1108,10 @@ class TestAblate:
     def test_broken_trace_fails_every_cell_under_strict(self, tmp_path):
         config = load_config(write_config(tmp_path, strict=True))
         run_all(config)
-        self._break_one_kept_trace(config)
+        _, row, _ = self._break_one_kept_trace(config)
         report = run_ablation(config)
         assert report["cells"] == {
-            key: {"error": "[edit row 2] 'events'"} for key in report["cells"]
+            key: {"error": f"[edit row {row}] 'events'"} for key in report["cells"]
         }
         assert len(report["cells"]) == 8
 
