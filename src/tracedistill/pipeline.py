@@ -6,15 +6,15 @@ stage can be rerun in isolation; ``run_all`` instead hands each stage the
 rows the earlier stages produced, in memory, and only train reads a file
 an earlier stage wrote. Exec writes each trace as it runs, and edit, called
 on its own, reads traces.jsonl one row at a time, so neither holds the
-whole traces file; either way edit takes one (query_id, program_id, trace)
-row per traces.jsonl row. Rows are processed in input order; a malformed
-row fails with its index in the stage's input file and is recorded,
-aborting the batch only under --strict. Every run appends stage entries to
-the manifest, which tracks the filter funnel (generated, executed,
-faithful-kept, score-kept, emitted).
-``run_ablation`` runs each cell's score, emit and train through the same
-stage functions, handed the cell's rationale rows and the queries in memory;
-train runs once per distinct training input in the grid.
+whole traces file; either way edit takes one ``TraceRow`` per traces.jsonl
+row. Every per-row stage runs its rows in input order through one loop,
+``_each_row``: a failed row is recorded with its index in the stage's input
+file, aborting the batch only under --strict. Every run appends stage
+entries to the manifest, which tracks the filter funnel (generated,
+executed, faithful-kept, score-kept, emitted). ``run_ablation`` edits each
+(prune, merge) pair of cells in one pass of that loop, then runs each cell's
+score, emit and train through the same stage functions, handed the cell's
+rows and the queries in memory; train runs once per distinct training input.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import gc
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field
+from typing import NamedTuple
 
 from . import codegen, distill, editing, scenes as sw, students as st
 from .config import DEFAULT_STAGE_FILES, PipelineConfig
@@ -89,46 +90,22 @@ def load_or_new_manifest(config: PipelineConfig) -> RunManifest:
     return manifest
 
 
-class _Rows:
-    """One stage's output rows with per-row crash isolation. A failed row is
-    recorded by its index in the stage's input file and its (query_id,
-    program_id) ``ids``; under strict the first failure becomes ``error``
-    instead, and the stage must stop."""
-
-    def __init__(self, stage: str, strict: bool):
-        self.stage = stage
-        self.strict = strict
-        self.rows: list = []
-        self.errors: list[dict] = []
-        self.error: StageError | None = None
-
-    def fail(self, i: int, ids: tuple, exc: Exception) -> None:
-        if self.strict:
-            self.error = StageError(self.stage, str(exc), row=i)
-            self.error.__cause__ = exc
-            return
-        query_id, program_id = ids
-        self.errors.append({"row": i, "query_id": query_id, "program_id": program_id, "error": str(exc)})
-
-    def each(self, rows, fn):
-        """Lazily yield ``fn(i, row)`` for each row in order, recording a row
-        whose call raises instead; under strict the first failed row raises."""
-        for i, row in enumerate(rows):
-            try:
-                result = fn(i, row)
-            except Exception as exc:
-                self.fail(i, (row.query_id, getattr(row, "program_id", None)), exc)
-            else:
-                yield result
-            if self.error is not None:
-                raise self.error
-
-
-def _map_rows(stage: str, rows, fn, strict: bool):
-    """Order-preserving per-row map with crash isolation; under strict the
-    first failed row aborts the stage."""
-    out = _Rows(stage, strict)
-    return list(out.each(rows, fn)), out.errors
+def _each_row(stage: str, rows, fn, strict: bool, errors: list[dict]):
+    """Lazily yield ``fn(i, row)`` for each row in order: the one row loop
+    of every per-row stage. A row whose call raises is appended to
+    ``errors`` by its index in the stage's input file, its ``query_id`` and
+    its ``program_id`` (None for a row without one); under strict it aborts
+    the stage instead."""
+    for i, row in enumerate(rows):
+        try:
+            result = fn(i, row)
+        except Exception as exc:
+            if strict:
+                raise StageError(stage, str(exc), row=i) from exc
+            errors.append({"row": i, "query_id": row.query_id,
+                           "program_id": getattr(row, "program_id", None), "error": str(exc)})
+        else:
+            yield result
 
 
 def _input(config: PipelineConfig, held: dict | None, name: str, load, *args):
@@ -208,7 +185,7 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest,
             summary = codegen.scene_summary(scenes_by_id[query.scene_id])
             return codegen.external_generate(external, query, summary)
 
-        programs, errors = _map_rows("program_gen", queries, run_row, config["strict"])
+        programs = list(_each_row("program_gen", queries, run_row, config["strict"], errors))
     else:
         programs = codegen.generate_programs(
             queries, config["corruption_rate"], config.seeds["program_gen"]
@@ -219,6 +196,16 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest,
     )
     if held is not None:
         held["programs"] = programs
+
+
+class TraceRow(NamedTuple):
+    """Edit's input row for one traces.jsonl row. ``trace`` is None for a row
+    the faithfulness filter rejected, and the exception decoding raised for a
+    kept row that fails to decode, which edit reports as the row's error."""
+
+    query_id: str | None
+    program_id: str | None
+    trace: ExecutionTrace | Exception | None
 
 
 def _handed_over(rows: list):
@@ -235,8 +222,8 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
                held: dict | None = None) -> None:
     """Execute each program, give its trace the faithfulness filter's
     verdict and write it to traces.jsonl, one row at a time. Only under
-    run_all is a trace kept past its row: each written row's (query_id,
-    program_id, trace or None), which edit takes in memory."""
+    run_all is a trace kept past its row: each written row's ``TraceRow``,
+    which edit takes in memory."""
     started = time.monotonic()
     scenes_by_id = {s.scene_id: s for s in _input(config, held, "scenes", sw.load_scenes)}
     queries = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
@@ -258,16 +245,16 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
         record = trace_to_record(trace, query.query_id, reason)
         reasons[reason] += 1
         if held is not None:
-            handed.append((query.query_id, program.program_id, None if reason else trace))
+            handed.append(TraceRow(query.query_id, program.program_id, None if reason else trace))
         return record
 
     rows = _input(config, held, "programs", read_rows, codegen.Program)
-    out = _Rows("exec", config["strict"])
-    executed = write_jsonl(config.path("traces"), out.each(rows, run_row))
+    errors: list[dict] = []
+    executed = write_jsonl(config.path("traces"), _each_row("exec", rows, run_row, config["strict"], errors))
     manifest.counts["executed"] = executed
     manifest.counts["faithful_kept"] = reasons[None]
     manifest.record(
-        "exec", started, rows_in=len(rows), rows_out=executed, errors=out.errors,
+        "exec", started, rows_in=len(rows), rows_out=executed, errors=errors,
         extra={
             "distinct_sources": len(asts),
             "faithful_kept": reasons[None],
@@ -291,20 +278,18 @@ def _bridger(config: PipelineConfig):
 
 
 def _trace_rows(path):
-    """Each traces.jsonl row at ``path``, read one at a time, as (query_id,
-    program_id, trace): the trace is None for a row the faithfulness filter
-    rejected, and for a kept row that fails to decode, the exception
-    decoding raised, which each edit of the row reports."""
+    """Each traces.jsonl row at ``path``, read one at a time, as a
+    ``TraceRow``."""
     for rec in read_jsonl(path):
         if "reject_reason" not in rec:
             raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
         if rec["reject_reason"] is not None:
-            yield rec.get("query_id"), rec.get("program_id"), None
+            yield TraceRow(rec.get("query_id"), rec.get("program_id"), None)
             continue
         try:
-            row = rec["query_id"], rec["program_id"], trace_from_record(rec)
+            row = TraceRow(rec["query_id"], rec["program_id"], trace_from_record(rec))
         except Exception as exc:
-            row = rec.get("query_id"), rec.get("program_id"), exc
+            row = TraceRow(rec.get("query_id"), rec.get("program_id"), exc)
         yield row
 
 
@@ -327,48 +312,41 @@ def rationale_row(draft, query_id: str, flags: dict, bridger) -> editing.CotRati
     return rationale
 
 
-def _edit_rows(rows, flag_sets: list[dict], bridger, strict: bool) -> tuple[int, list[_Rows]]:
-    """Edit each kept trace of the trace ``rows`` (see ``_trace_rows``) once
-    up to its draft, then finish that draft once per flag set; the sets may
-    differ only in "bridge". A failed decode or draft fails the row in every
-    set, under its place in ``rows``: its traces.jsonl index. Returns the
-    rows read and one ``_Rows`` per flag set."""
-    outs = [_Rows("edit", strict) for _ in flag_sets]
+def _edit_rows(rows, flag_sets: list[dict], bridger, strict: bool) -> tuple[int, list[dict], list[list]]:
+    """Edit each kept trace of the ``TraceRow`` stream ``rows`` once up to its
+    draft, then finish that draft once per flag set; the sets may differ only
+    in "bridge". A row fails at its decode or draft, once for every set: a
+    draft's finish cannot raise, as ``editing.bridge`` falls back to the
+    default bridger on any failure and ``no_bridge`` and ``rationale_row``
+    only copy fields. Returns the rows read (failed ones too), the row errors
+    (see ``_each_row``) and one list of rationales per flag set."""
+
+    def edit_row(i, row):
+        if row.trace is None:
+            return []
+        if isinstance(row.trace, Exception):
+            raise row.trace
+        draft = edit_draft(row.trace, flag_sets[0])
+        return [rationale_row(draft, row.query_id, flags, bridger) for flags in flag_sets]
+
+    errors: list[dict] = []
+    outs: list[list] = [[] for _ in flag_sets]
     rows_in = 0
-    for i, (query_id, program_id, trace) in enumerate(rows):
+    for finished in _each_row("edit", rows, edit_row, strict, errors):
         rows_in += 1
-        live = [(out, flags) for out, flags in zip(outs, flag_sets) if out.error is None]
-        if not live:
-            break
-        if trace is None:
-            continue
-        ids = query_id, program_id
-        try:
-            if isinstance(trace, Exception):
-                raise trace
-            draft = edit_draft(trace, flag_sets[0])
-        except Exception as exc:
-            for out, _ in live:
-                out.fail(i, ids, exc)
-            continue
-        for out, flags in live:
-            try:
-                out.rows.append(rationale_row(draft, query_id, flags, bridger))
-            except Exception as exc:
-                out.fail(i, ids, exc)
-    return rows_in, outs
+        for out, rationale in zip(outs, finished):
+            out.append(rationale)
+    return rows_in + len(errors), errors, outs
 
 
 def _write_edit(config: PipelineConfig, manifest: RunManifest, started: float,
-                rows_in: int, out: _Rows) -> None:
-    if out.error is not None:
-        raise out.error
-    write_rows(config.path("rationales"), out.rows)
-    tokens = [len(row.text.split()) for row in out.rows]
+                rows_in: int, errors: list[dict], rationales: list) -> None:
+    write_rows(config.path("rationales"), rationales)
+    tokens = [len(row.text.split()) for row in rationales]
     manifest.record(
-        "edit", started, rows_in=rows_in, rows_out=len(out.rows), errors=out.errors,
+        "edit", started, rows_in=rows_in, rows_out=len(rationales), errors=errors,
         extra={
-            "bridge_fallbacks": sum(row.bridge_fallback for row in out.rows),
+            "bridge_fallbacks": sum(row.bridge_fallback for row in rationales),
             "flags": dict(config.edit_flags),
             "mean_tokens": sum(tokens) / len(tokens) if tokens else 0.0,
         },
@@ -382,10 +360,10 @@ def stage_edit(config: PipelineConfig, manifest: RunManifest,
     otherwise traces.jsonl and nothing else."""
     started = time.monotonic()
     rows = _input(config, held, "traces", _trace_rows)
-    rows_in, [out] = _edit_rows(rows, [config.edit_flags], _bridger(config), config["strict"])
-    _write_edit(config, manifest, started, rows_in, out)
+    rows_in, errors, [rationales] = _edit_rows(rows, [config.edit_flags], _bridger(config), config["strict"])
+    _write_edit(config, manifest, started, rows_in, errors, rationales)
     if held is not None:
-        held["rationales"] = out.rows
+        held["rationales"] = rationales
 
 
 def _load_students(config: PipelineConfig) -> list:
@@ -402,15 +380,16 @@ def stage_score(config: PipelineConfig, manifest: RunManifest,
     started = time.monotonic()
     by_id = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
     ensemble = _load_students(config)
-    harm_value = config["harm_verdict"]
+    harm_value, min_score = config["harm_verdict"], config["min_score"]
     rationales = _input(config, held, "rationales", read_rows, editing.CotRationale)
-    out, errors = _map_rows(
+    errors: list[dict] = []
+    out = list(_each_row(
         "score", rationales,
-        lambda i, row: st.utility_score(row.text, by_id[row.query_id], ensemble, harm_value=harm_value),
-        config["strict"],
-    )
+        lambda i, row: st.utility_score(row.text, by_id[row.query_id], ensemble, harm_value, min_score),
+        config["strict"], errors,
+    ))
     write_rows(config.path("scored"), out)
-    kept = sum(1 for row in out if st.keeps(row.score, config["min_score"]))
+    kept = sum(row.kept for row in out)
     verdicts = {student.name: Counter() for student in ensemble}
     for row in out:
         for o in row.outcomes:
@@ -436,8 +415,7 @@ def stage_emit(config: PipelineConfig, manifest: RunManifest,
     started = time.monotonic()
     queries = _input(config, held, "queries", sw.load_queries)
     texts = {r.query_id: r.text for r in _input(config, held, "rationales", read_rows, editing.CotRationale)}
-    kept_ids = [r.query_id for r in _input(config, held, "scored", read_rows, st.ScoredRationale)
-                if st.keeps(r.score, config["min_score"])]
+    kept_ids = [r.query_id for r in _input(config, held, "scored", read_rows, st.ScoredRationale) if r.kept]
     missing = sorted(set(kept_ids) - texts.keys())
     if missing:
         raise EmissionError(f"score-kept queries have no rationale: {missing}")
@@ -553,9 +531,11 @@ def run_ablation(config: PipelineConfig) -> dict:
     functions, handed its rationale rows and the queries in memory; a cell
     whose dataset has the training input of an earlier cell reuses that
     cell's training (see ``stage_train``). Each cell writes its stage files
-    and its own manifest under ``ablation/<cell>/``; one failed cell is
-    recorded, not fatal. Each cell's figures come from that manifest's stage
-    entries."""
+    and its own manifest under ``ablation/<cell>/``, named in the cell's
+    config relative to the workdir, so the cell's config hash does not
+    depend on where the run is. A failed cell is recorded, not fatal; a
+    pair's edit fails, under --strict, for both its cells at once. Each
+    cell's figures come from that manifest's stage entries."""
     for stage in ("queries", "traces"):
         if not config.path(stage).exists():
             raise StageError("ablate", f"missing base corpus file: {config.path(stage)}")
@@ -569,26 +549,32 @@ def run_ablation(config: PipelineConfig) -> dict:
             pair = []
             for bridge_on in (False, True):
                 key = f"prune={int(prune_on)},merge={int(merge_on)},bridge={int(bridge_on)}"
-                cell_dir = config.workdir / "ablation" / key.replace(",", "_").replace("=", "")
+                cell = "ablation/" + key.replace(",", "_").replace("=", "")
                 cell_config = config.with_overrides(
                     edit={"prune": prune_on, "merge": merge_on, "bridge": bridge_on},
                     paths={**config.raw["paths"],
-                           **{stage: str(cell_dir / name) for stage, name in CELL_FILES.items()}},
+                           **{stage: f"{cell}/{name}" for stage, name in CELL_FILES.items()}},
                 )
-                pair.append((key, cell_dir, cell_config))
+                pair.append((key, config.workdir / cell, cell_config))
             started = time.monotonic()
-            rows_in, edited = _edit_rows(rows, [c.edit_flags for _, _, c in pair], bridger,
-                                         config["strict"])
+            try:
+                rows_in, errors, edited = _edit_rows(rows, [c.edit_flags for _, _, c in pair],
+                                                     bridger, config["strict"])
+                failed = None
+            except StageError as exc:
+                failed = {"error": str(exc)}
             edit_s = time.monotonic() - started
-            for (key, cell_dir, cell_config), out in zip(pair, edited):
+            for k, (key, cell_dir, cell_config) in enumerate(pair):
                 manifest = new_manifest(cell_config)
                 try:
-                    # Both cells of the pair record the whole shared edit pass.
-                    _write_edit(cell_config, manifest, time.monotonic() - edit_s, rows_in, out)
-                    held = {"queries": queries, "rationales": out.rows, "trained": trained}
-                    for name in ("score", "emit", "train"):
-                        STAGES[name](cell_config, manifest, held)
-                    cells[key] = _cell_figures(manifest)
+                    if failed is None:
+                        # Both cells of the pair record the whole shared edit pass.
+                        _write_edit(cell_config, manifest, time.monotonic() - edit_s, rows_in,
+                                    errors, edited[k])
+                        held = {"queries": queries, "rationales": edited[k], "trained": trained}
+                        for name in ("score", "emit", "train"):
+                            STAGES[name](cell_config, manifest, held)
+                    cells[key] = failed or _cell_figures(manifest)
                 except Exception as exc:
                     cells[key] = {"error": str(exc)}
                 write_json(cell_dir / "manifest.json", manifest.to_dict())

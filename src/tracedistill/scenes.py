@@ -520,8 +520,13 @@ def _unique_names(scene: Scene) -> list[str]:
 
 
 def generate_queries(scenes: Sequence[Scene], seed: int) -> list[Query]:
-    """One well-posed query per scene, cycling through the five question
-    forms; expected answers come from the oracle by construction."""
+    """One well-posed query per scene; expected answers come from the oracle
+    by construction. Scene i is offered the five question forms in cycle
+    order (count, exists, attribute, spatial, relation) starting at form
+    i mod 5, and takes the first that can plan a question for it. Attribute,
+    spatial and relation need objects with unique names, so they often fall
+    through to count or exists: at n = 500 with the default seeds the mix is
+    count 242, exists 100, attribute 74, relation 49, spatial 35."""
     rng = random.Random(seed)
     queries = []
     forms = ["count", "exists", "attribute", "spatial", "relation"]

@@ -4,7 +4,8 @@ Each student is asked the query bare first, then with the rationale as
 context. Per-student verdicts follow the fixed table
 (wrong-to-right +1, wrong-to-wrong -1, right-to-right 0; right-to-wrong is
 configurable between -1 and 0) and the ensemble score is their sum.
-Rationales with score >= min_score (default 0) are retained.
+A rationale is kept when its score >= min_score (default 0); its scored row
+records that decision as ``kept``, which emit reads.
 
 A student's truth is the query's ``expected_answer``, which scene-gen
 computed on the query's own scene, so scoring needs no scene.
@@ -54,6 +55,7 @@ class ScoredRationale:
     query_id: str
     outcomes: list[UtilityOutcome]
     score: int
+    kept: bool
 
 
 def verdict_for(before: bool, after: bool, harm_value: int = -1) -> tuple[str, int]:
@@ -72,9 +74,10 @@ def utility_score(
     query: Query,
     students: list[StudentOracle],
     harm_value: int = -1,
+    min_score: int = 0,
 ) -> ScoredRationale:
-    """Probe each student before/after seeing the rationale ``text`` and sum
-    verdicts.
+    """Probe each student before/after seeing the rationale ``text``, sum
+    verdicts, and keep the rationale when that sum reaches ``min_score``.
 
     An exception a student raises propagates: the caller records it as a
     row error, or aborts under --strict.
@@ -90,13 +93,8 @@ def utility_score(
         verdict, value = verdict_for(before, after, harm_value)
         outcomes.append(UtilityOutcome(student.name, before, after, verdict))
         score += value
-    return ScoredRationale(query_id=query.query_id, outcomes=outcomes, score=score)
-
-
-def keeps(score: int, min_score: int = 0) -> bool:
-    """The keep rule: a rationale is retained when its ensemble score
-    reaches ``min_score``."""
-    return score >= min_score
+    return ScoredRationale(query_id=query.query_id, outcomes=outcomes, score=score,
+                           kept=score >= min_score)
 
 
 # ---------------------------------------------------------------------------

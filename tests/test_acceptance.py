@@ -33,7 +33,6 @@ from tracedistill.pipeline import run_ablation, run_all
 from tracedistill.scenes import Query, generate_queries, generate_scenes, parse_question
 from tracedistill.students import (
     builtin_students,
-    keeps,
     utility_score,
     verdict_for,
 )
@@ -133,7 +132,7 @@ def test_verdict_table_and_brute_force():
         scored = utility_score("text", query, students)
         expected = sum(values[c] for c in combo)
         assert scored.score == expected
-        assert keeps(scored.score) == (expected >= 0)
+        assert scored.kept == (expected >= 0)
     print(f"\n{PASS}: verdict table (3 fixed cells; 64/64 brute-force agreement)")
 
 
@@ -166,7 +165,7 @@ def test_directional_distillation_effect():
                 filtered.append(example)
                 continue
             scored = utility_score(example.rationale, query, [student])
-            if keeps(scored.score):
+            if scored.kept:
                 filtered.append(example)
             else:
                 filtered.append(

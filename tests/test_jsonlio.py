@@ -21,8 +21,8 @@ ROWS = {
                                 ["Set n = 2.", "Therefore the answer is 2."], ["<no-gap>"],
                                 {"pruned": True, "merged": False, "bridged": True})],
     ScoredRationale: [ScoredRationale("q0", [UtilityOutcome("noisy_oracle_0", False, True, "useful"),
-                                             UtilityOutcome("stubborn_2", True, True, "unsure")], 1),
-                      ScoredRationale("q1", [], 0)],
+                                             UtilityOutcome("stubborn_2", True, True, "unsure")], 1, True),
+                      ScoredRationale("q1", [], 0, True)],
     DistillExample: [DistillExample("q0", "how many cups", "2", "Set n = 2."),
                      DistillExample("q1", "is there a fork", "no", None)],
 }
@@ -80,12 +80,17 @@ class TestRowSchemaErrors:
             read_rows(path, DistillExample)
 
     def test_a_bad_outcome_names_its_index(self, tmp_path):
-        row = {"query_id": "q0", "score": 0, "outcomes": [
+        row = {"query_id": "q0", "score": 0, "kept": True, "outcomes": [
             {"student": "s", "before_correct": True, "after_correct": True, "verdict": "unsure"},
             {"student": "s", "before_correct": True, "after_correct": True},
         ]}
         path = self.write(tmp_path, [row])
         with pytest.raises(SchemaError, match=r"row 0: outcomes\[1\] missing field 'verdict'"):
+            read_rows(path, ScoredRationale)
+
+    def test_a_scored_row_without_its_keep_decision(self, tmp_path):
+        path = self.write(tmp_path, [{"query_id": "q0", "score": 0, "outcomes": []}])
+        with pytest.raises(SchemaError, match=re.escape(f"{path} row 0: missing field 'kept'")):
             read_rows(path, ScoredRationale)
 
     def test_a_row_that_is_not_an_object(self, tmp_path):
@@ -95,7 +100,7 @@ class TestRowSchemaErrors:
 
     @pytest.mark.parametrize("outcomes", [None, {}, [1]], ids=["null", "object", "item_not_an_object"])
     def test_outcomes_not_a_list_of_objects_names_file_row_and_field(self, tmp_path, outcomes):
-        good = {"query_id": "q0", "score": 0, "outcomes": []}
+        good = {"query_id": "q0", "score": 0, "kept": True, "outcomes": []}
         path = self.write(tmp_path, [good, {**good, "outcomes": outcomes}])
         with pytest.raises(SchemaError, match=re.escape(
                 f"{path} row 1: field 'outcomes' must be a list of objects")):

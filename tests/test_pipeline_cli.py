@@ -266,18 +266,24 @@ class TestStageHandoff:
         assert fresh.read_bytes() == config.path("traces").read_bytes()
         assert manifest.counts["faithful_kept"] == len(pairs) - sum(r is not None for r in reasons)
 
-    def test_score_emit_and_ablate_share_one_keep_rule(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(students, "keeps", lambda score, min_score=0: score > min_score)
+    def test_emit_keeps_the_rows_scored_jsonl_marks_kept(self, tmp_path):
         config = load_config(write_config(tmp_path))
         manifest = run_all(config)
-        scores = [r["score"] for r in read_jsonl(config.path("scored"))]
-        strict_kept = sum(score > 0 for score in scores)
-        assert strict_kept < sum(score >= 0 for score in scores)
+        scored = list(read_jsonl(config.path("scored")))
+        assert all(row["kept"] == (row["score"] >= config["min_score"]) for row in scored)
         extra = {e["stage"]: e["extra"] for e in manifest.stages}
-        assert extra["score"]["score_kept"] == extra["emit"]["with_rationale"] == strict_kept
-        report = run_ablation(config)
-        scores = [r["score"] for r in read_jsonl(tmp_path / "ablation/prune1_merge1_bridge1/scored.jsonl")]
-        assert report["cells"]["prune=1,merge=1,bridge=1"]["keep_rate"] == strict_kept / len(scores)
+        kept = sum(row["kept"] for row in scored)
+        assert extra["score"]["score_kept"] == extra["emit"]["with_rationale"] == kept
+        # Emit reads the decision score wrote, not the rule: unkeep one row.
+        dropped = next(row for row in scored if row["kept"])
+        dropped["kept"] = False
+        write_jsonl(config.path("scored"), scored)
+        manifest = new_manifest(config)
+        pipeline.stage_emit(config, manifest)
+        rationales = {row["query_id"]: row["rationale"] for row in read_jsonl(config.path("dataset"))
+                      if "__meta__" not in row}
+        assert rationales[dropped["query_id"]] is None
+        assert manifest.stages[0]["extra"]["with_rationale"] == kept - 1
 
     def test_run_all_reads_back_only_the_dataset(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, scene_count=60))
@@ -574,7 +580,7 @@ class TestCli:
         config = load_config(config_path)
         run_all(config)
         kept = [row["query_id"] for row in read_jsonl(config.path("scored"))
-                if students.keeps(row["score"], config["min_score"])]
+                if row["kept"]]
         assert len(kept) >= 2
         gone = kept[:2]
         rationales = [row for row in read_jsonl(config.path("rationales"))
@@ -1025,9 +1031,10 @@ class TestAblate:
     # The same run's queries.jsonl, every cell's scored.jsonl (the default
     # students' verdicts do not depend on the edit toggles) and each cell's
     # dataset.jsonl. Each of these rows is written from its dataclass's
-    # fields, so renaming a field moves its file's hash.
+    # fields, so renaming a field moves its file's hash. Each scored row
+    # carries score's keep decision, ``kept``.
     PINNED_QUERIES = "2ca58a0d434ad2db4097ca498e542d1d9734b31be097b8a0cba95cd71ea0537d"
-    PINNED_SCORED = "cd169195c7438c648f66d727071f8c93ddcac75846d840da71caecd2017d00bf"
+    PINNED_SCORED = "c0afcc4ba34742bb15060ca6415c7a7efd2880eb52a317354a27a2a833d21ac5"
     PINNED_DATASETS = {
         "prune0_merge0_bridge0": "3f0b7114947692e114070b25643352ddc4113eda1c7ce4ca208a2ea63d1d3b36",
         "prune0_merge0_bridge1": "9bc547ed8bcbe06d9774dfcbe7ebf53e1a53360f420917292c3f51d0465c7b24",
@@ -1105,6 +1112,42 @@ class TestAblate:
             assert len(edited) == kept - 1 and broken["query_id"] not in edited
             assert entries["score"]["rows_in"] == kept - 1
 
+    def test_cell_config_hashes_do_not_depend_on_the_run_directory(self, tmp_path):
+        hashes = []
+        for run in ("one", "two"):
+            workdir = tmp_path / run
+            workdir.mkdir()
+            config = load_config(write_config(workdir))
+            run_all(config)
+            run_ablation(config)
+            hashes.append({
+                path.relative_to(workdir).as_posix():
+                    [manifest["config_hash"]] + [e["config_hash"] for e in manifest["stages"]]
+                for path in sorted(workdir.rglob("manifest.json"))
+                for manifest in [read_json(path)]
+            })
+        assert len(hashes[0]) == 9  # the run's manifest and the 8 cells'
+        assert hashes[0] == hashes[1]
+
+    def test_a_failing_bridger_fails_no_edit_row(self, tmp_path):
+        # Finishing a draft cannot raise, so both cells of a pair keep the
+        # same rows: a failed bridge call falls back to the default bridger.
+        config = load_config(write_config(
+            tmp_path, external_bridger={"endpoint": "http://127.0.0.1:1/", "timeout": 0.2},
+        ))
+        run_all(config)
+        run_ablation(config)
+        edits = {}
+        for cell in sorted((tmp_path / "ablation").iterdir()):
+            edits[cell.name] = next(e for e in read_json(cell / "manifest.json")["stages"]
+                                    if e["stage"] == "edit")
+            assert edits[cell.name]["row_errors"] == [], cell.name
+        for name, entry in edits.items():
+            if name.endswith("bridge1"):
+                assert entry["rows_out"] == edits[name.replace("bridge1", "bridge0")]["rows_out"]
+                rows = list(read_jsonl(tmp_path / "ablation" / name / "rationales.jsonl"))
+                assert entry["extra"]["bridge_fallbacks"] == sum(r["bridge_fallback"] for r in rows) > 0
+
     def test_broken_trace_fails_every_cell_under_strict(self, tmp_path):
         config = load_config(write_config(tmp_path, strict=True))
         run_all(config)
@@ -1114,6 +1157,8 @@ class TestAblate:
             key: {"error": f"[edit row {row}] 'events'"} for key in report["cells"]
         }
         assert len(report["cells"]) == 8
+        for cell in (tmp_path / "ablation").iterdir():
+            assert read_json(cell / "manifest.json")["stages"] == [], cell.name
 
 
 class TestExecPinned:

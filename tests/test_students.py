@@ -10,9 +10,7 @@ from tracedistill.config import STUDENT_DEFAULTS
 from tracedistill.errors import ConfigError
 from tracedistill.scenes import Query, generate_queries, generate_scenes
 from tracedistill.students import (
-    ScoredRationale,
     builtin_students,
-    keeps,
     utility_score,
     verdict_for,
 )
@@ -51,14 +49,14 @@ class TestVerdicts:
         ]
         scored = utility_score("whatever", query, students)
         assert scored.score == 0
-        assert keeps(scored.score)  # retained at the default threshold
+        assert scored.kept  # retained at the default threshold
 
     def test_all_wrong_rejected(self):
         query = Query("q", "s", "how many muffins", "3")
         students = [FixedStudent(str(i), False, False) for i in range(4)]
         scored = utility_score("whatever", query, students)
         assert scored.score == -4
-        assert not keeps(scored.score)
+        assert not scored.kept
 
     def test_student_failure_propagates(self):
         class Exploding:
@@ -103,28 +101,36 @@ class TestVerdicts:
             scored = utility_score("x", query, students)
             expected_score = sum(values[c] for c in combo)
             assert scored.score == expected_score
-            assert keeps(scored.score) == (expected_score >= 0)
+            assert scored.kept == (expected_score >= 0)
+
+
+def scored_at(score, min_score):
+    """``utility_score``'s row for an ensemble whose verdicts sum to
+    ``score``: one useful (+1) or non-useful (-1) student per point, and one
+    unsure (0) student so that the ensemble is never empty."""
+    query = Query("q", "s", "how many muffins", "3")
+    students = [FixedStudent("u", True, True)] + [
+        FixedStudent(str(i), False, score > 0) for i in range(abs(score))
+    ]
+    scored = utility_score("x", query, students, min_score=min_score)
+    assert scored.score == score
+    return scored
 
 
 class TestFilter:
     def test_threshold_partition(self):
-        rows = [
-            ScoredRationale("a", [], -2),
-            ScoredRationale("b", [], 0),
-            ScoredRationale("c", [], 3),
-        ]
-        assert [s.score for s in rows if keeps(s.score, min_score=0)] == [0, 3]
-        assert [s.score for s in rows if not keeps(s.score, min_score=0)] == [-2]
+        rows = [scored_at(s, min_score=0) for s in (-2, 0, 3)]
+        assert [s.score for s in rows if s.kept] == [0, 3]
+        assert [s.score for s in rows if not s.kept] == [-2]
 
     def test_strict_threshold(self):
-        rows = [ScoredRationale("a", [], s) for s in (-1, 0, 1)]
-        assert [s.score for s in rows if keeps(s.score, min_score=1)] == [1]
+        rows = [scored_at(s, min_score=1) for s in (-1, 0, 1)]
+        assert [s.score for s in rows if s.kept] == [1]
 
     @given(st.lists(st.integers(min_value=-5, max_value=5), max_size=30), st.integers(-4, 4))
     def test_monotone(self, scores, threshold):
-        rows = [ScoredRationale(str(i), [], s) for i, s in enumerate(scores)]
-        kept_low = {id(s) for s in rows if keeps(s.score, min_score=threshold)}
-        kept_high = {id(s) for s in rows if keeps(s.score, min_score=threshold + 1)}
+        kept_low = {i for i, s in enumerate(scores) if scored_at(s, threshold).kept}
+        kept_high = {i for i, s in enumerate(scores) if scored_at(s, threshold + 1).kept}
         assert kept_high <= kept_low
 
 
