@@ -12,6 +12,7 @@ AST nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -22,6 +23,10 @@ KEYWORDS = {"if", "elif", "else", "for", "in", "return", "and", "or", "not", "Tr
 BUILTIN_CALLABLES = {"len", "sorted", "min", "max", "abs", "str", "int", "bool_to_yesno", "distance"}
 
 TOOL_METHODS = {"find", "exists", "verify_property", "best_text_match", "simple_query", "compute_depth"}
+
+# The largest integer magnitude a program may hold, as a literal or as a
+# value the interpreter computes.
+MAX_INT = 2**63 - 1
 
 _COMPARISONS = {"==", "!=", "<", "<=", ">", ">=", "in"}
 _INDENT_WIDTH = 4
@@ -89,13 +94,12 @@ def _lex_line(text: str, lineno: int, offset: int, out: list[Token]) -> None:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
+            is_float = j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal()
+            if is_float:
                 j += 1
                 while j < n and text[j].isdecimal():
                     j += 1
-                out.append(Token("FLOAT", float(text[i:j]), lineno, col))
-            else:
-                out.append(Token("INT", int(text[i:j]), lineno, col))
+            out.append(_number(text[i:j], is_float, lineno, col))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -124,6 +128,19 @@ def _lex_line(text: str, lineno: int, offset: int, out: list[Token]) -> None:
             i += 1
             continue
         raise LexError(f"unknown character {ch!r}", lineno, col)
+
+
+def _number(literal: str, is_float: bool, lineno: int, col: int) -> Token:
+    """The token of a numeric literal. A literal the interpreter would not
+    hold as a value (a float that rounds to infinity, an int beyond
+    ``MAX_INT``) is a LexError."""
+    if is_float:
+        value = float(literal)
+        if math.isfinite(value):
+            return Token("FLOAT", value, lineno, col)
+    elif len(literal.lstrip("0")) <= len(str(MAX_INT)) and int(literal) <= MAX_INT:
+        return Token("INT", int(literal), lineno, col)
+    raise LexError("numeric literal out of range", lineno, col)
 
 
 def _lex_string(text: str, start: int, lineno: int, col: int) -> tuple[str, int]:

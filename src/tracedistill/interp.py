@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from . import scenes as sw
-from .dsl import Ast, AstNode, TOOL_METHODS, if_arms
+from .dsl import MAX_INT, Ast, AstNode, TOOL_METHODS, if_arms
 from .scenes import Patch, Query, Scene, ToolConfig
 
 Value = Any  # int | float | bool | str | list[Value] | Patch
 
 
 MAX_LIST_LEN = 10_000
+MAX_STR_LEN = 10_000
 SNAPSHOT_LIST_CAP = 64
 
 
@@ -296,20 +297,25 @@ class _Interp:
             return self.eval_attribute(node)
         if kind == "Index":
             return self.eval_index(node)
-        if kind == "Unary":
-            value = self.eval_expr(node.children[0])
-            if node.payload["op"] == "not":
-                return not _truthy(value)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise _Fault(node.id, "unary minus needs a number")
-            return -value
-        if kind == "Binary":
-            return self.eval_binary(node)
-        if kind == "Call":
-            return self.eval_call(node)
         if kind == "MethodCall":
             return self.eval_method(node)
-        raise _Fault(node_id, f"cannot evaluate node kind {kind}")
+        if kind == "Unary":
+            value = self.eval_unary(node)
+        elif kind == "Binary":
+            value = self.eval_binary(node)
+        elif kind == "Call":
+            value = self.eval_call(node)
+        else:
+            raise _Fault(node_id, f"cannot evaluate node kind {kind}")
+        return _bounded(node_id, value)
+
+    def eval_unary(self, node: AstNode) -> Value:
+        value = self.eval_expr(node.children[0])
+        if node.payload["op"] == "not":
+            return not _truthy(value)
+        if not _is_num(value):
+            raise _Fault(node.id, "unary minus needs a number")
+        return -value
 
     def eval_attribute(self, node: AstNode) -> Value:
         obj = self.eval_expr(node.children[0])
@@ -356,34 +362,22 @@ class _Interp:
                 raise _Fault(node.id, f"cannot order {type(left).__name__} and {type(right).__name__}")
             return {"<": left < right, "<=": left <= right, ">": left > right, ">=": left >= right}[op]
         if op == "+":
-            if _is_num(left) and _is_num(right):
-                result = left + right
-                if isinstance(result, float) and not math.isfinite(result):
-                    raise _Fault(node.id, "arithmetic produced a non-finite value")
-                return result
-            if isinstance(left, str) and isinstance(right, str):
+            if ((_is_num(left) and _is_num(right))
+                    or (isinstance(left, str) and isinstance(right, str))
+                    or (isinstance(left, list) and isinstance(right, list))):
                 return left + right
-            if isinstance(left, list) and isinstance(right, list):
-                joined = left + right
-                if len(joined) > MAX_LIST_LEN:
-                    raise _Fault(node.id, "list too long")
-                return joined
             raise _Fault(node.id, f"cannot add {type(left).__name__} and {type(right).__name__}")
         if not (_is_num(left) and _is_num(right)):
             raise _Fault(node.id, f"arithmetic needs numbers, got {type(left).__name__}")
         if op == "-":
-            result = left - right
-        elif op == "*":
-            result = left * right
-        elif op == "/":
+            return left - right
+        if op == "*":
+            return left * right
+        if op == "/":
             if right == 0:
                 raise _Fault(node.id, "division by zero")
-            result = left / right
-        else:
-            raise _Fault(node.id, f"unknown operator {op!r}")
-        if isinstance(result, float) and not math.isfinite(result):
-            raise _Fault(node.id, "arithmetic produced a non-finite value")
-        return result
+            return left / right
+        raise _Fault(node.id, f"unknown operator {op!r}")
 
     def eval_call(self, node: AstNode) -> Value:
         func = node.payload["func"]
@@ -458,6 +452,25 @@ class _Interp:
         except (ValueError, sw.SceneLookupError) as exc:
             raise _Fault(node.id, str(exc))
         raise _Fault(node.id, f"unknown or misused tool method {method!r}")
+
+
+def _bounded(node_id: int, value: Value) -> Value:
+    """``value``, the result of a Unary, Binary or Call node, if the
+    interpreter holds it: an int within ``MAX_INT`` of zero, a finite float,
+    a string of at most ``MAX_STR_LEN`` characters, a list of at most
+    ``MAX_LIST_LEN`` items. Anything else is a runtime error: past these
+    bounds ``float()``, ``str()`` and the trace's JSON write raise, and a
+    string or list could grow until memory runs out."""
+    kind = type(value)
+    if kind is int and not -MAX_INT <= value <= MAX_INT:
+        raise _Fault(node_id, "integer out of range")
+    if kind is float and not math.isfinite(value):
+        raise _Fault(node_id, "arithmetic produced a non-finite value")
+    if kind is str and len(value) > MAX_STR_LEN:
+        raise _Fault(node_id, "string too long")
+    if kind is list and len(value) > MAX_LIST_LEN:
+        raise _Fault(node_id, "list too long")
+    return value
 
 
 def _is_num(v: Value) -> bool:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import tracedistill
 from tracedistill.codegen import generate_programs
 from tracedistill.config import load_config
 from tracedistill.distill import TrainConfig, build_model, encode, loss_and_grads, train
@@ -29,7 +30,7 @@ from tracedistill.editing import (
 )
 from tracedistill.interp import execute, faithfulness_filter, plain_text
 from tracedistill.jsonlio import read_json, read_jsonl
-from tracedistill.pipeline import run_ablation, run_all
+from tracedistill.pipeline import RUN_ALL_ORDER, run_ablation, run_all
 from tracedistill.scenes import Query, generate_queries, generate_scenes, parse_question
 from tracedistill.students import (
     builtin_students,
@@ -218,53 +219,97 @@ def test_conciseness_and_keep_rate_ordering(ablation_report):
     )
 
 
-STAGE_FILES = [
-    "scenes.jsonl", "queries.jsonl", "programs.jsonl", "traces.jsonl",
-    "rationales.jsonl", "scored.jsonl", "dataset.jsonl", "metrics.json",
-]
+# The directory this process imported the package from: a run in another
+# working directory finds it there, whether it is ./src or an installed copy.
+PACKAGE_ROOT = str(Path(tracedistill.__file__).resolve().parents[1])
+CLI = [sys.executable, "-m", "tracedistill.cli"]
+NO_COLLECTOR = [sys.executable, "-c", "import gc, sys; gc.disable(); "
+                "from tracedistill.cli import main; sys.exit(main(sys.argv[1:]))"]
 
 
-SMALL_RUN = {"workdir": ".", "scene_count": 30, "corruption_rate": 0.2, "train": {"epochs": 5, "step_size": 0.5}}
+def _run_cli(workdir: Path, runs: list[list[str]], env: dict, launcher: list[str] = CLI) -> Path:
+    """Each argument list in its own process, started in ``workdir`` with
+    one OpenBLAS thread unless ``env`` says otherwise."""
+    workdir.mkdir(exist_ok=True)
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", **env}
+    for args in runs:
+        proc = subprocess.run([*launcher, *args], cwd=workdir, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, (workdir.name, args, proc.stderr)
+    return workdir
 
 
-def _run_cli(workdir: Path, env: dict, config: dict = SMALL_RUN) -> None:
-    config_path = workdir / "config.json"
-    config_path.write_text(json.dumps(config))
-    env = dict(os.environ, **env)
-    proc = subprocess.run(
-        [sys.executable, "-m", "tracedistill.cli", "--config", str(config_path), "run-all"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
+def _files(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` but the manifests, which hold timings."""
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file() and path.name != "manifest.json"}
 
 
-def test_determinism_audit(tmp_path):
-    """Two full run-all executions (fresh processes, different hash seeds)
-    produce byte-identical files at every stage. The manifest is excluded:
-    it records wall-clock stage timings."""
-    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    dir_a.mkdir(), dir_b.mkdir()
-    _run_cli(dir_a, {"PYTHONHASHSEED": "1"})
-    _run_cli(dir_b, {"PYTHONHASHSEED": "42"})
-    for name in STAGE_FILES:
-        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
-    print(f"\n{PASS}: determinism audit (byte-identical across processes and hash seeds)")
+def _timeless_manifests(root: Path) -> dict[str, dict]:
+    manifests = {}
+    for path in sorted(root.rglob("manifest.json")):
+        manifest = json.loads(path.read_text())
+        for entry in manifest["stages"]:
+            del entry["duration_s"]
+        manifests[str(path.relative_to(root))] = manifest
+    return manifests
+
+
+def test_determinism_across_processes(tmp_path):
+    """run-all then ablate, each in a fresh process, write the same bytes
+    under hash seeds 0 and 1, under two OpenBLAS threads, and with the
+    cyclic collector off throughout (run-all and ablate otherwise pause it
+    and collect once on return). So do the seven single-stage verbs, each
+    reading its inputs back from the stage files, then ablate. The
+    manifests hold timings: without each stage's duration_s, the 9 of each
+    hash-seed run (the run's and the 8 cells') are equal, config hashes
+    included, although the runs are in different directories.
+
+    The thread count is checked at this size (50 scenes) only: at 500
+    scenes and corruption 0.2, ablate under two threads writes another last
+    digit of L_label in the prune1_merge0 cells' metrics.json."""
+    both = [["--seed", "3", verb] for verb in ("run-all", "ablate")]
+    reference = _run_cli(tmp_path / "hashseed0", both, {"PYTHONHASHSEED": "0"})
+    hashseed1 = _run_cli(tmp_path / "hashseed1", both, {"PYTHONHASHSEED": "1"})
+    threads2 = _run_cli(tmp_path / "threads2", both,
+                        {"PYTHONHASHSEED": "0", "OPENBLAS_NUM_THREADS": "2"})
+    no_collector = _run_cli(tmp_path / "gcoff", both, {"PYTHONHASHSEED": "0"}, NO_COLLECTOR)
+    stages = _run_cli(tmp_path / "stages", [["--seed", "3", verb] for verb in [*RUN_ALL_ORDER, "ablate"]],
+                      {"PYTHONHASHSEED": "1"})
+
+    expected = _files(reference)
+    assert "ablation/prune1_merge1_bridge1/metrics.json" in expected
+    for run in (hashseed1, threads2, no_collector, stages):
+        files = _files(run)
+        assert files.keys() == expected.keys(), run.name
+        assert [name for name in files if files[name] != expected[name]] == [], run.name
+    manifests = _timeless_manifests(reference)
+    assert len(manifests) == 9
+    assert _timeless_manifests(hashseed1) == manifests
+    # The top-level files have the default toggles, all on. Their train ran
+    # in its own process; the cell's is the one it shares with
+    # prune1_merge1_bridge0.
+    cell = stages / "ablation" / "prune1_merge1_bridge1"
+    for name in ("rationales.jsonl", "scored.jsonl", "dataset.jsonl", "metrics.json"):
+        assert (stages / name).read_bytes() == (cell / name).read_bytes(), name
+    print(f"\n{PASS}: determinism across processes ({len(expected)} files, 5 runs, 16 processes)")
 
 
 def test_metrics_do_not_depend_on_the_blas_thread_count(tmp_path):
     """run-all at n=500 under one and two OpenBLAS threads writes the same
     metrics.json. Train's products are small enough that OpenBLAS sums them
     the same way at both counts; this is observed at this size, not
-    guaranteed by construction."""
+    guaranteed by construction. It fails for ablate at this size: under two
+    threads the prune1_merge0 cells' metrics.json ends L_label in another
+    last digit."""
     dirs = []
     for threads in ("1", "2"):
         workdir = tmp_path / f"threads{threads}"
         workdir.mkdir()
-        _run_cli(workdir, {"OPENBLAS_NUM_THREADS": threads},
-                 {"workdir": ".", "scene_count": 500, "corruption_rate": 0.2})
-        dirs.append(workdir)
+        config = {"workdir": ".", "scene_count": 500, "corruption_rate": 0.2}
+        (workdir / "config.json").write_text(json.dumps(config))
+        dirs.append(_run_cli(workdir, [["--config", "config.json", "run-all"]],
+                             {"OPENBLAS_NUM_THREADS": threads}))
     assert (dirs[0] / "metrics.json").read_bytes() == (dirs[1] / "metrics.json").read_bytes()
 
 

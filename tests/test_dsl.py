@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracedistill.codegen import generate_program
-from tracedistill.dsl import parse
+from tracedistill.dsl import MAX_INT, parse
 from tracedistill.errors import DslSyntaxError, LexError
 from tracedistill.scenes import generate_queries, generate_scenes
 
@@ -82,6 +82,11 @@ class TestParse:
         ast = parse("x = 1٣\nreturn x")
         assert ast.node(0).payload == {"value": 13}
 
+    def test_numeric_literals_up_to_the_bound_lex(self):
+        ast = parse(f"x = 000{MAX_INT}\ny = " + "9" * 308 + ".0\nreturn x")
+        assert ast.node(0).payload == {"value": MAX_INT}
+        assert ast.node(2).payload == {"value": float("9" * 308)}
+
     def test_syntax_error_reports_expected(self):
         with pytest.raises(DslSyntaxError, match="expected"):
             parse("for p xs:\n    y = p")
@@ -102,6 +107,13 @@ class TestParse:
             ("x = 'a\\q'\nreturn x", LexError, "unknown escape \\q", 1, 5),
             ("x = 'a\\", LexError, "unterminated escape", 1, 5),
             ("x = 'abc\nreturn x", LexError, "unterminated string literal", 1, 5),
+            # a literal the interpreter would not hold: infinity, beyond MAX_INT,
+            # and more digits than int() converts
+            pytest.param("x = " + "9" * 400 + ".0\nreturn int(x)", LexError,
+                         "numeric literal out of range", 1, 5, id="infinite-float"),
+            ("x = 9223372036854775808", LexError, "numeric literal out of range", 1, 5),
+            pytest.param("x = 1 + " + "9" * 4301, LexError, "numeric literal out of range", 1, 9,
+                         id="4301-digit-int"),
             ("for p xs:\n    y = p", DslSyntaxError, "expected 'in', got 'xs'", 1, 7),
             ("x = [1, 2\nreturn x", DslSyntaxError, "expected ']', got 'NEWLINE'", 1, 10),
             ("return", DslSyntaxError, "expected an expression, got 'NEWLINE'", 1, 7),

@@ -115,6 +115,36 @@ class TestExecute:
         assert trace.status == "runtime_error"
         assert "non-finite" in trace.error["message"]
 
+    @pytest.mark.parametrize("source, message", [
+        # a float product past the largest finite one, and int() of a large float
+        pytest.param("x = " + "9" * 300 + ".0 * " + "9" * 10 + ".0\nreturn int(x)", "non-finite",
+                     id="int-of-infinity"),
+        pytest.param("x = " + "9" * 300 + ".0\nreturn int(x)", "integer out of range",
+                     id="int-of-a-large-float"),
+        # ints past 64 bits: one a float cannot hold, one str() cannot print
+        pytest.param("x = 1\n" + "x = x * 1000000000\n" * 45 + "return x / 1",
+                     "integer out of range", id="int-to-float"),
+        pytest.param("x = 1\n" + "x = x * 1000000000\n" * 500 + "return str(x)",
+                     "integer out of range", id="int-to-str"),
+        pytest.param("x = 9223372036854775807\nreturn -x - 1", "integer out of range",
+                     id="int-below-the-bound"),
+        pytest.param("xs = [1]\n" + "xs = xs + xs\n" * 14 + "return len(xs)", "list too long",
+                     id="list-doubled"),
+    ])
+    def test_a_value_the_interpreter_cannot_hold_is_a_runtime_error(self, muffins3, source, message):
+        trace = execute(parse(source), muffins3)
+        assert trace.status == "runtime_error"
+        assert message in trace.error["message"]
+
+    def test_a_string_doubled_past_the_cap_is_a_runtime_error(self, muffins3):
+        assert interp.MAX_STR_LEN % 16 == 0
+        doubled = f"s = '{'x' * (interp.MAX_STR_LEN // 16)}'\n" + "s = s + s\n" * 4
+        trace = execute(parse(doubled + "return len(s)"), muffins3)
+        assert (trace.status, trace.result) == ("ok", interp.MAX_STR_LEN)
+        trace = execute(parse(doubled + "s = s + 'x'\nreturn len(s)"), muffins3)
+        assert trace.status == "runtime_error"
+        assert trace.error["message"] == "string too long"
+
     @pytest.mark.parametrize("call, message", [
         ("len()", "len needs one list or string"),
         ("image.verify_property(1, 1)", "misused tool method 'verify_property'"),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import importlib.util
 import json
 import math
 import re
@@ -453,6 +454,23 @@ class TestCrashIsolation:
 
         with pytest.raises(StageError, match="exec row 0"):
             stage_exec(config, new_manifest(config))
+
+    def test_a_value_past_the_bounds_is_a_runtime_error_row(self, tmp_path):
+        """An int past 64 bits in a variable's binding would fail the trace
+        row's JSON write, outside the row loop; the interpreter stops it."""
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        before = list(read_jsonl(config.path("traces")))
+        rows = list(read_jsonl(config.path("programs")))
+        rows[1]["source"] = "x = 1\n" + "x = x * 1000000000\n" * 500 + "return 'yes'"
+        write_jsonl(config.path("programs"), rows)
+        manifest = new_manifest(config)
+        pipeline.stage_exec(config, manifest)
+        after = list(read_jsonl(config.path("traces")))
+        assert manifest.stages[-1]["row_errors"] == []
+        assert (after[1]["status"], after[1]["reject_reason"]) == ("runtime_error", "runtime_error")
+        assert after[1]["error"]["message"] == "integer out of range"
+        assert after[:1] + after[2:] == before[:1] + before[2:]
 
     def _share_one_bad_source(self, config):
         rows = list(read_jsonl(config.path("programs")))
@@ -1316,3 +1334,27 @@ class TestCollectorPause:
         finally:
             (gc.enable if was_enabled else gc.disable)()
         assert digests[0] == digests[1]
+
+
+def test_the_benchmark_tracer_wraps_a_run_and_puts_every_name_back(tmp_path):
+    """perfbench/tracing.py wraps the package's public functions at every
+    name they are bound to, and its hooks read fields of their results (a
+    score's ``score``, a pruned trace's ``kept_seqs``). A renamed function
+    or field fails this run; and once the tracer is gone the package holds
+    its own functions again."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    parse, stages = pipeline.parse, dict(pipeline.STAGES)
+    config = load_config(write_config(tmp_path, scene_count=10))
+    with tracing.Tracer().installed() as tracer:
+        assert pipeline.parse is not parse
+        run_all(config)
+        run_ablation(config)
+    assert pipeline.parse is parse
+    assert pipeline.STAGES == stages
+    hooked = ["dsl.parse_calls", "interp.events", "faithful.all", "prune.all", "rationale.count",
+              "score.all", "jsonlio.bytes_read", "jsonlio.bytes_written", "distill.keywords",
+              "scenes.tool_calls", "students.answer_calls"]
+    assert [key for key in hooked if not tracer.counts[key]] == []
