@@ -19,6 +19,7 @@ from typing import Any
 
 from . import scenes as sw
 from .dsl import MAX_INT, Ast, AstNode, TOOL_METHODS, if_arms
+from .errors import SchemaError
 from .scenes import Patch, Query, Scene, ToolConfig
 
 Value = Any  # int | float | bool | str | list[Value] | Patch
@@ -65,16 +66,57 @@ class _Return(Exception):
 
 
 def _snapshot(value: Value) -> Value:
-    """Copy of ``value`` with lists capped at ``SNAPSHOT_LIST_CAP`` items.
-    Lists are the only mutable runtime values; every other value is
-    returned as it is."""
-    if isinstance(value, list):
-        return [_snapshot(v) for v in value[:SNAPSHOT_LIST_CAP]]
-    return value
+    """Copy of ``value`` holding at most ``SNAPSHOT_LIST_CAP`` list items in
+    all, counted across every nesting level. Lists are the only mutable
+    runtime values; every other value is returned as it is."""
+    return _capped(value, [SNAPSHOT_LIST_CAP]) if isinstance(value, list) else value
 
 
-def value_text(value: Value) -> str:
-    """Canonical space-free text for symbolic trace lines."""
+def _capped(items: list, room: list[int]) -> list:
+    """``items``' first ``room[0]`` items, taking them from ``room``; then
+    each nested list shares what room is left. A module function, not a
+    closure in ``_snapshot``: a closure that calls itself is a reference
+    cycle, and exec runs with the cyclic collector paused, so each call's
+    function and cell would stay in memory until the stage ends."""
+    out = items[:room[0]]
+    room[0] -= len(out)
+    for j, item in enumerate(out):
+        if isinstance(item, list):
+            out[j] = _capped(item, room)
+    return out
+
+
+_END = object()
+
+
+def value_text(value: Value, limit: float = math.inf) -> str:
+    """Canonical space-free text for symbolic trace lines. A text longer
+    than ``limit`` characters raises ValueError before it is built: nested
+    lists are walked with a stack, and the text is measured as it grows."""
+    if not isinstance(value, list):
+        return _atom_text(value)
+    pieces, size = ["["], 1
+    stack, first = [iter(value)], True
+    while stack:
+        item = next(stack[-1], _END)
+        if item is _END:
+            stack.pop()
+            piece, first = "]", False
+        elif isinstance(item, list):
+            piece = "[" if first else ",["
+            stack.append(iter(item))
+            first = True
+        else:
+            piece = _atom_text(item) if first else "," + _atom_text(item)
+            first = False
+        size += len(piece)
+        if size > limit:
+            raise ValueError(f"text longer than {limit} characters")
+        pieces.append(piece)
+    return "".join(pieces)
+
+
+def _atom_text(value: Value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -84,8 +126,6 @@ def value_text(value: Value) -> str:
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace("'", "\\'")
         return f"'{escaped}'"
-    if isinstance(value, list):
-        return "[" + ",".join(value_text(v) for v in value) + "]"
     if isinstance(value, Patch):
         l, lo, r, u = value.box
         return f"patch({l},{lo},{r},{u})"
@@ -94,15 +134,17 @@ def value_text(value: Value) -> str:
     raise TypeError(f"unsupported runtime value {type(value)!r}")
 
 
-def plain_text(value: Value) -> str:
-    """Program-result text as the str() builtin produces it."""
+def plain_text(value: Value, limit: float = math.inf) -> str:
+    """Program-result text as the str() builtin produces it; a list whose
+    text would be longer than ``limit`` raises ValueError (see
+    ``value_text``)."""
     if isinstance(value, bool):
         return "True" if value else "False"
     if isinstance(value, str):
         return value
     if isinstance(value, (int, float)):
         return str(value) if isinstance(value, int) else repr(value)
-    return value_text(value)
+    return value_text(value, limit)
 
 
 def value_to_json(value: Value) -> Any:
@@ -390,7 +432,10 @@ class _Interp:
         if func == "str":
             if len(args) != 1:
                 raise _Fault(node.id, "str needs one argument")
-            return plain_text(args[0])
+            try:
+                return plain_text(args[0], MAX_STR_LEN)
+            except ValueError:
+                raise _Fault(node.id, "string too long")
         if func == "int":
             if len(args) != 1:
                 raise _Fault(node.id, "int needs one argument")
@@ -608,31 +653,37 @@ def trace_to_record(trace: ExecutionTrace, query_id: str, reject_reason: str | N
 
 
 def trace_from_record(rec: dict) -> ExecutionTrace:
-    events = []
-    for ev in rec["events"]:
-        invocation = None
-        if ev["invocation"] is not None:
-            inv = ev["invocation"]
-            invocation = (
-                inv["callee"],
-                [value_from_json(a) for a in inv["args"]],
-                value_from_json(inv["result"]),
-            )
-        events.append(
-            TraceEvent(
-                seq=ev["seq"],
-                node_id=ev["node_id"],
-                kind=ev["kind"],
-                bindings={k: value_from_json(v) for k, v in ev["bindings"].items()},
-                invocation=invocation,
-                uses=[(name, seq) for name, seq in ev["uses"]],
-                detail={k: value_from_json(v) for k, v in ev["detail"].items()},
-            )
-        )
-    return ExecutionTrace(
-        program_id=rec["program_id"],
-        events=events,
-        result=value_from_json(rec["result"]),
-        status=rec["status"],
-        error=rec.get("error"),
-    )
+    """The trace a traces.jsonl record holds. A record with a field missing
+    or malformed raises a SchemaError naming the field, as in ``events[2]
+    field 'uses' is malformed (...)``."""
+    j, key = None, "events"
+    try:
+        events = []
+        for j, ev in enumerate(rec["events"]):
+            key = "invocation"
+            invocation = None
+            if ev["invocation"] is not None:
+                inv = ev["invocation"]
+                invocation = (
+                    inv["callee"],
+                    [value_from_json(a) for a in inv["args"]],
+                    value_from_json(inv["result"]),
+                )
+            key = "bindings"
+            bindings = {k: value_from_json(v) for k, v in ev["bindings"].items()}
+            key = "uses"
+            uses = [(name, seq) for name, seq in ev["uses"]]
+            key = "detail"
+            detail = {k: value_from_json(v) for k, v in ev["detail"].items()}
+            events.append(TraceEvent(seq=ev["seq"], node_id=ev["node_id"], kind=ev["kind"],
+                                     bindings=bindings, invocation=invocation, uses=uses,
+                                     detail=detail))
+        j, key = None, "result"
+        return ExecutionTrace(program_id=rec["program_id"], events=events,
+                              result=value_from_json(rec["result"]), status=rec["status"],
+                              error=rec.get("error"))
+    except (KeyError, AttributeError, TypeError, ValueError) as exc:
+        at = "" if j is None else f"events[{j}] "
+        if isinstance(exc, KeyError):
+            raise SchemaError(f"{at}missing field {exc.args[0]!r}") from None
+        raise SchemaError(f"{at}field {key!r} is malformed ({exc})") from None

@@ -12,20 +12,29 @@ import functools
 import itertools
 import json
 import os
+import sys
 import typing
 import urllib.request
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import SchemaError
 
 
-def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def _plain(value):
+    """A dataclass as its fields (a shallow ``vars()``), a frozenset sorted."""
+    if type(value) is frozenset:
+        return sorted(value)
+    if hasattr(value, "__dataclass_fields__"):
+        return vars(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
+dumps_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_plain).encode
+
+
+def write_jsonl(path: str | Path, rows: Iterable) -> int:
     """Write one canonical JSON object per line; returns the row count.
 
     ``rows`` is consumed one row at a time, into a temp file beside ``path``
@@ -47,63 +56,146 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     return n
 
 
+_decode = json.JSONDecoder().raw_decode  # a stripped line needs no whitespace scans
+
+
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                yield json.loads(line)
+                value, end = _decode(line)
+                if end < len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
+                yield value
+
+
+# ---------------------------------------------------------------------------
+# typed rows: a row dataclass's field annotations are its file's schema
+
+class _Mismatch(Exception):
+    """A value not of its annotation's type."""
+
+
+def _mismatch():
+    raise _Mismatch
+
+
+def _object(cls: type, value):
+    try:
+        return _build(cls, value) if type(value) is dict else _mismatch()
+    except SchemaError as exc:
+        raise SchemaError(f" {exc}") from None
+
+
+_NOUNS = {str: "string", int: "integer", bool: "boolean", dict: "object", float: "finite number"}
+_EXACT = (str, int, bool, dict)  # the types JSON gives as they are
+
+
+def _reader(tp) -> tuple[Callable, str, str]:
+    """How a JSON value is read as a ``tp`` (or _Mismatch raised), and how a
+    SchemaError names one ``tp`` and many: str, int, bool, dict, float (an
+    int becomes one), a dataclass, X | None, or, from a JSON list, list[X],
+    tuple[X, ...], tuple[X, X, ...] or frozenset[X] of distinct items."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is None:
+        noun = "object" if is_dataclass(tp) else _NOUNS[tp]
+        if tp is float:
+            read = lambda value: (float(value) if type(value) in (int, float)  # noqa: E731
+                                  and abs(value) <= sys.float_info.max else _mismatch())
+        elif is_dataclass(tp):
+            read = functools.partial(_object, tp)
+        else:
+            read = lambda value: value if type(value) is tp else _mismatch()  # noqa: E731
+        return read, ("an " if noun[0] in "aeiou" else "a ") + noun, noun + "s"
+    item, one, many = _reader(args[0])
+    if type(None) in args:
+        return (lambda value: None if value is None else item(value)), "null or " + one, "nulls or " + many
+    if origin not in (list, tuple, frozenset) or len({*args} - {Ellipsis}) != 1:
+        raise TypeError(f"no row reader for {tp!r}")
+    size = len(args) if origin is tuple and Ellipsis not in args else None
+
+    def read(value):
+        if type(value) is not list or size is not None and len(value) != size:
+            raise _Mismatch
+        if args[0] in _EXACT:  # checked in C; join raises TypeError at an item not a str
+            try:
+                same = "".join(value) is not None if args[0] is str else {*map(type, value)} <= {args[0]}
+            except TypeError:
+                same = False
+            out = value if same else _mismatch()
+        else:
+            out = []
+            for j, x in enumerate(value):
+                try:
+                    out.append(item(x))
+                except SchemaError as exc:
+                    raise SchemaError(f"[{j}]{exc}") from None
+        out = out if origin is list else origin(out)
+        if len(out) != len(value):  # a repeated frozenset item
+            raise _Mismatch
+        return out
+
+    what = f"{size} {many}" if size else ("distinct " if origin is frozenset else "") + many
+    return read, "a list of " + what, "lists of " + what
 
 
 @functools.lru_cache(maxsize=None)
-def _schema(cls: type) -> tuple[frozenset, dict]:
-    """``cls``'s field names, and the dataclass of each field typed as a
-    list of dataclasses."""
+def _plan(cls: type) -> tuple[frozenset, tuple]:
+    """``cls``'s fields; each one's name, exact JSON type, reader and noun."""
     hints = typing.get_type_hints(cls)
-    names = frozenset(f.name for f in fields(cls))
-    lists = {n: typing.get_args(hints[n])[0] for n in names if typing.get_origin(hints[n]) is list}
-    return names, {name: inner for name, inner in lists.items() if is_dataclass(inner)}
+    names = [f.name for f in fields(cls)]
+    return frozenset(names), tuple((name, hints[name] if hints[name] in _EXACT else None,
+                                    *_reader(hints[name])[:2]) for name in names)
 
 
-def _record(row) -> dict:
-    lists = {name: [vars(x) for x in getattr(row, name)] for name in _schema(type(row))[1]}
-    return {**vars(row), **lists} if lists else vars(row)
-
-
-def write_rows(path: str | Path, rows: Iterable, meta: dict | None = None) -> int:
-    """Write each dataclass row as its fields, read with a shallow ``vars()``;
-    a field holding a list of dataclasses is written as their fields. With
-    ``meta``, a ``{"__meta__": meta}`` header line comes first. Returns the
-    row count, the header not counted."""
-    header = [] if meta is None else [{"__meta__": meta}]
-    return write_jsonl(path, itertools.chain(header, map(_record, rows))) - len(header)
-
-
-def _build(cls: type, row, where: str):
-    names, nested = _schema(cls)
-    keys = row.keys() if isinstance(row, dict) else frozenset()
-    if keys != names:
+def _build(cls: type, row):
+    names, checks = _plan(cls)
+    if type(row) is not dict or row.keys() != names:
+        keys = row.keys() if isinstance(row, dict) else frozenset()
         missing = names - keys
-        raise SchemaError(f"{where}missing field {min(missing)!r}" if missing
-                          else f"{where}unknown field {min(keys - names)!r}")
-    for name, inner in nested.items():
-        if not (isinstance(row[name], list) and all(isinstance(item, dict) for item in row[name])):
-            raise SchemaError(f"{where}field {name!r} must be a list of objects")
-        row[name] = [_build(inner, item, f"{where}{name}[{j}] ") for j, item in enumerate(row[name])]
+        raise SchemaError(f"missing field {min(missing)!r}" if missing
+                          else f"unknown field {min(keys - names)!r}")
+    for name, exact, read, noun in checks:
+        value = row[name]
+        if type(value) is not exact:
+            try:
+                row[name] = read(value)
+            except _Mismatch:
+                raise SchemaError(f"field {name!r} must be {noun}, got {value!r}") from None
+            except SchemaError as exc:
+                raise SchemaError(f"{name}{exc}") from None
     return cls(**row)
 
 
-def read_rows(path: str | Path, cls: type) -> list:
+def write_rows(path: str | Path, rows: Iterable, meta: dict | None = None) -> int:
+    """Write each dataclass row as its fields (see ``_plain``), after a
+    ``{"__meta__": meta}`` header line when ``meta`` is given. Returns the
+    row count, the header not counted."""
+    header = [] if meta is None else [{"__meta__": meta}]
+    return write_jsonl(path, itertools.chain(header, rows)) - len(header)
+
+
+def read_rows(path: str | Path, cls: type, unique: str | None = None,
+              check: Callable | None = None) -> list:
     """Read a file ``write_rows`` wrote back into ``cls`` rows, skipping a
-    first-line ``__meta__`` header. A row whose keys are not exactly
-    ``cls``'s fields (or, in a list of dataclasses, its items'), or whose
-    list-of-dataclasses field is not a list of objects, raises a SchemaError
-    naming the file, the row (counted from 0, the header not counted) and
-    the field."""
-    out = []
+    first-line ``__meta__`` header. A row whose keys or values do not fit
+    ``cls``'s fields (see ``_reader``), that ``check`` rejects, or whose
+    ``unique`` field repeats raises a SchemaError naming the file, the row
+    (from 0, the header not counted) and the field."""
+    out, seen = [], set()
     for i, row in enumerate(read_jsonl(path)):
         if i or not (isinstance(row, dict) and "__meta__" in row):
-            out.append(_build(cls, row, f"{path} row {len(out)}: "))
+            try:
+                row = _build(cls, row)
+                if check is not None:
+                    check(row)
+                if unique is not None and getattr(row, unique) in seen:
+                    raise SchemaError(f"duplicate {unique} {getattr(row, unique)!r}")
+                seen.add(unique and getattr(row, unique))
+            except SchemaError as exc:
+                raise SchemaError(f"{path} row {len(out)}: {exc}") from None
+            out.append(row)
     return out
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import SceneLookupError, SchemaError
-from .jsonlio import read_jsonl, read_rows, write_jsonl
+from .jsonlio import read_rows, write_rows
 
 CANVAS = (224, 224)
 
@@ -140,118 +140,33 @@ def full_canvas_patch(scene: Scene) -> Patch:
 # ---------------------------------------------------------------------------
 # validation / persistence
 
-def _is_number(value) -> bool:
-    """A finite int or float, as JSON gives them; a bool is not a number."""
-    return type(value) is int or (type(value) is float and math.isfinite(value))
-
-
-def _validate_box(box, where: str) -> tuple[int, int, int, int]:
-    if not isinstance(box, list) or len(box) != 4 or not all(map(_is_number, box)):
-        raise SchemaError(f"{where}: box must be four finite numbers, got {box!r}")
-    l, lo, r, u = (int(v) for v in box)
-    if not (0 <= l < r <= CANVAS[0]):
-        raise SchemaError(f"{where}: box horizontal extent invalid ({l}, {r})")
-    if not (0 <= lo < u <= CANVAS[1]):
-        raise SchemaError(f"{where}: box vertical extent invalid ({lo}, {u})")
-    return (l, lo, r, u)
-
-
-def scene_from_record(rec) -> Scene:
-    """The scene a scenes.jsonl record holds. A record with a field missing,
-    or of the wrong type or out of bounds, is a SchemaError naming it."""
-    if not isinstance(rec, dict):
-        raise SchemaError(f"scene record must be an object, got {rec!r}")
-    for key in ("scene_id", "objects", "relations"):
-        if key not in rec:
-            raise SchemaError(f"scene record missing field {key!r}")
-    sid = rec["scene_id"]
-    if not isinstance(sid, str):
-        raise SchemaError(f"scene_id must be a string, got {sid!r}")
-    for key in ("objects", "relations"):
-        if not isinstance(rec[key], list):
-            raise SchemaError(f"scene {sid!r}: {key} must be a list, got {rec[key]!r}")
-    objects = []
-    seen_ids: set[str] = set()
-    for obj in rec["objects"]:
-        if not isinstance(obj, dict):
-            raise SchemaError(f"scene {sid!r}: object must be an object, got {obj!r}")
-        for key in ("id", "name", "box", "attributes", "depth"):
-            if key not in obj:
-                raise SchemaError(f"scene {sid!r}: object missing field {key!r}")
-        if not isinstance(obj["id"], str):
-            raise SchemaError(f"scene {sid!r}: object id must be a string, got {obj['id']!r}")
-        where = f"scene {sid!r}: object {obj['id']!r}"
-        if not isinstance(obj["name"], str) or not obj["name"]:
-            raise SchemaError(f"{where} name must be a non-empty string, got {obj['name']!r}")
-        if obj["id"] in seen_ids:
-            raise SchemaError(f"scene {sid!r}: duplicate object id {obj['id']!r}")
-        seen_ids.add(obj["id"])
-        attrs = obj["attributes"]
-        if not isinstance(attrs, list) or not all(isinstance(a, str) for a in attrs):
-            raise SchemaError(f"{where} attributes must be a list of strings, got {attrs!r}")
-        attributes = frozenset(attrs)
-        if len(attributes) != len(attrs):
-            raise SchemaError(f"{where} has duplicate attributes")
-        depth = obj["depth"]
-        if not _is_number(depth) or depth < 0:
-            raise SchemaError(f"{where} depth must be a finite number >= 0, got {depth!r}")
-        objects.append(
-            SceneObject(
-                id=obj["id"],
-                name=obj["name"],
-                box=_validate_box(obj["box"], where),
-                attributes=attributes,
-                depth=float(depth),
-            )
-        )
-    relations = []
-    for rel in rec["relations"]:
-        if not isinstance(rel, list) or len(rel) != 3 or not all(isinstance(part, str) for part in rel):
-            raise SchemaError(f"scene {sid!r}: relation must be [subject, predicate, object]")
-        subj, pred, obj_id = rel
-        if subj not in seen_ids or obj_id not in seen_ids:
-            raise SchemaError(f"scene {sid!r}: relation endpoint missing from objects")
-        relations.append((subj, pred, obj_id))
-    return Scene(scene_id=sid, objects=tuple(objects), relations=tuple(relations))
-
-
-def scene_to_record(scene: Scene) -> dict:
-    return {
-        "scene_id": scene.scene_id,
-        "objects": [
-            {
-                "id": o.id,
-                "name": o.name,
-                "box": list(o.box),
-                "attributes": sorted(o.attributes),
-                "depth": o.depth,
-            }
-            for o in scene.objects
-        ],
-        "relations": [list(r) for r in scene.relations],
-    }
+def _check_bounds(scene: Scene) -> None:
+    """What no annotation states: boxes on the canvas with ``l < r`` and
+    ``lo < u``, depths >= 0, names non-empty, ids unique, relations among them."""
+    ids: set[str] = set()
+    for j, obj in enumerate(scene.objects):
+        l, lo, r, u = obj.box
+        if not (0 <= l < r <= CANVAS[0]):
+            raise SchemaError(f"objects[{j}] field 'box' horizontal extent invalid ({l}, {r})")
+        if not (0 <= lo < u <= CANVAS[1]):
+            raise SchemaError(f"objects[{j}] field 'box' vertical extent invalid ({lo}, {u})")
+        if obj.depth < 0:
+            raise SchemaError(f"objects[{j}] field 'depth' must be >= 0, got {obj.depth!r}")
+        if not obj.name or obj.id in ids:
+            raise SchemaError(f"objects[{j}] has an empty name or a repeated id {obj.id!r}")
+        ids.add(obj.id)
+    for k, (subj, _, obj_id) in enumerate(scene.relations):
+        if subj not in ids or obj_id not in ids:
+            raise SchemaError(f"relations[{k}] endpoint missing from objects")
 
 
 def load_scenes(path: str | Path) -> list[Scene]:
-    """Load and validate scenes.jsonl, one scene record per line, read one
-    line at a time. An invalid record or a repeated ``scene_id`` is a
-    SchemaError that starts ``<path> row <i>:``."""
-    scenes = []
-    seen: set[str] = set()
-    for i, rec in enumerate(read_jsonl(path)):
-        try:
-            scene = scene_from_record(rec)
-        except SchemaError as exc:
-            raise SchemaError(f"{path} row {i}: {exc}") from exc
-        if scene.scene_id in seen:
-            raise SchemaError(f"{path} row {i}: duplicate scene_id {scene.scene_id!r}")
-        seen.add(scene.scene_id)
-        scenes.append(scene)
-    return scenes
+    """Read scenes.jsonl: one ``Scene`` per row, within bounds, no ``scene_id`` repeated."""
+    return read_rows(path, Scene, unique="scene_id", check=_check_bounds)
 
 
 def save_scenes(path: str | Path, scenes: Iterable[Scene]) -> None:
-    write_jsonl(path, map(scene_to_record, scenes))
+    write_rows(path, scenes)
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +500,5 @@ def _plan_question(scene: Scene, form: str, rng: random.Random) -> str | None:
 
 
 def load_queries(path: str | Path) -> list[Query]:
-    """Read queries.jsonl: one ``Query`` per row; a repeated ``query_id`` is
-    a SchemaError."""
-    queries = read_rows(path, Query)
-    seen: set[str] = set()
-    for i, query in enumerate(queries):
-        if query.query_id in seen:
-            raise SchemaError(f"{path} row {i}: duplicate query_id {query.query_id!r}")
-        seen.add(query.query_id)
-    return queries
+    """Read queries.jsonl: one ``Query`` per row, no ``query_id`` repeated."""
+    return read_rows(path, Query, unique="query_id")

@@ -5,6 +5,7 @@ import pytest
 from tracedistill import interp
 from tracedistill.codegen import generate_program, generate_programs
 from tracedistill.dsl import parse
+from tracedistill.jsonlio import dumps_canonical
 from tracedistill.interp import (
     execute,
     faithfulness_filter,
@@ -84,6 +85,31 @@ class TestExecute:
         assign = [e for e in trace.events if "ys" in e.bindings][0]
         assert len(assign.bindings["ys"]) == 2  # snapshot capped
         assert trace.result == 6  # the environment keeps the full value
+
+    # xs holds 64 ints, ys 64 copies of xs and zs 64 copies of ys: 22 lines
+    # whose trace row, with each list level capped on its own, took 1.6 MB.
+    NESTED = "\n".join(["xs = [1]", *["xs = xs + xs"] * 6, "ys = [xs]", *["ys = ys + ys"] * 6,
+                        "zs = [ys]", *["zs = zs + zs"] * 6])
+
+    def test_a_snapshot_caps_its_items_across_nesting_levels(self, muffins3):
+        def items(value):
+            return len(value) + sum(items(v) for v in value if isinstance(v, list))
+
+        trace = execute(parse(self.NESTED + "\nreturn len(zs)"), muffins3)
+        assert (trace.status, trace.result) == ("ok", 64)
+        zs = trace.events[-2].bindings["zs"]
+        assert len(zs) == interp.SNAPSHOT_LIST_CAP and zs[0] == []
+        assert all(items(v) <= interp.SNAPSHOT_LIST_CAP
+                   for e in trace.events for v in e.bindings.values() if isinstance(v, list))
+        assert len(dumps_canonical(trace_to_record(trace, "q", None))) < 10_000
+
+    def test_str_of_a_list_faults_before_its_text_passes_the_cap(self, muffins3):
+        trace = execute(parse(self.NESTED + "\nreturn str(zs)"), muffins3)
+        assert trace.status == "runtime_error"
+        assert trace.error["message"] == "string too long"
+        assert interp.value_text([[1, 2], [3]], limit=11) == "[[1,2],[3]]"
+        with pytest.raises(ValueError):
+            interp.value_text([[1, 2], [3]], limit=10)
 
     def test_untaken_branch_emits_nothing(self, muffins3):
         source = "x = 1\nif x == 2:\n    y = 3\nreturn x"

@@ -10,7 +10,7 @@ from tracedistill.distill import DistillExample
 from tracedistill.editing import CotRationale
 from tracedistill.errors import SchemaError
 from tracedistill.jsonlio import read_jsonl, read_rows, write_jsonl, write_rows
-from tracedistill.scenes import Query
+from tracedistill.scenes import Query, Scene, SceneObject
 from tracedistill.students import ScoredRationale, UtilityOutcome
 
 ROWS = {
@@ -25,6 +25,9 @@ ROWS = {
                       ScoredRationale("q1", [], 0, True)],
     DistillExample: [DistillExample("q0", "how many cups", "2", "Set n = 2."),
                      DistillExample("q1", "is there a fork", "no", None)],
+    Scene: [Scene("s0", (SceneObject("a", "cup", (10, 10, 30, 30), frozenset({"red", "ceramic"}), 1.5),
+                         SceneObject("b", "plate", (50, 50, 80, 80), frozenset(), 2.0)),
+                  (("a", "on", "b"),))],
 }
 
 
@@ -41,6 +44,16 @@ class TestRowRoundTrip:
         [first, _] = read_rows(path, ScoredRationale)
         assert all(type(o) is UtilityOutcome for o in first.outcomes)
         assert list(read_jsonl(path))[0]["outcomes"][0] == vars(first.outcomes[0])
+
+    def test_a_scene_reads_back_in_its_in_memory_types(self, tmp_path):
+        # A box read back as a list would change the text scene_summary
+        # sends to an external generator.
+        path = tmp_path / "scenes.jsonl"
+        write_rows(path, ROWS[Scene])
+        [scene] = read_rows(path, Scene)
+        assert type(scene.objects) is tuple and type(scene.relations[0]) is tuple
+        assert all(type(o.box) is tuple and type(o.attributes) is frozenset for o in scene.objects)
+        assert list(read_jsonl(path))[0]["objects"][0]["attributes"] == ["ceramic", "red"]
 
     def test_meta_header_is_written_first_and_skipped(self, tmp_path):
         path = tmp_path / "dataset.jsonl"

@@ -517,17 +517,26 @@ class TestCrashIsolation:
         row = self._kept_row_after_a_rejected_one(config)
         rows = list(read_jsonl(config.path("traces")))
         broken = rows[row]
-        del broken["events"]
+        events = broken.pop("events")
         write_jsonl(config.path("traces"), rows)
         manifest = new_manifest(config)
         stage_edit(config, manifest)
         assert manifest.stages[-1]["row_errors"] == [{
             "row": row, "query_id": broken["query_id"],
-            "program_id": broken["program_id"], "error": "'events'",
+            "program_id": broken["program_id"], "error": "missing field 'events'",
         }]
         strict = config.with_overrides(strict=True)
-        with pytest.raises(StageError, match=re.escape(f"[edit row {row}] 'events'")):
+        with pytest.raises(StageError, match=re.escape(f"[edit row {row}] missing field 'events'")):
             stage_edit(strict, new_manifest(strict))
+        # A malformed value is named by its event and field.
+        broken["events"] = events
+        events[0]["uses"] = "x"
+        write_jsonl(config.path("traces"), rows)
+        manifest = new_manifest(config)
+        stage_edit(config, manifest)
+        [error] = manifest.stages[-1]["row_errors"]
+        assert error["row"] == row
+        assert error["error"].startswith("events[0] field 'uses' is malformed (")
 
     def test_run_all_and_the_edit_verb_name_the_same_edit_row(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path))
@@ -609,14 +618,17 @@ class TestCli:
         assert report["error"] == "EmissionError"
         assert str(sorted(gone)) in report["message"]
 
-    # Each row file, the single-stage verb that reads it, and a field its
-    # rows carry.
+    # Each row file, the single-stage verb that reads it, a field its rows
+    # carry, and a value of the wrong type for a field, with what that field
+    # must be. A scored row whose "kept" is the string "false" once shipped
+    # its dropped rationale, and a null question once crashed program-gen
+    # with an AttributeError.
     ROW_FILES = [
-        ("queries.jsonl", "program-gen", "question"),
-        ("programs.jsonl", "exec", "source"),
-        ("rationales.jsonl", "score", "lineage"),
-        ("scored.jsonl", "emit", "score"),
-        ("dataset.jsonl", "train", "rationale"),
+        ("queries.jsonl", "program-gen", "question", ("question", None, "a string")),
+        ("programs.jsonl", "exec", "source", ("source", 5, "a string")),
+        ("rationales.jsonl", "score", "lineage", ("lineage", [], "an object")),
+        ("scored.jsonl", "emit", "score", ("kept", "false", "a boolean")),
+        ("dataset.jsonl", "train", "rationale", ("rationale", 5, "null or a string")),
     ]
 
     @pytest.fixture(scope="class")
@@ -625,27 +637,32 @@ class TestCli:
         assert cli.main(["--config", str(write_config(workdir, scene_count=8)), "run-all"]) == 0
         return workdir
 
-    @pytest.mark.parametrize("change", ["missing", "unknown"])
-    @pytest.mark.parametrize("name,verb,field", ROW_FILES)
+    @pytest.mark.parametrize("change", ["missing", "unknown", "wrong_type"])
+    @pytest.mark.parametrize("name,verb,field,wrong", ROW_FILES)
     def test_a_malformed_row_fails_its_reader_with_a_schema_error(
-        self, built, tmp_path, capsys, name, verb, field, change
+        self, built, tmp_path, capsys, name, verb, field, wrong, change
     ):
         workdir = tmp_path / "run"
         shutil.copytree(built, workdir)
         lines = (workdir / name).read_text().splitlines()
         row = 2 if name == "dataset.jsonl" else 1  # the dataset's line 0 is its header
         record = json.loads(lines[row])
+        wrong_field, wrong_value, must_be = wrong
         if change == "missing":
             del record[field]
-        else:
+            named = f"missing field {field!r}"
+        elif change == "unknown":
             record["stray"] = 0
+            named = "unknown field 'stray'"
+        else:
+            record[wrong_field] = wrong_value
+            named = f"field {wrong_field!r} must be {must_be}, got {wrong_value!r}"
         lines[row] = json.dumps(record)
         (workdir / name).write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert cli.main(["--config", str(workdir / "config.json"), verb]) == 1
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "SchemaError"
-        named = f"missing field {field!r}" if change == "missing" else "unknown field 'stray'"
         assert f"{name} row 1: {named}" in report["message"]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
@@ -1124,7 +1141,7 @@ class TestAblate:
             assert entries["edit"]["rows_out"] == kept - 1
             assert entries["edit"]["row_errors"] == [{
                 "row": row, "query_id": broken["query_id"],
-                "program_id": broken["program_id"], "error": "'events'",
+                "program_id": broken["program_id"], "error": "missing field 'events'",
             }]
             edited = [r["query_id"] for r in read_jsonl(cell / "rationales.jsonl")]
             assert len(edited) == kept - 1 and broken["query_id"] not in edited
@@ -1172,7 +1189,7 @@ class TestAblate:
         _, row, _ = self._break_one_kept_trace(config)
         report = run_ablation(config)
         assert report["cells"] == {
-            key: {"error": f"[edit row {row}] 'events'"} for key in report["cells"]
+            key: {"error": f"[edit row {row}] missing field 'events'"} for key in report["cells"]
         }
         assert len(report["cells"]) == 8
         for cell in (tmp_path / "ablation").iterdir():

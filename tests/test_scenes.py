@@ -21,7 +21,6 @@ from tracedistill.scenes import (
     load_scenes,
     parse_question,
     save_scenes,
-    scene_to_record,
     tool_best_text_match,
     tool_compute_depth,
     tool_distance,
@@ -70,8 +69,7 @@ class TestLoadScenes:
         bad = {**json.loads(json.dumps(GOOD_SCENE)), "scene_id": "s1"}
         del bad["relations"]
         path = write_scene_file(tmp_path, [GOOD_SCENE, bad])
-        with pytest.raises(SchemaError, match=re.escape(
-                f"{path} row 1: scene record missing field 'relations'")):
+        with pytest.raises(SchemaError, match=re.escape(f"{path} row 1: missing field 'relations'")):
             load_scenes(path)
 
     def test_missing_field_named(self, tmp_path):
@@ -89,25 +87,41 @@ class TestLoadScenes:
     def test_duplicate_attributes_rejected(self, tmp_path):
         bad = json.loads(json.dumps(GOOD_SCENE))
         bad["objects"][0]["attributes"] = ["red", "red"]
-        with pytest.raises(SchemaError, match="duplicate attributes"):
+        with pytest.raises(SchemaError, match="must be a list of distinct strings"):
             load_scenes(write_scene_file(tmp_path, [bad]))
 
     @pytest.mark.parametrize("where, key, value, message", [
-        ("object", "depth", "x", "scene 's1': object 'a' depth must be a finite number >= 0, got 'x'"),
-        ("object", "depth", True, "scene 's1': object 'a' depth must be a finite number >= 0, got True"),
-        ("object", "box", 5, "scene 's1': object 'a': box must be four finite numbers, got 5"),
+        ("object", "depth", "x", "objects[0] field 'depth' must be a finite number, got 'x'"),
+        ("object", "depth", True, "objects[0] field 'depth' must be a finite number, got True"),
+        ("object", "box", 5, "objects[0] field 'box' must be a list of 4 integers, got 5"),
         ("object", "box", [10, 10, 30, True],
-         "scene 's1': object 'a': box must be four finite numbers, got [10, 10, 30, True]"),
-        ("object", "attributes", 3, "scene 's1': object 'a' attributes must be a list of strings, got 3"),
-        ("object", "id", ["a"], "scene 's1': object id must be a string, got ['a']"),
-        ("scene", "objects", 5, "scene 's1': objects must be a list, got 5"),
-        ("scene", "objects", [5], "scene 's1': object must be an object, got 5"),
-        ("scene", "relations", [5], "scene 's1': relation must be [subject, predicate, object]"),
-        ("scene", "scene_id", 7, "scene_id must be a string, got 7"),
+         "objects[0] field 'box' must be a list of 4 integers, got [10, 10, 30, True]"),
+        ("object", "attributes", 3,
+         "objects[0] field 'attributes' must be a list of distinct strings, got 3"),
+        ("object", "id", ["a"], "objects[0] field 'id' must be a string, got ['a']"),
+        ("scene", "objects", 5, "field 'objects' must be a list of objects, got 5"),
+        ("scene", "objects", [5], "field 'objects' must be a list of objects, got [5]"),
+        ("scene", "relations", [5], "field 'relations' must be a list of lists of 3 strings, got [5]"),
+        ("scene", "scene_id", 7, "field 'scene_id' must be a string, got 7"),
+        # A float box value is rejected, not truncated to an integer.
+        ("object", "box", [10, 10, 30.5, 30],
+         "objects[0] field 'box' must be a list of 4 integers, got [10, 10, 30.5, 30]"),
     ])
     def test_a_value_of_the_wrong_type_names_file_and_row(self, tmp_path, where, key, value, message):
         bad = {**json.loads(json.dumps(GOOD_SCENE)), "scene_id": "s1"}
         (bad["objects"][0] if where == "object" else bad)[key] = value
+        path = write_scene_file(tmp_path, [GOOD_SCENE, bad])
+        with pytest.raises(SchemaError, match=re.escape(f"{path} row 1: {message}")):
+            load_scenes(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("depth", -1.0, "objects[0] field 'depth' must be >= 0, got -1.0"),
+        ("name", "", "objects[0] has an empty name or a repeated id 'a'"),
+        ("id", "b", "objects[1] has an empty name or a repeated id 'b'"),
+    ])
+    def test_a_value_out_of_bounds_names_file_and_row(self, tmp_path, key, value, message):
+        bad = {**json.loads(json.dumps(GOOD_SCENE)), "scene_id": "s1"}
+        bad["objects"][0][key] = value
         path = write_scene_file(tmp_path, [GOOD_SCENE, bad])
         with pytest.raises(SchemaError, match=re.escape(f"{path} row 1: {message}")):
             load_scenes(path)
@@ -121,12 +135,17 @@ class TestLoadScenes:
         assert first.read_bytes() == second.read_bytes()
 
     def test_one_scene_record_per_line(self, tmp_path):
-        scenes = generate_scenes(5, seed=123)
-        path = tmp_path / "scenes.jsonl"
-        save_scenes(path, scenes)
-        lines = path.read_text().splitlines()
-        assert [json.loads(line) for line in lines] == [scene_to_record(s) for s in scenes]
-        assert lines[0] == json.dumps(scene_to_record(scenes[0]), sort_keys=True, separators=(",", ":"))
+        # Keys sorted, no spaces, a box and a relation as JSON lists and the
+        # attributes as a sorted list.
+        second = json.loads(json.dumps(GOOD_SCENE))
+        second["scene_id"] = "s1"
+        second["objects"][0]["attributes"] = ["red", "ceramic"]
+        path = tmp_path / "saved.jsonl"
+        save_scenes(path, load_scenes(write_scene_file(tmp_path, [GOOD_SCENE, second])))
+        second["objects"][0]["attributes"] = ["ceramic", "red"]
+        assert path.read_text().splitlines() == [
+            json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in (GOOD_SCENE, second)
+        ]
 
 
 class TestLoadQueries:
