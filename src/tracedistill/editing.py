@@ -127,17 +127,17 @@ def _base_record(events: list[TraceEvent], event: TraceEvent) -> SymbolicRecord 
     common = dict(reads=reads, source_seqs=[event.seq], ctrl_seqs=ctrl_seqs)
     if event.kind in ("assign", "loop_iter"):  # a loop_iter has no invocation
         name, value = next(iter(event.bindings.items()))
-        callee = event.invocation[0] if event.invocation else None
+        callee = event.invocation.callee if event.invocation else None
         return SymbolicRecord(
             "assigned", {name: value_text(value)}, callee, defines={name}, **common
         )
     if event.kind in ("tool_call", "builtin_call"):
-        callee, args, result = event.invocation
+        invocation = event.invocation
         arguments = {
-            "args": ",".join(value_text(a) for a in args),
-            "value": value_text(result),
+            "args": ",".join(value_text(a) for a in invocation.args),
+            "value": value_text(invocation.result),
         }
-        return SymbolicRecord("called", arguments, callee, **common)
+        return SymbolicRecord("called", arguments, invocation.callee, **common)
     if event.kind == "branch_taken":
         return SymbolicRecord("branch", {"arm": str(event.detail["arm"])}, None, **common)
     if event.kind == "loop_enter":

@@ -3,9 +3,11 @@
 Execution emits one trace event per executed statement-level action: an
 assignment, a bare tool/builtin call, a taken branch, a loop enter /
 iteration / exit, or a return. Each event carries the variable snapshot it
-wrote, the (callee, arguments, result) of the outermost call evaluated by
-the statement, def-use links to the defining events of every variable it
-read, and the seq of its innermost enclosing control event.
+wrote, the ``Invocation`` (callee, argument and result snapshots) of the
+outermost call evaluated by the statement, def-use links to the defining
+events of every variable it read, and the seq of its innermost enclosing
+control event. A snapshot is a value in its traces.jsonl form, so a trace
+is written and read back by ``jsonlio`` with no codec of its own.
 
 Failures never raise: they are encoded in the trace status (ok /
 runtime_error / step_limit) for the faithfulness filter to consume.
@@ -19,7 +21,7 @@ from typing import Any
 
 from . import scenes as sw
 from .dsl import MAX_INT, Ast, AstNode, TOOL_METHODS, if_arms
-from .errors import SchemaError
+from .jsonlio import build_row
 from .scenes import Patch, Query, Scene, ToolConfig
 
 Value = Any  # int | float | bool | str | list[Value] | Patch
@@ -30,22 +32,38 @@ MAX_STR_LEN = 10_000
 SNAPSHOT_LIST_CAP = 64
 
 
-@dataclass
+# Slotted: run-all holds each kept trace until edit takes it, and ``vars()``
+# in the row writer would give each event and invocation a ``__dict__``.
+@dataclass(slots=True)
+class Invocation:
+    """The outermost call a statement evaluated: its callee, and snapshots
+    of its arguments and result."""
+
+    callee: str
+    args: list
+    result: Value
+
+
+@dataclass(slots=True)
 class TraceEvent:
     seq: int
     node_id: int
     kind: str  # assign, tool_call, builtin_call, branch_taken, loop_enter, loop_iter, loop_exit, return
-    bindings: dict[str, Value] = field(default_factory=dict)
-    invocation: tuple[str, list[Value], Value] | None = None
+    bindings: dict = field(default_factory=dict)  # the variable it wrote -> its snapshot
+    invocation: Invocation | None = None
     uses: list[tuple[str, int]] = field(default_factory=list)
     detail: dict = field(default_factory=dict)  # arm, iteration(s), enter, ctrl, value
 
 
 @dataclass
 class ExecutionTrace:
+    """Every value a trace holds is a snapshot (see ``_snapshot``), so a
+    traces.jsonl row is these fields as they are, plus the row's
+    ``query_id`` and ``reject_reason``."""
+
     program_id: str
     events: list[TraceEvent]
-    result: Value | None
+    result: Value  # the returned value's snapshot; None unless status is ok
     status: str  # ok, runtime_error, step_limit
     error: dict | None = None  # {node_id, message} when status == runtime_error
 
@@ -65,14 +83,20 @@ class _Return(Exception):
         self.value = value
 
 
-def _snapshot(value: Value) -> Value:
-    """Copy of ``value`` holding at most ``SNAPSHOT_LIST_CAP`` list items in
-    all, counted across every nesting level. Lists are the only mutable
-    runtime values; every other value is returned as it is."""
-    return _capped(value, [SNAPSHOT_LIST_CAP]) if isinstance(value, list) else value
+def _snapshot(value: Value, forms: dict) -> Value:
+    """``value`` in its traces.jsonl form, holding at most
+    ``SNAPSHOT_LIST_CAP`` list items in all, counted across every nesting
+    level. A patch becomes ``{"__patch__": {scene, box, matched}}``, one
+    shared form per distinct patch in ``forms``; lists are the only other
+    mutable runtime values, and every other value is returned as it is."""
+    if isinstance(value, list):
+        return _capped(value, [SNAPSHOT_LIST_CAP], forms)
+    if isinstance(value, Patch):
+        return _patch_form(value, forms)
+    return value
 
 
-def _capped(items: list, room: list[int]) -> list:
+def _capped(items: list, room: list[int], forms: dict) -> list:
     """``items``' first ``room[0]`` items, taking them from ``room``; then
     each nested list shares what room is left. A module function, not a
     closure in ``_snapshot``: a closure that calls itself is a reference
@@ -82,8 +106,18 @@ def _capped(items: list, room: list[int]) -> list:
     room[0] -= len(out)
     for j, item in enumerate(out):
         if isinstance(item, list):
-            out[j] = _capped(item, room)
+            out[j] = _capped(item, room, forms)
+        elif isinstance(item, Patch):
+            out[j] = _patch_form(item, forms)
     return out
+
+
+def _patch_form(patch: Patch, forms: dict) -> dict:
+    form = forms.get(patch)
+    if form is None:
+        form = forms[patch] = {"__patch__": {"scene": patch.scene_ref, "box": list(patch.box),
+                                             "matched": patch.matched_object}}
+    return form
 
 
 _END = object()
@@ -126,8 +160,8 @@ def _atom_text(value: Value) -> str:
     if isinstance(value, str):
         escaped = value.replace("\\", "\\\\").replace("'", "\\'")
         return f"'{escaped}'"
-    if isinstance(value, Patch):
-        l, lo, r, u = value.box
+    if isinstance(value, (Patch, dict)):  # a live patch, or its snapshot
+        l, lo, r, u = value.box if isinstance(value, Patch) else value["__patch__"]["box"]
         return f"patch({l},{lo},{r},{u})"
     if value is None:
         return "none"
@@ -145,29 +179,6 @@ def plain_text(value: Value, limit: float = math.inf) -> str:
     if isinstance(value, (int, float)):
         return str(value) if isinstance(value, int) else repr(value)
     return value_text(value, limit)
-
-
-def value_to_json(value: Value) -> Any:
-    if isinstance(value, Patch):
-        return {
-            "__patch__": {
-                "scene": value.scene_ref,
-                "box": list(value.box),
-                "matched": value.matched_object,
-            }
-        }
-    if isinstance(value, list):
-        return [value_to_json(v) for v in value]
-    return value
-
-
-def value_from_json(obj: Any) -> Value:
-    if isinstance(obj, dict) and "__patch__" in obj:
-        p = obj["__patch__"]
-        return Patch(scene_ref=p["scene"], box=tuple(p["box"]), matched_object=p["matched"])
-    if isinstance(obj, list):
-        return [value_from_json(v) for v in obj]
-    return obj
 
 
 def _truthy(value: Value) -> bool:
@@ -193,6 +204,7 @@ class _Interp:
         # of the call that finished last.
         self._uses: list[tuple[str, int]] = []
         self._last_args: list[Value] = []
+        self.forms: dict = {}  # each distinct patch's snapshot (see ``_snapshot``)
 
     # -- event plumbing
 
@@ -241,15 +253,15 @@ class _Interp:
                 node_id,
                 "assign",
                 ctrl,
-                bindings={target: _snapshot(value)},
+                bindings={target: _snapshot(value, self.forms)},
                 invocation=invocation,
                 uses=self._dedup_uses(),
             )
             self.env[target] = (value, event.seq)
         elif node.kind == "Return":
             event = self.emit(node_id, "return", ctrl, invocation=invocation, uses=self._dedup_uses())
-            event.detail["value"] = _snapshot(value)
-            raise _Return(value)
+            event.detail["value"] = _snapshot(value, self.forms)
+            raise _Return(event.detail["value"])
         elif invocation is not None:
             kind = "tool_call" if self._is_tool(self.ast.node(node.children[0])) else "builtin_call"
             self.emit(node_id, kind, ctrl, invocation=invocation, uses=self._dedup_uses())
@@ -288,7 +300,7 @@ class _Interp:
         for i, item in enumerate(iterable):
             self.tick()
             iter_event = self.emit(
-                node.id, "loop_iter", enter.seq, bindings={var: _snapshot(item)}
+                node.id, "loop_iter", enter.seq, bindings={var: _snapshot(item, self.forms)}
             )
             iter_event.detail["iteration"] = i
             self.env[var] = (item, iter_event.seq)
@@ -306,17 +318,18 @@ class _Interp:
 
     # -- expression evaluation
 
-    def eval_top(self, node_id: int) -> tuple[Value, tuple[str, list[Value], Value] | None]:
+    def eval_top(self, node_id: int) -> tuple[Value, Invocation | None]:
         """Evaluate a statement's expression with fresh ``_uses``. The
-        invocation is (callee, args, result) when the expression's top node
-        is a call, otherwise None."""
+        invocation is the call's when the expression's top node is a call,
+        otherwise None."""
         self._uses = []
         value = self.eval_expr(node_id)
         node = self.ast.node(node_id)
         if node.kind not in ("Call", "MethodCall"):
             return value, None
         callee = node.payload["func" if node.kind == "Call" else "method"]
-        return value, (callee, [_snapshot(a) for a in self._last_args], _snapshot(value))
+        return value, Invocation(callee, [_snapshot(a, self.forms) for a in self._last_args],
+                                 _snapshot(value, self.forms))
 
     def eval_expr(self, node_id: int) -> Value:
         node = self.ast.node(node_id)
@@ -617,73 +630,20 @@ def faithfulness_filter(
 
 
 # ---------------------------------------------------------------------------
-# trace (de)serialization for traces.jsonl
+# traces.jsonl rows
 
 def trace_to_record(trace: ExecutionTrace, query_id: str, reject_reason: str | None) -> dict:
-    """``reject_reason`` is the faithfulness filter's verdict: None for a
-    kept trace, otherwise one of REJECT_REASONS."""
-    return {
-        "program_id": trace.program_id,
-        "query_id": query_id,
-        "reject_reason": reject_reason,
-        "status": trace.status,
-        "error": trace.error,
-        "result": value_to_json(trace.result),
-        "events": [
-            {
-                "seq": e.seq,
-                "node_id": e.node_id,
-                "kind": e.kind,
-                "bindings": {k: value_to_json(v) for k, v in e.bindings.items()},
-                "invocation": (
-                    None
-                    if e.invocation is None
-                    else {
-                        "callee": e.invocation[0],
-                        "args": [value_to_json(a) for a in e.invocation[1]],
-                        "result": value_to_json(e.invocation[2]),
-                    }
-                ),
-                "uses": [[name, seq] for name, seq in e.uses],
-                "detail": {k: value_to_json(v) for k, v in e.detail.items()},
-            }
-            for e in trace.events
-        ],
-    }
+    """``trace``'s traces.jsonl row: its fields, which ``jsonlio``'s encoder
+    writes as they are, plus ``query_id`` and ``reject_reason``, the
+    faithfulness filter's verdict: None for a kept trace, otherwise one of
+    REJECT_REASONS."""
+    return {**vars(trace), "query_id": query_id, "reject_reason": reject_reason}
 
 
 def trace_from_record(rec: dict) -> ExecutionTrace:
-    """The trace a traces.jsonl record holds. A record with a field missing
-    or malformed raises a SchemaError naming the field, as in ``events[2]
-    field 'uses' is malformed (...)``."""
-    j, key = None, "events"
-    try:
-        events = []
-        for j, ev in enumerate(rec["events"]):
-            key = "invocation"
-            invocation = None
-            if ev["invocation"] is not None:
-                inv = ev["invocation"]
-                invocation = (
-                    inv["callee"],
-                    [value_from_json(a) for a in inv["args"]],
-                    value_from_json(inv["result"]),
-                )
-            key = "bindings"
-            bindings = {k: value_from_json(v) for k, v in ev["bindings"].items()}
-            key = "uses"
-            uses = [(name, seq) for name, seq in ev["uses"]]
-            key = "detail"
-            detail = {k: value_from_json(v) for k, v in ev["detail"].items()}
-            events.append(TraceEvent(seq=ev["seq"], node_id=ev["node_id"], kind=ev["kind"],
-                                     bindings=bindings, invocation=invocation, uses=uses,
-                                     detail=detail))
-        j, key = None, "result"
-        return ExecutionTrace(program_id=rec["program_id"], events=events,
-                              result=value_from_json(rec["result"]), status=rec["status"],
-                              error=rec.get("error"))
-    except (KeyError, AttributeError, TypeError, ValueError) as exc:
-        at = "" if j is None else f"events[{j}] "
-        if isinstance(exc, KeyError):
-            raise SchemaError(f"{at}missing field {exc.args[0]!r}") from None
-        raise SchemaError(f"{at}field {key!r} is malformed ({exc})") from None
+    """The trace a decoded traces.jsonl row holds, built by
+    ``jsonlio.build_row`` (which reads ``rec``'s values in place). A field
+    missing or not of its type raises a SchemaError naming it, as in
+    ``events[2] field 'uses' must be ...``."""
+    return build_row(ExecutionTrace, {k: v for k, v in rec.items()
+                                      if k not in ("query_id", "reject_reason")})

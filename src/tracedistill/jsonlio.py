@@ -23,11 +23,13 @@ from .errors import SchemaError
 
 
 def _plain(value):
-    """A dataclass as its fields (a shallow ``vars()``), a frozenset sorted."""
+    """A dataclass as its fields (a shallow ``vars()``, or its slots for a
+    slotted one), a frozenset sorted."""
     if type(value) is frozenset:
         return sorted(value)
     if hasattr(value, "__dataclass_fields__"):
-        return vars(value)
+        slots = type(value).__dict__.get("__slots__")
+        return vars(value) if slots is None else {name: getattr(value, name) for name in slots}
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -83,21 +85,35 @@ def _mismatch():
 
 def _object(cls: type, value):
     try:
-        return _build(cls, value) if type(value) is dict else _mismatch()
+        return build_row(cls, value) if type(value) is dict else _mismatch()
     except SchemaError as exc:
         raise SchemaError(f" {exc}") from None
 
 
-_NOUNS = {str: "string", int: "integer", bool: "boolean", dict: "object", float: "finite number"}
-_EXACT = (str, int, bool, dict)  # the types JSON gives as they are
+_NOUNS = {str: "string", int: "integer", bool: "boolean", dict: "object", list: "list",
+          float: "finite number"}
+_EXACT = (str, int, bool, dict, list)  # the types JSON gives as they are
 
 
 def _reader(tp) -> tuple[Callable, str, str]:
     """How a JSON value is read as a ``tp`` (or _Mismatch raised), and how a
-    SchemaError names one ``tp`` and many: str, int, bool, dict, float (an
-    int becomes one), a dataclass, X | None, or, from a JSON list, list[X],
-    tuple[X, ...], tuple[X, X, ...] or frozenset[X] of distinct items."""
+    SchemaError names one ``tp`` and many: Any (any value, as it is), str,
+    int, bool, dict, list, float (an int becomes one), a dataclass,
+    X | None, or, from a JSON list, list[X], tuple[X, ...], tuple[X, Y, ...]
+    or frozenset[X] of distinct items."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is Any:
+        return (lambda value: value), "any value", "any values"
+    if origin is tuple and Ellipsis not in args and len({*args}) > 1:
+        reads, ones, _ = zip(*map(_reader, args))
+        what = ", ".join(ones[:-1]) + " and " + ones[-1]
+
+        def read_mixed(value):
+            if type(value) is not list or len(value) != len(reads):
+                raise _Mismatch
+            return tuple(read(x) for read, x in zip(reads, value))
+
+        return read_mixed, "a list of " + what, "lists of " + what
     if origin is None:
         noun = "object" if is_dataclass(tp) else _NOUNS[tp]
         if tp is float:
@@ -149,7 +165,11 @@ def _plan(cls: type) -> tuple[frozenset, tuple]:
                                     *_reader(hints[name])[:2]) for name in names)
 
 
-def _build(cls: type, row):
+def build_row(cls: type, row):
+    """The ``cls`` row a decoded JSON object holds, its values read in place
+    (see ``_reader``). Keys that are not exactly ``cls``'s fields, or a value
+    not of its field's type, raise a SchemaError naming the field by its
+    path, as in ``objects[0] field 'box' must be ...``."""
     names, checks = _plan(cls)
     if type(row) is not dict or row.keys() != names:
         keys = row.keys() if isinstance(row, dict) else frozenset()
@@ -187,7 +207,7 @@ def read_rows(path: str | Path, cls: type, unique: str | None = None,
     for i, row in enumerate(read_jsonl(path)):
         if i or not (isinstance(row, dict) and "__meta__" in row):
             try:
-                row = _build(cls, row)
+                row = build_row(cls, row)
                 if check is not None:
                     check(row)
                 if unique is not None and getattr(row, unique) in seen:

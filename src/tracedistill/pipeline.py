@@ -162,7 +162,7 @@ def stage_scene_gen(config: PipelineConfig, manifest: RunManifest,
     started = time.monotonic()
     n = config["scene_count"]
     scene_list = sw.generate_scenes(n, config.seeds["scene_gen"])
-    sw.save_scenes(config.path("scenes"), scene_list)
+    write_rows(config.path("scenes"), scene_list)
     queries = sw.generate_queries(scene_list, config.seeds["query_gen"])
     write_rows(config.path("queries"), queries)
     manifest.counts["generated"] = len(queries)

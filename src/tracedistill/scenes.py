@@ -17,10 +17,10 @@ import re
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import SceneLookupError, SchemaError
-from .jsonlio import read_rows, write_rows
+from .jsonlio import read_rows
 
 CANVAS = (224, 224)
 
@@ -163,10 +163,6 @@ def _check_bounds(scene: Scene) -> None:
 def load_scenes(path: str | Path) -> list[Scene]:
     """Read scenes.jsonl: one ``Scene`` per row, within bounds, no ``scene_id`` repeated."""
     return read_rows(path, Scene, unique="scene_id", check=_check_bounds)
-
-
-def save_scenes(path: str | Path, scenes: Iterable[Scene]) -> None:
-    write_rows(path, scenes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from tracedistill import interp
@@ -101,6 +103,11 @@ class TestExecute:
         assert len(zs) == interp.SNAPSHOT_LIST_CAP and zs[0] == []
         assert all(items(v) <= interp.SNAPSHOT_LIST_CAP
                    for e in trace.events for v in e.bindings.values() if isinstance(v, list))
+        assert len(dumps_canonical(trace_to_record(trace, "q", None))) < 10_000
+
+    def test_a_returned_list_is_capped_like_every_snapshot(self, muffins3):
+        trace = execute(parse(self.NESTED + "\nreturn zs"), muffins3)
+        assert trace.status == "ok" and trace.result == trace.events[-1].detail["value"]
         assert len(dumps_canonical(trace_to_record(trace, "q", None))) < 10_000
 
     def test_str_of_a_list_faults_before_its_text_passes_the_cap(self, muffins3):
@@ -249,7 +256,7 @@ class TestDefUseAndCompleteness:
 
     def test_trace_record_round_trip(self):
         for _, _, trace in self._corpus_traces(n=10, seed=77):
-            rec = trace_to_record(trace, "q", None)
+            rec = json.loads(dumps_canonical(trace_to_record(trace, "q", None)))
             assert trace_from_record(rec) == trace
 
 

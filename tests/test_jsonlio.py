@@ -9,10 +9,12 @@ from tracedistill.codegen import Program
 from tracedistill.distill import DistillExample
 from tracedistill.editing import CotRationale
 from tracedistill.errors import SchemaError
+from tracedistill.interp import ExecutionTrace, Invocation, TraceEvent
 from tracedistill.jsonlio import read_jsonl, read_rows, write_jsonl, write_rows
 from tracedistill.scenes import Query, Scene, SceneObject
 from tracedistill.students import ScoredRationale, UtilityOutcome
 
+PATCH = {"__patch__": {"scene": "s0", "box": [10, 10, 30, 30], "matched": "a"}}
 ROWS = {
     Query: [Query("q0", "scene_0000", "how many cups", "2"),
             Query("q1", "scene_0001", "is there a fork", "no")],
@@ -28,6 +30,11 @@ ROWS = {
     Scene: [Scene("s0", (SceneObject("a", "cup", (10, 10, 30, 30), frozenset({"red", "ceramic"}), 1.5),
                          SceneObject("b", "plate", (50, 50, 80, 80), frozenset(), 2.0)),
                   (("a", "on", "b"),))],
+    # an Any result, a bare list of args and (name, seq) uses
+    ExecutionTrace: [ExecutionTrace("pq0", [
+        TraceEvent(0, 1, "assign", {"ps": [PATCH]}, Invocation("find", ["cup"], [PATCH]), [], {"ctrl": -1}),
+        TraceEvent(1, 4, "return", {}, Invocation("len", [[PATCH]], 1), [("ps", 0)], {"ctrl": -1, "value": 1}),
+    ], 1, "ok")],
 }
 
 
@@ -118,6 +125,24 @@ class TestRowSchemaErrors:
         with pytest.raises(SchemaError, match=re.escape(
                 f"{path} row 1: field 'outcomes' must be a list of objects")):
             read_rows(path, ScoredRationale)
+
+    EVENT = {"seq": 0, "node_id": 1, "kind": "assign", "bindings": {"n": 2}, "invocation": None,
+             "uses": [], "detail": {"ctrl": -1}}
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("uses", [["n", "0"]], "events[0] field 'uses' must be a list of lists of a string and an integer"),
+        ("uses", [["n"]], "events[0] field 'uses' must be a list of lists of a string and an integer"),
+        ("invocation", {"callee": "len", "args": "n", "result": 1},
+         "events[0] invocation field 'args' must be a list, got 'n'"),
+        # an Any field takes every value; only a missing one is an error
+        ("invocation", {"callee": "len", "args": []}, "events[0] invocation missing field 'result'"),
+    ], ids=["uses_item_type", "uses_item_length", "args_not_a_list", "result_missing"])
+    def test_a_bad_trace_value_names_its_path(self, tmp_path, key, value, message):
+        row = {"program_id": "pq0", "events": [{**self.EVENT, key: value}], "result": None,
+               "status": "ok", "error": None}
+        path = self.write(tmp_path, [row])
+        with pytest.raises(SchemaError, match=re.escape(f"{path} row 0: {message}")):
+            read_rows(path, ExecutionTrace)
 
 
 class TestWriteJsonl:

@@ -472,6 +472,22 @@ class TestCrashIsolation:
         assert after[1]["error"]["message"] == "integer out of range"
         assert after[:1] + after[2:] == before[:1] + before[2:]
 
+    def test_a_result_nested_thousands_deep_is_an_ok_row(self, tmp_path):
+        """Its trace row holds the result's capped snapshot, which reads back;
+        4,096 levels of nesting, within the default 10,000 steps."""
+        config = load_config(write_config(tmp_path))
+        run_all(config)
+        rows = list(read_jsonl(config.path("programs")))
+        rows[1]["source"] = "\n".join(["xs = [1]", *["xs = xs + xs"] * 12, "ys = []",
+                                       "for x in xs:", "    ys = [ys]", "return ys"])
+        write_jsonl(config.path("programs"), rows)
+        manifest = new_manifest(config)
+        pipeline.stage_exec(config, manifest)
+        assert manifest.stages[-1]["row_errors"] == []
+        row = list(read_jsonl(config.path("traces")))[1]
+        assert (row["status"], row["reject_reason"]) == ("ok", "wrong_answer")
+        assert trace_from_record(row).status == "ok"
+
     def _share_one_bad_source(self, config):
         rows = list(read_jsonl(config.path("programs")))
         for i in (2, 7):
@@ -536,7 +552,7 @@ class TestCrashIsolation:
         stage_edit(config, manifest)
         [error] = manifest.stages[-1]["row_errors"]
         assert error["row"] == row
-        assert error["error"].startswith("events[0] field 'uses' is malformed (")
+        assert error["error"].startswith("events[0] field 'uses' must be a list of lists of ")
 
     def test_run_all_and_the_edit_verb_name_the_same_edit_row(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tracedistill.config import DEFAULTS
 from tracedistill.errors import SchemaError
+from tracedistill.jsonlio import write_rows
 from tracedistill.scenes import (
     NOUNS,
     Patch,
@@ -20,7 +21,6 @@ from tracedistill.scenes import (
     load_queries,
     load_scenes,
     parse_question,
-    save_scenes,
     tool_best_text_match,
     tool_compute_depth,
     tool_distance,
@@ -130,8 +130,8 @@ class TestLoadScenes:
         scenes = generate_scenes(50, seed=123)
         first = tmp_path / "a.jsonl"
         second = tmp_path / "b.jsonl"
-        save_scenes(first, scenes)
-        save_scenes(second, load_scenes(first))
+        write_rows(first, scenes)
+        write_rows(second, load_scenes(first))
         assert first.read_bytes() == second.read_bytes()
 
     def test_one_scene_record_per_line(self, tmp_path):
@@ -141,7 +141,7 @@ class TestLoadScenes:
         second["scene_id"] = "s1"
         second["objects"][0]["attributes"] = ["red", "ceramic"]
         path = tmp_path / "saved.jsonl"
-        save_scenes(path, load_scenes(write_scene_file(tmp_path, [GOOD_SCENE, second])))
+        write_rows(path, load_scenes(write_scene_file(tmp_path, [GOOD_SCENE, second])))
         second["objects"][0]["attributes"] = ["ceramic", "red"]
         assert path.read_text().splitlines() == [
             json.dumps(rec, sort_keys=True, separators=(",", ":")) for rec in (GOOD_SCENE, second)
