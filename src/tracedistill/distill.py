@@ -11,6 +11,10 @@ label accuracy, which a pair of disjoint matrices could not.
 
 The combined objective is ``L = L_label + lambda * L_rationale`` with the
 rationale term averaged over unmasked rows only.
+
+numpy is imported inside the functions that use it, not at the top: only
+train needs it, and every other stage imports this module without paying
+for loading it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .errors import EmissionError
 from .interp import normalize_answer
@@ -105,6 +107,8 @@ class ToyModel:
         }))
 
     def featurize(self, question: str) -> np.ndarray:
+        import numpy as np
+
         x = np.zeros(self.n_features)
         x[list(self.feature_key(question))] = 1.0
         return x
@@ -115,6 +119,8 @@ def build_model(
 ) -> ToyModel:
     """Vocabulary, feature map, and keyword set from the corpus; seeded
     small-scale random init."""
+    import numpy as np
+
     labels = sorted({e.label for e in examples})
     features = sorted({t for e in examples for t in _question_tokens(e.question)})
     keywords = sorted(
@@ -177,6 +183,8 @@ class Batch:
 def _group(model: ToyModel, row_keys: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The distinct feature rows among ``row_keys`` (sorted by key), the
     number of rows with each, and each row's index among them."""
+    import numpy as np
+
     keys = sorted(set(row_keys))
     index = {key: g for g, key in enumerate(keys)}
     X = np.zeros((len(keys), model.n_features))
@@ -195,6 +203,8 @@ def encode(model: ToyModel, examples: list[DistillExample]) -> Batch:
     Raises ValueError on an empty batch or a label outside the model's
     vocabulary.
     """
+    import numpy as np
+
     if not examples:
         raise ValueError("batch must be non-empty")
     label_pos = {lab: i for i, lab in enumerate(model.label_vocab)}
@@ -217,6 +227,8 @@ def encode(model: ToyModel, examples: list[DistillExample]) -> Batch:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -228,11 +240,15 @@ def loss_and_grads(model: ToyModel, batch: Batch) -> tuple[LossReport, np.ndarra
     Overflow is not trapped: a diverged model yields a non-finite loss,
     which train() detects.
     """
+    import numpy as np
+
     with np.errstate(over="ignore", invalid="ignore"):
         return _loss_and_grads(model, batch)
 
 
 def _loss_and_grads(model: ToyModel, batch: Batch):
+    import numpy as np
+
     X, counts, Y, n = batch.X, batch.counts[:, None], batch.Y, batch.n
     V = len(model.label_vocab)
 
@@ -314,6 +330,8 @@ def split_dataset(
 
 def _accuracy(model: ToyModel, examples: list[DistillExample]) -> float | None:
     """None when there are no examples to score."""
+    import numpy as np
+
     if not examples:
         return None
     W_label = model.W[: len(model.label_vocab)]

@@ -14,10 +14,10 @@ import json
 import os
 import sys
 import typing
-import urllib.request
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .errors import SchemaError
 
@@ -36,25 +36,33 @@ def _plain(value):
 dumps_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_plain).encode
 
 
-def write_jsonl(path: str | Path, rows: Iterable) -> int:
-    """Write one canonical JSON object per line; returns the row count.
-
-    ``rows`` is consumed one row at a time, into a temp file beside ``path``
-    that replaces ``path`` once every row is written. If ``rows`` raises,
-    the temp file is deleted and ``path`` is left as it was."""
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[TextIO]:
+    """A temp file beside ``path``, open for writing, that replaces ``path``
+    once the block ends. If the block raises, the temp file is deleted and
+    ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    n = 0
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(dumps_canonical(row))
-                fh.write("\n")
-                n += 1
+            yield fh
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_jsonl(path: str | Path, rows: Iterable) -> int:
+    """Write one canonical JSON object per line; returns the row count.
+
+    ``rows`` is consumed one row at a time, and ``path`` is replaced only
+    once every row is written (see ``_replacing``)."""
+    n = 0
+    with _replacing(path) as fh:
+        for row in rows:
+            fh.write(dumps_canonical(row))
+            fh.write("\n")
+            n += 1
     return n
 
 
@@ -220,9 +228,9 @@ def read_rows(path: str | Path, cls: type, unique: str | None = None,
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``obj`` as indented JSON; an ``obj`` that fails to encode
+    leaves ``path`` as it was (see ``_replacing``)."""
+    with _replacing(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -235,6 +243,10 @@ def read_json(path: str | Path) -> Any:
 def post_json(endpoint: str, payload: Any, timeout: float) -> Any:
     """POST ``payload`` as JSON and return the decoded JSON reply; any
     transport or decoding failure raises."""
+    # Imported here, not at the top: only the external generator and bridger
+    # post, and every other stage would pay for loading it.
+    import urllib.request
+
     request = urllib.request.Request(
         endpoint,
         data=json.dumps(payload).encode("utf-8"),

@@ -227,12 +227,18 @@ NO_COLLECTOR = [sys.executable, "-c", "import gc, sys; gc.disable(); "
                 "from tracedistill.cli import main; sys.exit(main(sys.argv[1:]))"]
 
 
+def _cli_env(env: dict) -> dict:
+    """This process's environment with the package on the path and one
+    OpenBLAS thread, then ``env``."""
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", **env}
+
+
 def _run_cli(workdir: Path, runs: list[list[str]], env: dict, launcher: list[str] = CLI) -> Path:
     """Each argument list in its own process, started in ``workdir`` with
     one OpenBLAS thread unless ``env`` says otherwise."""
     workdir.mkdir(exist_ok=True)
-    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", **env}
+    env = _cli_env(env)
     for args in runs:
         proc = subprocess.run([*launcher, *args], cwd=workdir, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, (workdir.name, args, proc.stderr)
@@ -293,6 +299,55 @@ def test_determinism_across_processes(tmp_path):
     for name in ("rationales.jsonl", "scored.jsonl", "dataset.jsonl", "metrics.json"):
         assert (stages / name).read_bytes() == (cell / name).read_bytes(), name
     print(f"\n{PASS}: determinism across processes ({len(expected)} files, 5 runs, 16 processes)")
+
+
+# Runs ``cli.main`` at --seed 3 for each verb after the first argument, all
+# in this one process, with numpy unimportable when the first argument is
+# "no-numpy". Prints each verb's exit code and standard error, and whether
+# urllib.request was loaded.
+VERBS_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+if sys.argv[1] == "no-numpy":
+    sys.modules["numpy"] = None  # import numpy now raises ModuleNotFoundError
+from tracedistill.cli import main
+report = {}
+for verb in sys.argv[2:]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        report[verb] = [main(["--seed", "3", verb]), err.getvalue()]
+print(json.dumps({"verbs": report, "urllib.request": "urllib.request" in sys.modules}))
+"""
+
+
+def test_only_train_needs_numpy(tmp_path):
+    """With numpy unimportable, the CLI imports and the six stages before
+    train run and write the same bytes as with numpy, without loading
+    urllib.request (only the external generator and bridger post); train
+    then fails with the CLI's JSON error report."""
+    runs = {}
+    for mode in ("numpy", "no-numpy"):
+        workdir = tmp_path / mode
+        workdir.mkdir()
+        proc = subprocess.run([sys.executable, "-c", VERBS_IN_ONE_PROCESS, mode, *RUN_ALL_ORDER],
+                              cwd=workdir, env=_cli_env({}), capture_output=True, text=True)
+        assert proc.returncode == 0, (mode, proc.stderr)
+        runs[mode] = json.loads(proc.stdout)
+
+    before_train = RUN_ALL_ORDER[:-1]
+    assert RUN_ALL_ORDER[-1] == "train" and len(before_train) == 6
+    report = runs["no-numpy"]
+    assert {verb: report["verbs"][verb] for verb in before_train} == {verb: [0, ""] for verb in before_train}
+    assert not report["urllib.request"]
+    code, stderr = report["verbs"]["train"]
+    assert code == 1
+    error = json.loads(stderr)
+    assert (error["error"], error["stage"]) == ("ModuleNotFoundError", "train")
+    assert runs["numpy"]["verbs"]["train"] == [0, ""]
+
+    # train's metrics.json aside, both runs wrote the same 7 files
+    without, with_numpy = _files(tmp_path / "no-numpy"), _files(tmp_path / "numpy")
+    assert without.keys() == with_numpy.keys() - {"metrics.json"} and len(without) == 7
+    assert [name for name in without if without[name] != with_numpy[name]] == []
 
 
 def test_metrics_do_not_depend_on_the_blas_thread_count(tmp_path):

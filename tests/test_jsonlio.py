@@ -10,7 +10,7 @@ from tracedistill.distill import DistillExample
 from tracedistill.editing import CotRationale
 from tracedistill.errors import SchemaError
 from tracedistill.interp import ExecutionTrace, Invocation, TraceEvent
-from tracedistill.jsonlio import read_jsonl, read_rows, write_jsonl, write_rows
+from tracedistill.jsonlio import read_json, read_jsonl, read_rows, write_json, write_jsonl, write_rows
 from tracedistill.scenes import Query, Scene, SceneObject
 from tracedistill.students import ScoredRationale, UtilityOutcome
 
@@ -159,3 +159,16 @@ class TestWriteJsonl:
             write_jsonl(path, rows())
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+
+class TestWriteJson:
+    def test_a_failed_encode_leaves_the_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        write_json(path, {"a": 1, "stages": []})
+        before = path.read_bytes()
+
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_json(path, {"a": 1, "b": object()})
+        assert path.read_bytes() == before
+        assert read_json(path) == {"a": 1, "stages": []}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
