@@ -24,6 +24,7 @@ import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import EmissionError
 from .interp import normalize_answer
@@ -72,7 +73,28 @@ def emit_dataset(texts: dict[str, str], queries: list[Query], path: str | Path) 
 
 
 def load_dataset(path: str | Path) -> list[DistillExample]:
-    return read_rows(path, DistillExample)
+    return read_rows(path, DistillExample, unique="query_id")
+
+
+class TrainRow(NamedTuple):
+    """What train reads of one dataset row."""
+
+    question: str
+    label: str
+    keywords: tuple[str, ...] | None  # the rationale's; None masks the rationale loss
+
+
+def training_input(examples: list[DistillExample]) -> tuple[TrainRow, ...]:
+    """``train``'s argument: one TrainRow per example, in order, with the
+    rationale's ``extract_keywords``. Under one TrainConfig, equal inputs
+    train to equal reports, so the ablation grid reuses one report for
+    every dataset with an equal training input. It leaves out ``query_id``,
+    which train never reads, and any rationale wording beyond the
+    keywords."""
+    return tuple(
+        TrainRow(e.question, e.label, None if e.rationale is None else tuple(extract_keywords(e.rationale)))
+        for e in examples
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +116,6 @@ class ToyModel:
     key_rows: np.ndarray
     lam: float = 1.0
 
-    @property
-    def n_features(self) -> int:
-        return len(self.feature_index)
-
     def feature_key(self, question: str) -> tuple[int, ...]:
         """Sorted indices of the question's known tokens: the positions
         where its feature row is 1. Questions with equal keys share their
@@ -106,26 +124,17 @@ class ToyModel:
             idx for idx in map(self.feature_index.get, _question_tokens(question)) if idx is not None
         }))
 
-    def featurize(self, question: str) -> np.ndarray:
-        import numpy as np
-
-        x = np.zeros(self.n_features)
-        x[list(self.feature_key(question))] = 1.0
-        return x
-
 
 def build_model(
-    examples: list[DistillExample], lam: float = 1.0, seed: int = 0, init_scale: float = 0.01
+    rows: tuple[TrainRow, ...], lam: float = 1.0, seed: int = 0, init_scale: float = 0.01
 ) -> ToyModel:
     """Vocabulary, feature map, and keyword set from the corpus; seeded
     small-scale random init."""
     import numpy as np
 
-    labels = sorted({e.label for e in examples})
-    features = sorted({t for e in examples for t in _question_tokens(e.question)})
-    keywords = sorted(
-        {k for e in examples if e.rationale is not None for k in extract_keywords(e.rationale)}
-    )
+    labels = sorted({r.label for r in rows})
+    features = sorted({t for r in rows for t in _question_tokens(r.question)})
+    keywords = sorted({k for r in rows if r.keywords is not None for k in r.keywords})
     label_pos = {lab: i for i, lab in enumerate(labels)}
     key_rows = []
     n_rows = len(labels)
@@ -160,7 +169,7 @@ class LossReport:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """Examples encoded against one model's vocabularies, grouped by
+    """Training rows encoded against one model's vocabularies, grouped by
     feature row.
 
     The student reads only question features, so rows with one feature row
@@ -175,7 +184,7 @@ class Batch:
     counts: np.ndarray  # (G,) rows with each feature row
     Y: np.ndarray  # (G, V) label counts
     m: int  # unmasked rows (rows with a rationale)
-    Xm: np.ndarray  # (Gm, F) the distinct feature rows of the unmasked rows
+    Xm: np.ndarray  # (Gm, F) the rows of X that unmasked rows have, in X's order
     counts_m: np.ndarray  # (Gm,) unmasked rows with each of them
     T: np.ndarray  # (Gm, K) keyword targets summed over those rows
 
@@ -187,7 +196,7 @@ def _group(model: ToyModel, row_keys: list[tuple[int, ...]]) -> tuple[np.ndarray
 
     keys = sorted(set(row_keys))
     index = {key: g for g, key in enumerate(keys)}
-    X = np.zeros((len(keys), model.n_features))
+    X = np.zeros((len(keys), len(model.feature_index)))
     for g, key in enumerate(keys):
         X[g, list(key)] = 1.0
     group = [index[key] for key in row_keys]
@@ -197,33 +206,34 @@ def _group(model: ToyModel, row_keys: list[tuple[int, ...]]) -> tuple[np.ndarray
     return X, counts, group
 
 
-def encode(model: ToyModel, examples: list[DistillExample]) -> Batch:
-    """Encode ``examples`` once for any number of loss evaluations of ``model``.
+def encode(model: ToyModel, rows: tuple[TrainRow, ...]) -> Batch:
+    """Encode ``rows`` once for any number of loss evaluations of ``model``.
+    The unmasked groups are the selection of the groups with a rationale row.
 
     Raises ValueError on an empty batch or a label outside the model's
     vocabulary.
     """
     import numpy as np
 
-    if not examples:
+    if not rows:
         raise ValueError("batch must be non-empty")
     label_pos = {lab: i for i, lab in enumerate(model.label_vocab)}
-    unknown = sorted({e.label for e in examples} - label_pos.keys())
+    unknown = sorted({r.label for r in rows} - label_pos.keys())
     if unknown:
         raise ValueError(f"labels not in the model's vocabulary: {unknown}")
     key_pos = {k: j for j, k in enumerate(model.keywords)}
-    row_keys = [model.feature_key(e.question) for e in examples]
-    X, counts, group = _group(model, row_keys)
+    X, counts, group = _group(model, [model.feature_key(r.question) for r in rows])
     Y = np.zeros((len(X), len(model.label_vocab)))
-    for g, e in zip(group, examples):
-        Y[g, label_pos[e.label]] += 1.0
-    rationales = [(key, e.rationale) for key, e in zip(row_keys, examples) if e.rationale is not None]
-    Xm, counts_m, group_m = _group(model, [key for key, _ in rationales])
-    T = np.zeros((len(Xm), len(model.keywords)))
-    for g, (_, text) in zip(group_m, rationales):
-        T[g, [key_pos[k] for k in extract_keywords(text) if k in key_pos]] += 1.0
-    return Batch(n=len(examples), X=X, counts=counts, Y=Y,
-                 m=len(rationales), Xm=Xm, counts_m=counts_m, T=T)
+    counts_m = np.zeros(len(X))
+    T = np.zeros((len(X), len(model.keywords)))
+    for g, r in zip(group, rows):
+        Y[g, label_pos[r.label]] += 1.0
+        if r.keywords is not None:
+            counts_m[g] += 1.0
+            T[g, [key_pos[k] for k in r.keywords if k in key_pos]] += 1.0
+    unmasked = counts_m > 0
+    return Batch(n=len(rows), X=X, counts=counts, Y=Y, m=int(counts_m.sum()),
+                 Xm=X[unmasked], counts_m=counts_m[unmasked], T=T[unmasked])
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -316,58 +326,38 @@ class TrainReport:
     diverged: bool = False
 
 
-def split_dataset(
-    examples: list[DistillExample], seed: int
-) -> tuple[list[DistillExample], list[DistillExample]]:
+def split_dataset(rows: tuple[TrainRow, ...], seed: int) -> tuple[list[TrainRow], list[TrainRow]]:
     """Fixed seeded 80/20 split. Each side keeps at least one row, except
     that a single row goes to train."""
-    order = list(range(len(examples)))
+    order = list(range(len(rows)))
     random.Random(seed).shuffle(order)
-    cut = max(1, min(len(examples) - 1, int(round(len(examples) * (1.0 - HELDOUT_FRACTION)))))
-    train_idx, held_idx = order[:cut], order[cut:]
-    return [examples[i] for i in train_idx], [examples[i] for i in held_idx]
+    cut = max(1, min(len(rows) - 1, int(round(len(rows) * (1.0 - HELDOUT_FRACTION)))))
+    return [rows[i] for i in order[:cut]], [rows[i] for i in order[cut:]]
 
 
-def _accuracy(model: ToyModel, examples: list[DistillExample]) -> float | None:
-    """None when there are no examples to score."""
+def _accuracy(model: ToyModel, rows: list[TrainRow]) -> float | None:
+    """The share of ``rows`` whose label is the argmax of their distinct
+    feature row's label logits; None when there are no rows to score."""
     import numpy as np
 
-    if not examples:
+    if not rows:
         return None
-    W_label = model.W[: len(model.label_vocab)]
-    predicted = {
-        question: model.label_vocab[int(np.argmax(W_label @ model.featurize(question)))]
-        for question in {e.question for e in examples}
-    }
-    hits = sum(1 for e in examples if predicted[e.question] == e.label)
-    return hits / len(examples)
+    X, _, group = _group(model, [model.feature_key(r.question) for r in rows])
+    predicted = np.argmax(X @ model.W[: len(model.label_vocab)].T, axis=1)
+    hits = sum(1 for g, r in zip(group, rows) if model.label_vocab[predicted[g]] == r.label)
+    return hits / len(rows)
 
 
-def training_input(examples: list[DistillExample]) -> tuple:
-    """Everything ``train`` reads of ``examples``: one
-    ``(question, label, keywords)`` entry per example, in order, where
-    ``keywords`` is the tuple of the rationale's ``extract_keywords``, or
-    None for a masked row. Under one TrainConfig, datasets with equal
-    training inputs train to equal reports. It leaves out ``query_id``, which
-    train never reads, and any rationale wording beyond the keywords."""
-    return tuple(
-        (e.question, e.label, None if e.rationale is None else tuple(extract_keywords(e.rationale)))
-        for e in examples
-    )
-
-
-def train(examples: list[DistillExample], config: TrainConfig) -> tuple[ToyModel, TrainReport]:
-    """Deterministic full-batch gradient descent on the multi-task loss.
+def train(rows: tuple[TrainRow, ...], config: TrainConfig) -> tuple[ToyModel, TrainReport]:
+    """Deterministic full-batch gradient descent on the multi-task loss
+    over ``training_input`` rows.
 
     Divergence (non-finite loss) aborts with the last finite parameters.
     """
-    # training_input must change whenever train starts reading something new
-    # of the examples: the ablation grid reuses one report for every dataset
-    # with an equal training input.
-    if not examples:
+    if not rows:
         raise ValueError("dataset must be non-empty")
-    train_rows, held_rows = split_dataset(examples, config.seed)
-    model = build_model(examples, lam=config.lam, seed=config.seed)
+    train_rows, held_rows = split_dataset(rows, config.seed)
+    model = build_model(rows, lam=config.lam, seed=config.seed)
     batch = encode(model, train_rows)
     report, dW = loss_and_grads(model, batch)
     loss_curve = [report.total]

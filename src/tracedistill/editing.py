@@ -311,11 +311,12 @@ def _line_tokens(line: str) -> set[str]:
 
 @dataclass
 class TaggedDraft:
-    """The pre-bridge draft of one symbolic trace: a sentence per record and
-    a tag per adjacent pair of sentences."""
+    """The pre-bridge draft of one symbolic trace: a sentence and a
+    symbolic line per record, and a tag per adjacent pair of sentences."""
 
     trace: SymbolicTrace
     sentences: list[str]
+    lines: list[str]  # record_to_line of each record
     joints: list[str]  # len == len(sentences) - 1
 
 
@@ -329,14 +330,15 @@ def tag_gaps(trace: SymbolicTrace) -> TaggedDraft:
     if not sentences:
         raise ValueError("tag_gaps needs at least one sentence")
     records = trace.records
-    mentions = [_line_tokens(record_to_line(r)) for r in records]
+    lines = [record_to_line(r) for r in records]
+    mentions = [_line_tokens(line) for line in lines]
     joints = []
     for i, (earlier, later) in enumerate(zip(records, records[1:])):
         refs = later.reads | mentions[i + 1]
         anchors = earlier.defines | earlier.reads | mentions[i]
         ctrl_link = bool(later.ctrl_seqs & set(earlier.source_seqs))
         joints.append(NO_GAP if (refs & anchors) or ctrl_link else GAP)
-    return TaggedDraft(trace, sentences, joints)
+    return TaggedDraft(trace, sentences, lines, joints)
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +377,9 @@ class HttpBridger:
         self.timeout = timeout
 
     def fill(self, draft: TaggedDraft, at: int) -> str:
-        facts = [record_to_line(r) for r in draft.trace.records]
         payload = post_json(
             self.endpoint,
-            {"prev": draft.sentences[at - 1], "next": draft.sentences[at], "facts": facts},
+            {"prev": draft.sentences[at - 1], "next": draft.sentences[at], "facts": draft.lines},
             self.timeout,
         )
         text = payload.get("bridge_text", "")

@@ -248,7 +248,7 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
             handed.append(TraceRow(query.query_id, program.program_id, None if reason else trace))
         return record
 
-    rows = _input(config, held, "programs", read_rows, codegen.Program)
+    rows = _input(config, held, "programs", read_rows, codegen.Program, "program_id")
     errors: list[dict] = []
     executed = write_jsonl(config.path("traces"), _each_row("exec", rows, run_row, config["strict"], errors))
     manifest.counts["executed"] = executed
@@ -381,7 +381,7 @@ def stage_score(config: PipelineConfig, manifest: RunManifest,
     by_id = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
     ensemble = _load_students(config)
     harm_value, min_score = config["harm_verdict"], config["min_score"]
-    rationales = _input(config, held, "rationales", read_rows, editing.CotRationale)
+    rationales = _input(config, held, "rationales", read_rows, editing.CotRationale, "query_id")
     errors: list[dict] = []
     out = list(_each_row(
         "score", rationales,
@@ -414,8 +414,10 @@ def stage_emit(config: PipelineConfig, manifest: RunManifest,
                held: dict | None = None) -> None:
     started = time.monotonic()
     queries = _input(config, held, "queries", sw.load_queries)
-    texts = {r.query_id: r.text for r in _input(config, held, "rationales", read_rows, editing.CotRationale)}
-    kept_ids = [r.query_id for r in _input(config, held, "scored", read_rows, st.ScoredRationale) if r.kept]
+    texts = {r.query_id: r.text
+             for r in _input(config, held, "rationales", read_rows, editing.CotRationale, "query_id")}
+    kept_ids = [r.query_id
+                for r in _input(config, held, "scored", read_rows, st.ScoredRationale, "query_id") if r.kept]
     missing = sorted(set(kept_ids) - texts.keys())
     if missing:
         raise EmissionError(f"score-kept queries have no rationale: {missing}")
@@ -435,16 +437,17 @@ def stage_train(config: PipelineConfig, manifest: RunManifest,
     ``held["trained"]`` dict, as each ablation cell is, it trains once per
     distinct (train settings, ``distill.training_input``) key: a key
     already in the dict takes the report stored there, with the
-    workdir-relative path of the metrics.json that training wrote."""
+    workdir-relative path of the metrics.json that training wrote. The
+    key's training input is what train reads."""
     started = time.monotonic()
-    examples = distill.load_dataset(config.path("dataset"))
+    rows = distill.training_input(distill.load_dataset(config.path("dataset")))
     train_cfg = distill.TrainConfig(lam=config["lambda"], **config["train"], seed=config.seeds["train"])
     trained = (held or {}).get("trained")
-    key = None if trained is None else (astuple(train_cfg), distill.training_input(examples))
+    key = None if trained is None else (astuple(train_cfg), rows)
     if key is not None and key in trained:
         report, reused_from = trained[key]
     else:
-        _, report = distill.train(examples, train_cfg)
+        _, report = distill.train(rows, train_cfg)
         reused_from = None
         if key is not None:
             trained[key] = report, config.path("metrics").relative_to(config.workdir).as_posix()
@@ -461,7 +464,7 @@ def stage_train(config: PipelineConfig, manifest: RunManifest,
         },
     )
     manifest.record(
-        "train", started, rows_in=len(examples), rows_out=1,
+        "train", started, rows_in=len(rows), rows_out=1,
         extra={
             "accuracy_heldout": report.accuracy_heldout,
             "diverged": report.diverged,

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from tracedistill import scenes as sw
-from tracedistill.distill import DistillExample, ToyModel, encode, loss_and_grads
+from tracedistill.distill import ToyModel, TrainRow, encode, loss_and_grads
 from tracedistill.dsl import Ast, if_arms
 from tracedistill.scenes import Patch, Scene
 
@@ -212,13 +212,13 @@ def replay_check_uses(trace) -> None:
             last_def[name] = event.seq
 
 
-def grad_check(model: ToyModel, examples: list[DistillExample], epsilon: float = 1e-5) -> float:
+def grad_check(model: ToyModel, rows: tuple[TrainRow, ...], epsilon: float = 1e-5) -> float:
     """Max relative error between analytic and central-finite-difference
     gradients over every parameter; relative error is measured against
     max(1, |analytic|, |numeric|)."""
     if not (0.0 < epsilon <= 1e-2):
         raise ValueError("epsilon must be in (0, 1e-2]")
-    batch = encode(model, examples)
+    batch = encode(model, rows)
     report, analytic = loss_and_grads(model, batch)
     if not math.isfinite(report.total):
         raise ValueError("loss is non-finite; cannot check gradients")

@@ -20,7 +20,7 @@ import pytest
 import tracedistill
 from tracedistill.codegen import generate_programs
 from tracedistill.config import load_config
-from tracedistill.distill import TrainConfig, build_model, encode, loss_and_grads, train
+from tracedistill.distill import TrainConfig, build_model, encode, loss_and_grads, train, training_input
 from tracedistill.dsl import parse
 from tracedistill.editing import (
     keep_all,
@@ -141,7 +141,7 @@ def test_loss_identity_and_gradients():
     started = time.monotonic()
     worst = 0.0
     for seed in range(10):
-        batch = build_correlation_task(seed, n=25)
+        batch = training_input(build_correlation_task(seed, n=25))
         model = build_model(batch, lam=1.0, seed=seed)
         report = loss_and_grads(model, encode(model, batch))[0]
         assert report.total == report.label_loss + report.lam * report.rationale_loss
@@ -172,8 +172,9 @@ def test_directional_distillation_effect():
                 filtered.append(
                     type(example)(example.query_id, example.question, example.label, None)
                 )
-        _, with_rationales = train(filtered, TrainConfig(lam=1.0, epochs=10, step_size=0.8, seed=seed))
-        _, labels_only = train(filtered, TrainConfig(lam=0.0, epochs=10, step_size=0.8, seed=seed))
+        rows = training_input(filtered)
+        _, with_rationales = train(rows, TrainConfig(lam=1.0, epochs=10, step_size=0.8, seed=seed))
+        _, labels_only = train(rows, TrainConfig(lam=0.0, epochs=10, step_size=0.8, seed=seed))
         gaps.append(with_rationales.accuracy_heldout - labels_only.accuracy_heldout)
     mean_gap = sum(gaps) / len(gaps)
     assert mean_gap >= 0.05, f"mean heldout gap {mean_gap:+.3f} below 5 points; gaps={gaps}"

@@ -12,13 +12,16 @@ from tracedistill.config import default_config
 from tracedistill.distill import (
     DistillExample,
     TrainConfig,
+    TrainRow,
     build_model,
     emit_dataset,
     encode,
     extract_keywords,
     load_dataset,
     loss_and_grads,
+    split_dataset,
     train,
+    training_input,
 )
 from tracedistill.errors import EmissionError
 from tracedistill.jsonlio import read_jsonl
@@ -80,12 +83,16 @@ class TestKeywords:
 
 
 def small_batch():
-    return [
+    return training_input([
         DistillExample("a", "what color is the cup", "red", "answer red"),
         DistillExample("b", "what color is the box", "blue", "answer blue"),
         DistillExample("c", "how many cups", "2", None),
         DistillExample("d", "what color is the mug", "red", "answer red"),
-    ]
+    ])
+
+
+def correlation_rows(seed, n=300):
+    return training_input(build_correlation_task(seed, n=n))
 
 
 class TestLoss:
@@ -102,17 +109,14 @@ class TestLoss:
         assert report.total == report.label_loss + 0.25 * report.rationale_loss
 
     def test_all_masked_keeps_label_only(self):
-        batch = [DistillExample(str(i), f"q {i}", str(i % 2), None) for i in range(6)]
+        batch = [TrainRow(f"q {i}", str(i % 2), None) for i in range(6)]
         model = build_model(batch, lam=1.0, seed=0)
         report = loss_and_grads(model, encode(model, batch))[0]
         assert report.rationale_loss == 0.0
         assert report.total == report.label_loss
 
     def test_uniform_init_three_class_label_loss(self):
-        batch = [
-            DistillExample(str(i), f"thing {i} marker{i % 7}", ["a", "b", "c"][i % 3], None)
-            for i in range(30)
-        ]
+        batch = [TrainRow(f"thing {i} marker{i % 7}", ["a", "b", "c"][i % 3], None) for i in range(30)]
         model = build_model(batch, lam=1.0, seed=5, init_scale=0.001)
         report = loss_and_grads(model, encode(model, batch))[0]
         assert abs(report.label_loss - math.log(3)) / math.log(3) < 0.10
@@ -121,14 +125,14 @@ class TestLoss:
         batch = small_batch()
         model = build_model(batch, lam=1.0, seed=3)
         before = loss_and_grads(model, encode(model, batch))[0]
-        extended = batch + [DistillExample("e", "what color is the cup", "red", None)]
+        extended = batch + (TrainRow("what color is the cup", "red", None),)
         after = loss_and_grads(model, encode(model, extended))[0]
         assert after.rationale_loss == before.rationale_loss
         assert after.label_loss != before.label_loss
 
     def test_non_negativity(self):
         for seed in range(5):
-            batch = build_correlation_task(seed, n=40)
+            batch = correlation_rows(seed, n=40)
             model = build_model(batch, lam=1.0, seed=seed)
             report = loss_and_grads(model, encode(model, batch))[0]
             assert report.label_loss >= 0.0
@@ -137,26 +141,34 @@ class TestLoss:
     def test_empty_batch_rejected(self):
         model = build_model(small_batch(), seed=0)
         with pytest.raises(ValueError):
-            loss_and_grads(model, encode(model, []))
+            loss_and_grads(model, encode(model, ()))
 
     def test_unknown_label_rejected(self):
         model = build_model(small_batch(), seed=0)
         with pytest.raises(ValueError, match="green"):
-            encode(model, [DistillExample("x", "what color is the cup", "green", None)])
+            encode(model, (TrainRow("what color is the cup", "green", None),))
 
 
-def dense_reference(model, examples):
+def feature_rows(model, rows):
+    """One feature row per row, built from ``feature_key`` without grouping."""
+    X = np.zeros((len(rows), len(model.feature_index)))
+    for i, r in enumerate(rows):
+        X[i, list(model.feature_key(r.question))] = 1.0
+    return X
+
+
+def dense_reference(model, rows):
     """The all-rows formula: keyword targets from an N x K loop, BCE and
     sigmoid over every row of R, masked rows of dR zeroed afterwards."""
-    X = np.stack([model.featurize(e.question) for e in examples])
-    y = np.array([model.label_vocab.index(e.label) for e in examples])
-    mask = np.array([e.rationale is not None for e in examples])
-    n, K = len(examples), len(model.keywords)
+    X = feature_rows(model, rows)
+    y = np.array([model.label_vocab.index(r.label) for r in rows])
+    mask = np.array([r.keywords is not None for r in rows])
+    n, K = len(rows), len(model.keywords)
     T = np.zeros((n, K))
-    for i, e in enumerate(examples):
-        if e.rationale is None:
+    for i, r in enumerate(rows):
+        if r.keywords is None:
             continue
-        present = set(extract_keywords(e.rationale))
+        present = set(r.keywords)
         for j, k in enumerate(model.keywords):
             if k in present:
                 T[i, j] = 1.0
@@ -212,7 +224,7 @@ def masked_batches(draw):
     else:
         keep = [kind == "none_masked"] * n
     batch = [e if k else DistillExample(e.query_id, e.question, e.label, None) for e, k in zip(rows, keep)]
-    return rows, batch
+    return training_input(rows), training_input(batch)
 
 
 def assert_matches_dense_reference(model, batch):
@@ -242,11 +254,28 @@ class TestMaskedHead:
         model = build_model(corpus, lam=lam, seed=seed, init_scale=scale)
         assert_matches_dense_reference(model, batch)
 
+    @settings(max_examples=100, deadline=None)
+    @given(masked_batches())
+    def test_unmasked_groups_are_the_encoding_of_the_unmasked_rows(self, drawn):
+        corpus, batch = drawn
+        model = build_model(corpus, seed=0)
+        encoded = encode(model, batch)
+        unmasked = tuple(r for r in batch if r.keywords is not None)
+        assert encoded.m == len(unmasked)
+        if not unmasked:
+            assert encoded.Xm.shape == (0, len(model.feature_index))
+            assert encoded.counts_m.shape == (0,) and encoded.T.shape == (0, len(model.keywords))
+            return
+        alone = encode(model, unmasked)
+        assert np.array_equal(alone.X, encoded.Xm)
+        assert np.array_equal(alone.counts, encoded.counts_m)
+        assert np.array_equal(alone.T, encoded.T)
+
     def test_a_question_with_no_known_token_has_a_zero_feature_row(self):
-        batch = small_batch() + [
+        batch = small_batch() + training_input([
             DistillExample("e", "?", "blue", "answer blue"),
             DistillExample("f", "?", "2", None),
-        ]
+        ])
         model = build_model(batch, lam=1.0, seed=3, init_scale=1.0)
         encoded = encode(model, batch)
         assert not encoded.X[0].any() and not encoded.Xm[0].any()
@@ -260,12 +289,12 @@ class TestGrouping:
 
     @staticmethod
     def _loss(examples):
-        model = build_model(build_correlation_task(0, n=200), lam=1.0, seed=0, init_scale=1.0)
+        model = build_model(correlation_rows(0, n=200), lam=1.0, seed=0, init_scale=1.0)
         report, dW = loss_and_grads(model, encode(model, examples))
         return report, dW
 
     def test_permuting_the_rows_changes_no_bit(self):
-        examples = build_correlation_task(0, n=200)
+        examples = correlation_rows(0, n=200)
         shuffled = list(examples)
         random.Random(1).shuffle(shuffled)
         report, dW = self._loss(examples)
@@ -274,7 +303,7 @@ class TestGrouping:
         assert np.array_equal(dW_shuffled, dW)
 
     def test_repeating_every_row_changes_no_bit(self):
-        examples = build_correlation_task(0, n=200)
+        examples = correlation_rows(0, n=200)
         report, dW = self._loss(examples)
         report_twice, dW_twice = self._loss(examples + examples)
         assert report_twice == report
@@ -284,12 +313,12 @@ class TestGrouping:
 class TestGradCheck:
     def test_seeded_batches_pass_tolerance(self):
         for seed in range(3):
-            batch = build_correlation_task(seed, n=25)
+            batch = correlation_rows(seed, n=25)
             model = build_model(batch, lam=1.0, seed=seed)
             assert grad_check(model, batch, epsilon=1e-5) <= 1e-5
 
     def test_single_class_label_gradient_zero(self):
-        batch = [DistillExample(str(i), f"q {i}", "only", None) for i in range(4)]
+        batch = [TrainRow(f"q {i}", "only", None) for i in range(4)]
         model = build_model(batch, lam=1.0, seed=1)
         _, dW = loss_and_grads(model, encode(model, batch))
         assert np.allclose(dW[: len(model.label_vocab)], 0.0)
@@ -313,11 +342,20 @@ class TestGradCheck:
         assert model.key_rows[model.keywords.index("red")] == model.label_vocab.index("red")
 
 
+def emit_and_config(tmp_path, examples):
+    """A default config in ``tmp_path`` whose dataset.jsonl holds ``examples``."""
+    config = default_config(tmp_path)
+    queries = [Query(e.query_id, "s", e.question, e.label) for e in examples]
+    texts = {e.query_id: e.rationale for e in examples if e.rationale is not None}
+    emit_dataset(texts, queries, config.path("dataset"))
+    return config
+
+
 class TestTrainingInput:
     def test_a_masked_row_and_an_empty_rationale_differ(self):
         masked = DistillExample("q0", "how many cups", "2", None)
         empty = DistillExample("q0", "how many cups", "2", "")
-        assert distill.training_input([masked]) != distill.training_input([empty])
+        assert training_input([masked]) != training_input([empty])
 
     def test_rationales_with_equal_keywords_train_to_identical_metrics(self, tmp_path):
         examples = build_correlation_task(0, n=60)
@@ -331,17 +369,30 @@ class TestTrainingInput:
             for e in examples
         ]
         assert [e.rationale for e in reworded] != [e.rationale for e in examples]
-        assert distill.training_input(reworded) == distill.training_input(examples)
+        assert training_input(reworded) == training_input(examples)
         metrics = []
         for name, rows in (("plain", examples), ("reworded", reworded)):
             (tmp_path / name).mkdir()
-            config = default_config(tmp_path / name)
-            queries = [Query(e.query_id, "s", e.question, e.label) for e in rows]
-            texts = {e.query_id: e.rationale for e in rows if e.rationale is not None}
-            emit_dataset(texts, queries, config.path("dataset"))
+            config = emit_and_config(tmp_path / name, rows)
             pipeline.stage_train(config, pipeline.new_manifest(config))
             metrics.append(config.path("metrics").read_bytes())
         assert metrics[0] == metrics[1]
+
+    def test_train_reads_the_rows_of_the_reuse_key(self, tmp_path, monkeypatch):
+        config = emit_and_config(tmp_path, build_correlation_task(0, n=30))
+        received = []
+
+        def recorded(rows, train_config):
+            received.append(rows)
+            return real_train(rows, train_config)
+
+        real_train = distill.train
+        monkeypatch.setattr(distill, "train", recorded)
+        held = {"trained": {}}
+        pipeline.stage_train(config, pipeline.new_manifest(config), held)
+        [(_, key_rows)] = held["trained"]
+        [train_rows] = received
+        assert train_rows is key_rows
 
 
 class TestTrain:
@@ -359,36 +410,53 @@ class TestTrain:
 
         monkeypatch.setattr(distill, "encode", counted("encode"))
         monkeypatch.setattr(distill, "loss_and_grads", counted("loss_and_grads"))
-        examples = build_correlation_task(0, n=60)
-        _, report = train(examples, TrainConfig(lam=1.0, epochs=7, step_size=0.5, seed=1))
+        _, report = train(correlation_rows(0, n=60), TrainConfig(lam=1.0, epochs=7, step_size=0.5, seed=1))
         assert calls == {"encode": 1, "loss_and_grads": 8}
         assert report.epochs_run == 7
 
-    def test_deterministic_rerun(self):
-        examples = build_correlation_task(0, n=80)
+    def test_accuracy_is_the_per_row_argmax_of_the_label_logits(self):
+        # repeated questions, so some feature rows stand for several rows
+        rows = correlation_rows(0, n=80)
+        rows += rows[:40]
         config = TrainConfig(lam=1.0, epochs=8, step_size=0.8, seed=4)
-        _, a = train(examples, config)
-        _, b = train(examples, config)
+        model, report = train(rows, config)
+        W_label = model.W[: len(model.label_vocab)]
+
+        def per_row(scored):
+            X = feature_rows(model, scored)
+            hits = [model.label_vocab[int(np.argmax(W_label @ x))] == r.label for x, r in zip(X, scored)]
+            return sum(hits) / len(scored)
+
+        train_rows, held_rows = split_dataset(rows, config.seed)
+        assert report.accuracy_train == per_row(train_rows)
+        assert report.accuracy_heldout == per_row(held_rows)
+        assert 0.0 < report.accuracy_heldout < 1.0
+
+    def test_deterministic_rerun(self):
+        rows = correlation_rows(0, n=80)
+        config = TrainConfig(lam=1.0, epochs=8, step_size=0.8, seed=4)
+        _, a = train(rows, config)
+        _, b = train(rows, config)
         assert a == b
 
     def test_zero_step_size_keeps_parameters(self):
-        examples = build_correlation_task(1, n=40)
-        model, report = train(examples, TrainConfig(lam=1.0, epochs=1, step_size=0.0, seed=0))
-        fresh = build_model(examples, lam=1.0, seed=0)
+        rows = correlation_rows(1, n=40)
+        model, report = train(rows, TrainConfig(lam=1.0, epochs=1, step_size=0.0, seed=0))
+        fresh = build_model(rows, lam=1.0, seed=0)
         assert np.array_equal(model.W, fresh.W)
 
     def test_divergence_aborts_with_last_finite_state(self):
         # A step this size overflows the logits on the first update.
-        examples = build_correlation_task(2, n=40)
-        _, report = train(examples, TrainConfig(lam=1.0, epochs=50, step_size=1e308, seed=0))
+        rows = correlation_rows(2, n=40)
+        _, report = train(rows, TrainConfig(lam=1.0, epochs=50, step_size=1e308, seed=0))
         assert report.diverged
         assert math.isfinite(report.loss.total)
 
     def test_directional_gap(self):
         gaps = []
         for seed in range(5):
-            examples = build_correlation_task(seed)
-            _, with_r = train(examples, TrainConfig(lam=1.0, epochs=10, step_size=0.8, seed=seed))
-            _, without = train(examples, TrainConfig(lam=0.0, epochs=10, step_size=0.8, seed=seed))
+            rows = correlation_rows(seed)
+            _, with_r = train(rows, TrainConfig(lam=1.0, epochs=10, step_size=0.8, seed=seed))
+            _, without = train(rows, TrainConfig(lam=0.0, epochs=10, step_size=0.8, seed=seed))
             gaps.append(with_r.accuracy_heldout - without.accuracy_heldout)
         assert sum(gaps) / len(gaps) >= 0.05

@@ -681,6 +681,32 @@ class TestCli:
         assert report["error"] == "SchemaError"
         assert f"{name} row 1: {named}" in report["message"]
 
+    # Each row file that holds one row per query, the single-stage verb that
+    # reads it, and the id no two of its rows share. A repeated rationale
+    # once made score read 51 rows for 50 faithful traces, and exit 0.
+    UNIQUE_ROW_FILES = [
+        ("programs.jsonl", "exec", "program_id"),
+        ("rationales.jsonl", "score", "query_id"),
+        ("scored.jsonl", "emit", "query_id"),
+        ("dataset.jsonl", "train", "query_id"),
+    ]
+
+    @pytest.mark.parametrize("name,verb,field", UNIQUE_ROW_FILES)
+    def test_a_repeated_id_fails_its_reader_with_a_schema_error(
+        self, built, tmp_path, capsys, name, verb, field
+    ):
+        workdir = tmp_path / "run"
+        shutil.copytree(built, workdir)
+        lines = (workdir / name).read_text().splitlines()
+        first = 1 if name == "dataset.jsonl" else 0  # the dataset's line 0 is its header
+        (workdir / name).write_text("\n".join(lines + [lines[first]]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["--config", str(workdir / "config.json"), verb]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "SchemaError"
+        repeated = json.loads(lines[first])[field]
+        assert f"{name} row {len(lines) - first}: duplicate {field} {repeated!r}" in report["message"]
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"scene_countt": 3}))
