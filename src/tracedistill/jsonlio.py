@@ -204,14 +204,15 @@ def write_rows(path: str | Path, rows: Iterable, meta: dict | None = None) -> in
     return write_jsonl(path, itertools.chain(header, rows)) - len(header)
 
 
-def read_rows(path: str | Path, cls: type, unique: str | None = None,
-              check: Callable | None = None) -> list:
-    """Read a file ``write_rows`` wrote back into ``cls`` rows, skipping a
-    first-line ``__meta__`` header. A row whose keys or values do not fit
-    ``cls``'s fields (see ``_reader``), that ``check`` rejects, or whose
-    ``unique`` field repeats raises a SchemaError naming the file, the row
-    (from 0, the header not counted) and the field."""
-    out, seen = [], set()
+def iter_rows(path: str | Path, cls: type, unique: str | None = None,
+              check: Callable | None = None) -> Iterator:
+    """Read a file ``write_rows`` wrote back into ``cls`` rows, one row at a
+    time, skipping a first-line ``__meta__`` header. A row whose keys or
+    values do not fit ``cls``'s fields (see ``_reader``), that ``check``
+    rejects, or whose ``unique`` field repeats raises a SchemaError naming
+    the file, the row (from 0, the header not counted) and the field."""
+    seen = set()
+    n = 0
     for i, row in enumerate(read_jsonl(path)):
         if i or not (isinstance(row, dict) and "__meta__" in row):
             try:
@@ -222,9 +223,15 @@ def read_rows(path: str | Path, cls: type, unique: str | None = None,
                     raise SchemaError(f"duplicate {unique} {getattr(row, unique)!r}")
                 seen.add(unique and getattr(row, unique))
             except SchemaError as exc:
-                raise SchemaError(f"{path} row {len(out)}: {exc}") from None
-            out.append(row)
-    return out
+                raise SchemaError(f"{path} row {n}: {exc}") from None
+            n += 1
+            yield row
+
+
+def read_rows(path: str | Path, cls: type, unique: str | None = None,
+              check: Callable | None = None) -> list:
+    """Every row of ``iter_rows``, as a list."""
+    return list(iter_rows(path, cls, unique, check))
 
 
 def write_json(path: str | Path, obj: Any) -> None:

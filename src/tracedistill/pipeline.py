@@ -4,17 +4,21 @@ Every stage writes its JSONL/JSON stage file. A stage called on its own
 (a single-stage CLI verb) reads its inputs back from those files, so any
 stage can be rerun in isolation; ``run_all`` instead hands each stage the
 rows the earlier stages produced, in memory, and only train reads a file
-an earlier stage wrote. Exec writes each trace as it runs, and edit, called
-on its own, reads traces.jsonl one row at a time, so neither holds the
-whole traces file; either way edit takes one ``TraceRow`` per traces.jsonl
-row. Every per-row stage runs its rows in input order through one loop,
-``_each_row``: a failed row is recorded with its index in the stage's input
-file, aborting the batch only under --strict. Every run appends stage
-entries to the manifest, which tracks the filter funnel (generated,
-executed, faithful-kept, score-kept, emitted). ``run_ablation`` edits each
-(prune, merge) pair of cells in one pass of that loop, then runs each cell's
-score, emit and train through the same stage functions, handed the cell's
-rows and the queries in memory; train runs once per distinct training input.
+an earlier stage wrote. Scene-gen writes each scene as it makes it, and
+exec reads the scenes in step with the programs, holding each only until
+the programs that read it have run; under run_all exec consumes the
+scenes scene-gen held the same way. Exec writes each trace as it runs,
+and edit, called on its own, reads traces.jsonl one row at a time, so
+neither holds the whole traces file; either way edit takes one
+``TraceRow`` per traces.jsonl row. Every per-row stage runs its rows in
+input order through one loop, ``_each_row``: a failed row is recorded with
+its index in the stage's input file, aborting the batch only under
+--strict. Every run appends stage entries to the manifest, which tracks
+the filter funnel (generated, executed, faithful-kept, score-kept,
+emitted). ``run_ablation`` edits each (prune, merge) pair of cells in one
+pass of that loop, then runs each cell's score, emit and train through the
+same stage functions, handed the cell's rows and the queries in memory;
+train runs once per distinct training input.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import NamedTuple
 from . import codegen, distill, editing, scenes as sw, students as st
 from .config import DEFAULT_STAGE_FILES, PipelineConfig
 from .dsl import parse
-from .errors import EmissionError, StageError
+from .errors import EmissionError, SchemaError, StageError
 from .interp import (
     REJECT_REASONS,
     ExecutionTrace,
@@ -159,11 +163,26 @@ def _collector_paused(stage):
 @_collector_paused
 def stage_scene_gen(config: PipelineConfig, manifest: RunManifest,
                     held: dict | None = None) -> None:
+    """Generate each scene and its query in lockstep and write the scene as
+    soon as it is made; the queries, which are small, are written after.
+    Only under run_all are the scenes kept, for exec to consume."""
     started = time.monotonic()
     n = config["scene_count"]
-    scene_list = sw.generate_scenes(n, config.seeds["scene_gen"])
-    write_rows(config.path("scenes"), scene_list)
-    queries = sw.generate_queries(scene_list, config.seeds["query_gen"])
+    queries, scene_list = [], []
+    # query_stream takes each scene from ``slot`` just after it is made, so
+    # the two generators run in lockstep and no scene is held once written.
+    slot = []
+    query_stream = sw.query_stream(iter(slot.pop, None), config.seeds["query_gen"])
+
+    def generated():
+        for scene in sw.scene_stream(n, config.seeds["scene_gen"]):
+            slot.append(scene)
+            queries.append(next(query_stream))
+            if held is not None:
+                scene_list.append(scene)
+            yield scene
+
+    write_rows(config.path("scenes"), generated())
     write_rows(config.path("queries"), queries)
     manifest.counts["generated"] = len(queries)
     manifest.record("scene_gen", started, rows_in=n, rows_out=len(queries))
@@ -209,23 +228,50 @@ class TraceRow(NamedTuple):
 
 
 def _handed_over(rows: list):
-    """Exec's trace rows as edit's input stream (see ``_trace_rows``),
-    dropping each row as edit takes it, so that the traces are not held
-    past the edit stage."""
+    """A list run_all hands from one stage to the next, as a stream that
+    drops each row as the next stage takes it: exec's trace rows as edit's
+    input (see ``_trace_rows``), and scene-gen's scenes as exec's."""
     for i, row in enumerate(rows):
         rows[i] = None
         yield row
 
 
+def _in_step(programs: list, queries: dict, scenes, buffered: dict):
+    """Yield each program row once the scene its query names is in
+    ``buffered`` or ``scenes`` has run out, reading no further. A scene is
+    buffered only if a program row needs it, and dropped once the last of
+    those has run: scenes in the programs' order are held one at a time.
+    ``scenes`` is read here, outside ``_each_row``'s per-row ``try``, and to
+    its end, so any bad scene row fails the stage, not a program row."""
+    need = Counter(queries[p.query_id].scene_id for p in programs if p.query_id in queries)
+    for program in programs:
+        query = queries.get(program.query_id)
+        if query is not None:
+            while query.scene_id not in buffered:
+                scene = next(scenes, None)
+                if scene is None:
+                    break
+                if need[scene.scene_id]:
+                    buffered[scene.scene_id] = scene
+        yield program
+        if query is not None:
+            need[query.scene_id] -= 1
+            if not need[query.scene_id]:
+                buffered.pop(query.scene_id, None)
+    for _ in scenes:
+        pass
+
+
 @_collector_paused
 def stage_exec(config: PipelineConfig, manifest: RunManifest,
                held: dict | None = None) -> None:
-    """Execute each program, give its trace the faithfulness filter's
-    verdict and write it to traces.jsonl, one row at a time. Only under
-    run_all is a trace kept past its row: each written row's ``TraceRow``,
-    which edit takes in memory."""
+    """Execute each program on its query's scene, give its trace the
+    faithfulness filter's verdict and write it to traces.jsonl, one row at a
+    time. Scenes are read in step with the programs (see ``_in_step``):
+    scenes.jsonl, or, under run_all, the scenes scene-gen held, each freed
+    once its programs have run. Only under run_all is a trace kept past its
+    row: each written row's ``TraceRow``, which edit takes in memory."""
     started = time.monotonic()
-    scenes_by_id = {s.scene_id: s for s in _input(config, held, "scenes", sw.load_scenes)}
     queries = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
     tools = ToolConfig(noise_p=config["noise_p"], noise_seed=config.seeds["scene_gen"])
     # One AST per distinct source, shared by every row that carries it:
@@ -234,12 +280,13 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
     asts = {}
     reasons = Counter()
     handed = []
+    buffered = {}
 
     def run_row(i, program):
         query = queries[program.query_id]
         if program.source not in asts:
             asts[program.source] = parse(program.source)
-        trace = execute(asts[program.source], scenes_by_id[query.scene_id], config["max_steps"],
+        trace = execute(asts[program.source], buffered[query.scene_id], config["max_steps"],
                         tools, program_id=program.program_id)
         _, [reason] = faithfulness_filter([(trace, query)])
         record = trace_to_record(trace, query.query_id, reason)
@@ -249,8 +296,14 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
         return record
 
     rows = _input(config, held, "programs", read_rows, codegen.Program, "program_id")
+    scenes = (sw.iter_scenes(config.path("scenes")) if held is None
+              else _handed_over(held.pop("scenes")))
     errors: list[dict] = []
-    executed = write_jsonl(config.path("traces"), _each_row("exec", rows, run_row, config["strict"], errors))
+    try:
+        executed = write_jsonl(config.path("traces"), _each_row(
+            "exec", _in_step(rows, queries, scenes, buffered), run_row, config["strict"], errors))
+    finally:
+        scenes.close()  # closes scenes.jsonl when a --strict row aborts the stage
     manifest.counts["executed"] = executed
     manifest.counts["faithful_kept"] = reasons[None]
     manifest.record(
@@ -279,17 +332,24 @@ def _bridger(config: PipelineConfig):
 
 def _trace_rows(path):
     """Each traces.jsonl row at ``path``, read one at a time, as a
-    ``TraceRow``."""
-    for rec in read_jsonl(path):
+    ``TraceRow``. A repeated ``query_id``, of a kept or a rejected row,
+    raises a SchemaError naming the file and the row, which fails the
+    stage, as ``read_rows`` does."""
+    seen = set()
+    for i, rec in enumerate(read_jsonl(path)):
         if "reject_reason" not in rec:
             raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
+        query_id = rec.get("query_id")
+        if query_id in seen:
+            raise SchemaError(f"{path} row {i}: duplicate query_id {query_id!r}")
+        seen.add(query_id)
         if rec["reject_reason"] is not None:
-            yield TraceRow(rec.get("query_id"), rec.get("program_id"), None)
+            yield TraceRow(query_id, rec.get("program_id"), None)
             continue
         try:
             row = TraceRow(rec["query_id"], rec["program_id"], trace_from_record(rec))
         except Exception as exc:
-            row = TraceRow(rec.get("query_id"), rec.get("program_id"), exc)
+            row = TraceRow(query_id, rec.get("program_id"), exc)
         yield row
 
 

@@ -17,10 +17,10 @@ import re
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator
 
 from .errors import SceneLookupError, SchemaError
-from .jsonlio import read_rows
+from .jsonlio import iter_rows, read_rows
 
 CANVAS = (224, 224)
 
@@ -160,16 +160,28 @@ def _check_bounds(scene: Scene) -> None:
             raise SchemaError(f"relations[{k}] endpoint missing from objects")
 
 
+def iter_scenes(path: str | Path) -> Iterator[Scene]:
+    """Read scenes.jsonl one row at a time: one ``Scene`` per row, within
+    bounds, no ``scene_id`` repeated."""
+    return iter_rows(path, Scene, unique="scene_id", check=_check_bounds)
+
+
 def load_scenes(path: str | Path) -> list[Scene]:
-    """Read scenes.jsonl: one ``Scene`` per row, within bounds, no ``scene_id`` repeated."""
-    return read_rows(path, Scene, unique="scene_id", check=_check_bounds)
+    """Every scene of ``iter_scenes``, as a list."""
+    return list(iter_scenes(path))
 
 
 # ---------------------------------------------------------------------------
 # generation
 
 def generate_scenes(n: int, seed: int) -> list[Scene]:
-    """Deterministically generate ``n`` scenes with 2-8 objects each.
+    """Every scene of ``scene_stream``, as a list."""
+    return list(scene_stream(n, seed))
+
+
+def scene_stream(n: int, seed: int) -> Iterator[Scene]:
+    """Deterministically generate ``n`` scenes with 2-8 objects each, one at
+    a time.
 
     Object centers are pairwise distinct in both coordinates, which makes
     spatial comparisons strict, and every object carries exactly one
@@ -178,7 +190,6 @@ def generate_scenes(n: int, seed: int) -> list[Scene]:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
-    scenes = []
     for i in range(n):
         sid = f"scene_{i:04d}"
         count = rng.randint(2, 8)
@@ -212,8 +223,7 @@ def generate_scenes(n: int, seed: int) -> list[Scene]:
             triple = (subj.id, pred, obj.id)
             if triple not in relations:
                 relations.append(triple)
-        scenes.append(Scene(scene_id=sid, objects=tuple(objects), relations=tuple(relations)))
-    return scenes
+        yield Scene(scene_id=sid, objects=tuple(objects), relations=tuple(relations))
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +440,14 @@ def _unique_names(scene: Scene) -> list[str]:
     return sorted(n for n, c in counts.items() if c == 1)
 
 
-def generate_queries(scenes: Sequence[Scene], seed: int) -> list[Query]:
-    """One well-posed query per scene; expected answers come from the oracle
+def generate_queries(scenes: Iterable[Scene], seed: int) -> list[Query]:
+    """Every query of ``query_stream``, as a list."""
+    return list(query_stream(scenes, seed))
+
+
+def query_stream(scenes: Iterable[Scene], seed: int) -> Iterator[Query]:
+    """One well-posed query per scene, each made as soon as its scene is
+    taken from ``scenes``; expected answers come from the oracle
     by construction. Scene i is offered the five question forms in cycle
     order (count, exists, attribute, spatial, relation) starting at form
     i mod 5, and takes the first that can plan a question for it. Attribute,
@@ -439,21 +455,17 @@ def generate_queries(scenes: Sequence[Scene], seed: int) -> list[Query]:
     through to count or exists: at n = 500 with the default seeds the mix is
     count 242, exists 100, attribute 74, relation 49, spatial 35."""
     rng = random.Random(seed)
-    queries = []
     forms = ["count", "exists", "attribute", "spatial", "relation"]
     for i, scene in enumerate(scenes):
         order = forms[i % len(forms):] + forms[: i % len(forms)]
         # "count" and "exists" always plan a question, so one form does.
         question = next(q for q in (_plan_question(scene, form, rng) for form in order) if q)
-        queries.append(
-            Query(
-                query_id=f"q{i:04d}",
-                scene_id=scene.scene_id,
-                question=question,
-                expected_answer=answer_oracle(scene, question),
-            )
+        yield Query(
+            query_id=f"q{i:04d}",
+            scene_id=scene.scene_id,
+            question=question,
+            expected_answer=answer_oracle(scene, question),
         )
-    return queries
 
 
 def _plan_question(scene: Scene, form: str, rng: random.Random) -> str | None:

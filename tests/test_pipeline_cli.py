@@ -8,6 +8,7 @@ import math
 import re
 import shutil
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from tracedistill import cli, codegen, distill, dsl, editing, interp, jsonlio, p
 from tracedistill import scenes as sw
 from tracedistill.config import DEFAULTS, STUDENT_DEFAULTS, apply_seed_override, default_config, load_config
 from tracedistill.editing import keep_all, raw_records, render
-from tracedistill.errors import ConfigError, StageError
+from tracedistill.errors import ConfigError, SchemaError, StageError
 from tracedistill.interp import trace_from_record
 from tracedistill.jsonlio import read_json, read_jsonl, write_jsonl
 from tracedistill.pipeline import new_manifest, run_ablation, run_all, stage_edit
@@ -385,6 +386,190 @@ class TestStreaming:
         assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
+@pytest.fixture
+def alive_scenes(monkeypatch):
+    """Count the ``Scene`` objects alive: every Scene made from here on,
+    generated or read, is tracked through a weak reference."""
+    refs = []
+    real_init = sw.Scene.__init__
+
+    def tracked(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(sw.Scene, "__init__", tracked)
+    return lambda: [ref() for ref in refs if ref() is not None]
+
+
+class TestSceneStreaming:
+    """Scene-gen writes each scene as it makes it, and exec reads scenes in
+    step with the programs, holding a scene only until the last program row
+    that needs it has run."""
+
+    def staged(self, tmp_path, **overrides):
+        config = load_config(write_config(tmp_path, **overrides))
+        manifest = new_manifest(config)
+        pipeline.stage_scene_gen(config, manifest)
+        pipeline.stage_program_gen(config, manifest)
+        return config
+
+    def record_at_execute(self, monkeypatch, alive_scenes):
+        """(the scene each execute call runs on, the scenes alive then)."""
+        seen = []
+
+        def counted(ast, scene, *args, _real=pipeline.execute, **kwargs):
+            seen.append((scene.scene_id, {s.scene_id for s in alive_scenes()}))
+            return _real(ast, scene, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "execute", counted)
+        return seen
+
+    def test_single_stage_exec_holds_only_the_scene_its_program_reads(
+        self, tmp_path, monkeypatch, alive_scenes
+    ):
+        config = self.staged(tmp_path, scene_count=200)
+        seen = self.record_at_execute(monkeypatch, alive_scenes)
+        pipeline.stage_exec(config, new_manifest(config))
+        assert len(seen) > 150
+        assert max(len(alive) for _, alive in seen) <= 2
+
+    def test_run_all_exec_frees_each_scene_once_its_programs_have_run(
+        self, tmp_path, monkeypatch, alive_scenes
+    ):
+        config = load_config(write_config(tmp_path, scene_count=200))
+        seen = self.record_at_execute(monkeypatch, alive_scenes)
+        run_all(config)
+        assert len(seen) > 150
+        # scene-gen held every scene; exec drops each once its program ran
+        assert len(seen[0][1]) == 200
+        assert all(min(alive) == scene_id for scene_id, alive in seen)
+
+    def test_single_stage_scene_gen_holds_no_scene_once_written(
+        self, tmp_path, monkeypatch, alive_scenes
+    ):
+        config = load_config(write_config(tmp_path, scene_count=200))
+        counts = []
+
+        def plan(scene, *args, _real=sw._plan_question):
+            counts.append(len(alive_scenes()))
+            return _real(scene, *args)
+
+        monkeypatch.setattr(sw, "_plan_question", plan)
+        pipeline.stage_scene_gen(config, new_manifest(config))
+        assert len(counts) >= 200
+        assert max(counts) <= 2
+
+    def test_scene_gen_writes_the_files_of_the_generated_lists(self, tmp_path):
+        config = load_config(write_config(tmp_path, scene_count=60))
+        pipeline.stage_scene_gen(config, new_manifest(config))
+        scene_list = sw.generate_scenes(60, config.seeds["scene_gen"])
+        jsonlio.write_rows(tmp_path / "want_scenes.jsonl", scene_list)
+        jsonlio.write_rows(tmp_path / "want_queries.jsonl",
+                           sw.generate_queries(scene_list, config.seeds["query_gen"]))
+        assert config.path("scenes").read_bytes() == (tmp_path / "want_scenes.jsonl").read_bytes()
+        assert config.path("queries").read_bytes() == (tmp_path / "want_queries.jsonl").read_bytes()
+
+    def test_a_reversed_scenes_file_writes_the_same_traces(self, tmp_path):
+        config = self.staged(tmp_path, scene_count=60, corruption_rate=0.2)
+        pipeline.stage_exec(config, new_manifest(config))
+        before = config.path("traces").read_bytes()
+        lines = config.path("scenes").read_text().splitlines(keepends=True)
+        config.path("scenes").write_text("".join(reversed(lines)))
+        manifest = new_manifest(config)
+        pipeline.stage_exec(config, manifest)
+        assert config.path("traces").read_bytes() == before
+        assert manifest.stages[-1]["row_errors"] == []
+
+    @pytest.mark.parametrize("name,dropped,error", [
+        ("scenes", "scene_0003", "'scene_0003'"),
+        ("queries", "q0003", "'q0003'"),
+    ])
+    def test_a_query_or_scene_missing_is_a_row_error(self, tmp_path, name, dropped, error):
+        config = self.staged(tmp_path)
+        pipeline.stage_exec(config, new_manifest(config))
+        traces = config.path("traces").read_text().splitlines()
+        lines = config.path(name).read_text().splitlines(keepends=True)
+        config.path(name).write_text("".join(line for line in lines if dropped not in line))
+        manifest = new_manifest(config)
+        pipeline.stage_exec(config, manifest)
+        program = json.loads(config.path("programs").read_text().splitlines()[3])
+        assert manifest.stages[-1]["row_errors"] == [
+            {"row": 3, "query_id": "q0003", "program_id": program["program_id"], "error": error}
+        ]
+        assert config.path("traces").read_text().splitlines() == traces[:3] + traces[4:]
+
+    # A scene row appended after every scene a program needs, and the
+    # SchemaError exec still fails with.
+    BAD_TRAILING_SCENES = [
+        ("out_of_bounds", "objects[0] field 'box' horizontal extent invalid (10, 300)"),
+        ("repeated_id", "duplicate scene_id 'scene_0000'"),
+        ("malformed", "missing field 'relations'"),
+    ]
+
+    @pytest.mark.parametrize("change,message", BAD_TRAILING_SCENES)
+    def test_a_bad_scene_row_no_program_needs_still_fails_exec(
+        self, tmp_path, capsys, change, message
+    ):
+        config = self.staged(tmp_path)
+        pipeline.stage_exec(config, new_manifest(config))
+        before = config.path("traces").read_bytes()
+        lines = config.path("scenes").read_text().splitlines()
+        record = json.loads(lines[0])
+        if change == "out_of_bounds":
+            record["scene_id"] = "extra"
+            record["objects"][0]["box"] = [10, 10, 300, 30]
+        elif change == "malformed":
+            record["scene_id"] = "extra"
+            del record["relations"]
+        config.path("scenes").write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["--config", str(tmp_path / "config.json"), "exec"]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "SchemaError"
+        assert report["message"] == f"{config.path('scenes')} row 20: {message}"
+        assert config.path("traces").read_bytes() == before
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_under_strict_a_failing_program_row_before_a_bad_scene_row_aborts_first(
+        self, tmp_path, strict
+    ):
+        config = self.staged(tmp_path, strict=strict)
+        rows = list(read_jsonl(config.path("programs")))
+        rows[2]["source"] = "this is (not valid"
+        write_jsonl(config.path("programs"), rows)
+        scenes = list(read_jsonl(config.path("scenes")))
+        scenes[5]["objects"][0]["depth"] = -1.0
+        write_jsonl(config.path("scenes"), scenes)
+        # Scene rows are read as the programs need them: under --strict,
+        # program row 2 fails before scene row 5 is read.
+        expected = (StageError, "exec row 2") if strict else (
+            SchemaError, re.escape(f"{config.path('scenes')} row 5: objects[0] field 'depth'"))
+        with pytest.raises(expected[0], match=expected[1]):
+            pipeline.stage_exec(config, new_manifest(config))
+
+    def test_a_strict_abort_closes_the_scenes_file(self, tmp_path, monkeypatch):
+        config = self.staged(tmp_path, strict=True)
+        rows = list(read_jsonl(config.path("programs")))
+        rows[5]["source"] = "this is (not valid"
+        write_jsonl(config.path("programs"), rows)
+        state = {}
+
+        def tracked(path, _real=jsonlio.read_jsonl):
+            state[path] = "open"
+            try:
+                yield from _real(path)
+            finally:
+                state[path] = "closed"
+
+        monkeypatch.setattr(jsonlio, "read_jsonl", tracked)
+        with pytest.raises(StageError, match="exec row 5") as excinfo:
+            pipeline.stage_exec(config, new_manifest(config))
+        # The exception's traceback keeps exec's frames, and the readers in
+        # them, alive; the file must be closed all the same.
+        assert excinfo.value.__traceback__ is not None
+        assert state[config.path("scenes")] == "closed"
+
+
 class TestEditToggles:
     def test_identity_edit_equals_rendered_raw_trace(self, tmp_path):
         config = load_config(write_config(tmp_path, corruption_rate=0.0))
@@ -706,6 +891,26 @@ class TestCli:
         assert report["error"] == "SchemaError"
         repeated = json.loads(lines[first])[field]
         assert f"{name} row {len(lines) - first}: duplicate {field} {repeated!r}" in report["message"]
+
+    # A repeated traces.jsonl row once made edit write two rationales for
+    # one query and exit 0, and score then blamed rationales.jsonl.
+    @pytest.mark.parametrize("verb", ["edit", "ablate"])
+    @pytest.mark.parametrize("kept", [True, False])
+    def test_a_repeated_trace_row_fails_edit_and_ablate_with_a_schema_error(
+        self, built, tmp_path, capsys, verb, kept
+    ):
+        workdir = tmp_path / "run"
+        shutil.copytree(built, workdir)
+        lines = (workdir / "traces.jsonl").read_text().splitlines()
+        repeated = next(json.loads(line) for line in lines
+                        if (json.loads(line)["reject_reason"] is None) == kept)
+        (workdir / "traces.jsonl").write_text("\n".join(lines + [json.dumps(repeated)]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["--config", str(workdir / "config.json"), verb]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "SchemaError"
+        assert report["message"] == (f"{workdir / 'traces.jsonl'} row {len(lines)}: "
+                                     f"duplicate query_id {repeated['query_id']!r}")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -315,7 +315,7 @@ class TestAnswerOracle:
                 )
 
     def test_question_mix_at_n500_is_pinned(self):
-        # The mix generate_queries' docstring states. A form that cannot plan a
+        # The mix query_stream's docstring states. A form that cannot plan a
         # question for its scene falls through to the next in cycle order, so
         # count dominates. ROADMAP item 17 (a question mix that matches what
         # the docs say) moves this pin on purpose.
