@@ -52,16 +52,28 @@ def _replacing(path: str | Path) -> Iterator[TextIO]:
         tmp.unlink(missing_ok=True)
 
 
-def write_jsonl(path: str | Path, rows: Iterable) -> int:
-    """Write one canonical JSON object per line; returns the row count.
-
-    ``rows`` is consumed one row at a time, and ``path`` is replaced only
-    once every row is written (see ``_replacing``)."""
-    n = 0
+@contextmanager
+def jsonl_writer(path: str | Path) -> Iterator[Callable[[Any], None]]:
+    """A function that writes its argument as one canonical JSON line, for
+    a caller that produces rows one at a time; ``path`` is replaced only
+    once the block ends, and left as it was if the block raises (see
+    ``_replacing``)."""
     with _replacing(path) as fh:
-        for row in rows:
+
+        def write(row) -> None:
             fh.write(dumps_canonical(row))
             fh.write("\n")
+
+        yield write
+
+
+def write_jsonl(path: str | Path, rows: Iterable) -> int:
+    """Write one canonical JSON object per line (see ``jsonl_writer``),
+    consuming ``rows`` one row at a time; returns the row count."""
+    n = 0
+    with jsonl_writer(path) as write:
+        for row in rows:
+            write(row)
             n += 1
     return n
 

@@ -7,18 +7,21 @@ rows the earlier stages produced, in memory, and only train reads a file
 an earlier stage wrote. Scene-gen writes each scene as it makes it, and
 exec reads the scenes in step with the programs, holding each only until
 the programs that read it have run; under run_all exec consumes the
-scenes scene-gen held the same way. Exec writes each trace as it runs,
-and edit, called on its own, reads traces.jsonl one row at a time, so
-neither holds the whole traces file; either way edit takes one
-``TraceRow`` per traces.jsonl row. Every per-row stage runs its rows in
-input order through one loop, ``_each_row``: a failed row is recorded with
-its index in the stage's input file, aborting the batch only under
---strict. Every run appends stage entries to the manifest, which tracks
-the filter funnel (generated, executed, faithful-kept, score-kept,
-emitted). ``run_ablation`` edits each (prune, merge) pair of cells in one
-pass of that loop, then runs each cell's score, emit and train through the
-same stage functions, handed the cell's rows and the queries in memory;
-train runs once per distinct training input.
+scenes scene-gen held the same way. Exec has one row loop, a generator
+that writes each trace row to traces.jsonl and then yields it: called on
+its own, exec drains it; under run_all, edit pulls from it, so each trace
+passes to edit as soon as it is written and no stage holds a list of
+traces. Edit, called on its own, reads traces.jsonl one row at a time;
+either way edit takes one ``TraceRow`` per traces.jsonl row, and each
+stage's ``duration_s`` counts only its own work. Every per-row stage runs
+its rows in input order through one loop, ``_each_row``: a failed row is
+recorded with its index in the stage's input file, aborting the batch
+only under --strict. Every run appends stage entries to the manifest,
+which tracks the filter funnel (generated, executed, faithful-kept,
+score-kept, emitted). ``run_ablation`` edits each (prune, merge) pair of
+cells in one pass of that loop, then runs each cell's score, emit and
+train through the same stage functions, handed the cell's rows and the
+queries in memory; train runs once per distinct training input.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .interp import (
     trace_from_record,
     trace_to_record,
 )
-from .jsonlio import read_json, read_jsonl, read_rows, write_json, write_jsonl, write_rows
+from .jsonlio import jsonl_writer, read_json, read_jsonl, read_rows, write_json, write_rows
 from .scenes import ToolConfig
 
 
@@ -218,9 +221,11 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest,
 
 
 class TraceRow(NamedTuple):
-    """Edit's input row for one traces.jsonl row. ``trace`` is None for a row
-    the faithfulness filter rejected, and the exception decoding raised for a
-    kept row that fails to decode, which edit reports as the row's error."""
+    """Edit's input row for one traces.jsonl row, which exec yields as it
+    writes the row and ``_trace_rows`` reads back. ``trace`` is None for a
+    row the faithfulness filter rejected, and the exception decoding raised
+    for a kept row that fails to decode, which edit reports as the row's
+    error."""
 
     query_id: str | None
     program_id: str | None
@@ -229,8 +234,8 @@ class TraceRow(NamedTuple):
 
 def _handed_over(rows: list):
     """A list run_all hands from one stage to the next, as a stream that
-    drops each row as the next stage takes it: exec's trace rows as edit's
-    input (see ``_trace_rows``), and scene-gen's scenes as exec's."""
+    drops each row as the next stage takes it: scene-gen's scenes as
+    exec's."""
     for i, row in enumerate(rows):
         rows[i] = None
         yield row
@@ -262,15 +267,16 @@ def _in_step(programs: list, queries: dict, scenes, buffered: dict):
         pass
 
 
-@_collector_paused
-def stage_exec(config: PipelineConfig, manifest: RunManifest,
-               held: dict | None = None) -> None:
-    """Execute each program on its query's scene, give its trace the
-    faithfulness filter's verdict and write it to traces.jsonl, one row at a
-    time. Scenes are read in step with the programs (see ``_in_step``):
+def _exec_rows(config: PipelineConfig, manifest: RunManifest, held: dict | None):
+    """Exec's one row loop, run as its caller pulls rows: execute each
+    program on its query's scene, give its trace the faithfulness filter's
+    verdict, write it to traces.jsonl and yield the row's ``TraceRow``.
+    Scenes are read in step with the programs (see ``_in_step``):
     scenes.jsonl, or, under run_all, the scenes scene-gen held, each freed
-    once its programs have run. Only under run_all is a trace kept past its
-    row: each written row's ``TraceRow``, which edit takes in memory."""
+    once its programs have run. When the programs run out, traces.jsonl
+    replaces the old file, and exec's counts and manifest entry are
+    recorded; its ``duration_s`` leaves out the time spent between rows in
+    the caller. A row that aborts the stage leaves the old file as it was."""
     started = time.monotonic()
     queries = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
     tools = ToolConfig(noise_p=config["noise_p"], noise_seed=config.seeds["scene_gen"])
@@ -279,7 +285,6 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
     # so each of its rows fails with the same error.
     asts = {}
     reasons = Counter()
-    handed = []
     buffered = {}
 
     def run_row(i, program):
@@ -289,19 +294,24 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
         trace = execute(asts[program.source], buffered[query.scene_id], config["max_steps"],
                         tools, program_id=program.program_id)
         _, [reason] = faithfulness_filter([(trace, query)])
-        record = trace_to_record(trace, query.query_id, reason)
         reasons[reason] += 1
-        if held is not None:
-            handed.append(TraceRow(query.query_id, program.program_id, None if reason else trace))
-        return record
+        return (trace_to_record(trace, query.query_id, reason),
+                TraceRow(query.query_id, program.program_id, None if reason else trace))
 
     rows = _input(config, held, "programs", read_rows, codegen.Program, "program_id")
     scenes = (sw.iter_scenes(config.path("scenes")) if held is None
               else _handed_over(held.pop("scenes")))
     errors: list[dict] = []
+    executed = 0
     try:
-        executed = write_jsonl(config.path("traces"), _each_row(
-            "exec", _in_step(rows, queries, scenes, buffered), run_row, config["strict"], errors))
+        with jsonl_writer(config.path("traces")) as write:
+            for record, row in _each_row("exec", _in_step(rows, queries, scenes, buffered),
+                                         run_row, config["strict"], errors):
+                write(record)
+                executed += 1
+                paused = time.monotonic()
+                yield row
+                started += time.monotonic() - paused
     finally:
         scenes.close()  # closes scenes.jsonl when a --strict row aborts the stage
     manifest.counts["executed"] = executed
@@ -314,8 +324,20 @@ def stage_exec(config: PipelineConfig, manifest: RunManifest,
             "rejected": {reason: reasons[reason] for reason in REJECT_REASONS},
         },
     )
-    if held is not None:
-        held["traces"] = _handed_over(handed)
+
+
+@_collector_paused
+def stage_exec(config: PipelineConfig, manifest: RunManifest,
+               held: dict | None = None) -> None:
+    """Run exec's rows (see ``_exec_rows``), each trace dropped once
+    written. Under run_all, hand them to edit instead, as the stream that
+    runs each row when edit pulls it: no trace is kept past its row."""
+    rows = _exec_rows(config, manifest, held)
+    if held is None:
+        for _ in rows:
+            pass
+    else:
+        held["traces"] = rows
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +352,16 @@ def _bridger(config: PipelineConfig):
     return editing.HttpBridger(external["endpoint"], external["timeout"])
 
 
-def _trace_rows(path):
+def _trace_rows(path, stage: str):
     """Each traces.jsonl row at ``path``, read one at a time, as a
-    ``TraceRow``. A repeated ``query_id``, of a kept or a rejected row,
+    ``TraceRow``. A row without a verdict fails ``stage``, the stage that
+    reads the file. A repeated ``query_id``, of a kept or a rejected row,
     raises a SchemaError naming the file and the row, which fails the
     stage, as ``read_rows`` does."""
     seen = set()
     for i, rec in enumerate(read_jsonl(path)):
         if "reject_reason" not in rec:
-            raise StageError("edit", "traces.jsonl rows carry no reject_reason; rerun exec")
+            raise StageError(stage, "traces.jsonl rows carry no reject_reason; rerun exec")
         query_id = rec.get("query_id")
         if query_id in seen:
             raise SchemaError(f"{path} row {i}: duplicate query_id {query_id!r}")
@@ -416,11 +439,27 @@ def _write_edit(config: PipelineConfig, manifest: RunManifest, started: float,
 @_collector_paused
 def stage_edit(config: PipelineConfig, manifest: RunManifest,
                held: dict | None = None) -> None:
-    """Edit the traces exec kept: exec's in-memory trace rows from run_all,
-    otherwise traces.jsonl and nothing else."""
+    """Edit the traces exec kept: traces.jsonl and nothing else, or, under
+    run_all, exec's row stream, each row run as edit pulls it (see
+    ``stage_exec``)."""
     started = time.monotonic()
-    rows = _input(config, held, "traces", _trace_rows)
-    rows_in, errors, [rationales] = _edit_rows(rows, [config.edit_flags], _bridger(config), config["strict"])
+    rows = _input(config, held, "traces", _trace_rows, "edit")
+    try:
+        rows_in, errors, [rationales] = _edit_rows(rows, [config.edit_flags], _bridger(config),
+                                                   config["strict"])
+    except Exception:
+        if held is not None:
+            # Exec finishes its rows first, so traces.jsonl and exec's
+            # manifest entry are written as when exec ran before edit; an
+            # exec error raised here replaces edit's, as it would have come
+            # first.
+            for _ in rows:
+                pass
+        raise
+    if held is not None:
+        # Exec's rows ran inside edit's loop; exec's entry, recorded when
+        # they ran out, holds their time.
+        started += manifest.stages[-1]["duration_s"]
     _write_edit(config, manifest, started, rows_in, errors, rationales)
     if held is not None:
         held["rationales"] = rationales
@@ -604,7 +643,7 @@ def run_ablation(config: PipelineConfig) -> dict:
             raise StageError("ablate", f"missing base corpus file: {config.path(stage)}")
     queries = sw.load_queries(config.path("queries"))
     bridger = _bridger(config)
-    rows = list(_trace_rows(config.path("traces")))
+    rows = list(_trace_rows(config.path("traces"), "ablate"))
     trained: dict = {}  # stage_train's reports, shared by every cell
     cells = {}
     for prune_on in (False, True):

@@ -8,6 +8,7 @@ import math
 import re
 import shutil
 import sys
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -570,6 +571,88 @@ class TestSceneStreaming:
         assert state[config.path("scenes")] == "closed"
 
 
+class TestExecEditHandover:
+    """Under run_all exec hands each trace row to edit as soon as it has
+    written it and keeps no list of them; each stage's entry still reads as
+    if exec had run to its end before edit began."""
+
+    def test_edit_drafts_with_at_most_two_traces_alive(self, tmp_path, monkeypatch):
+        refs = []
+        real_init = interp.ExecutionTrace.__init__
+
+        def tracked(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        alive = []
+
+        def draft(trace, flags, _real=pipeline.edit_draft):
+            alive.append(sum(ref() is not None for ref in refs))
+            return _real(trace, flags)
+
+        monkeypatch.setattr(interp.ExecutionTrace, "__init__", tracked)
+        monkeypatch.setattr(pipeline, "edit_draft", draft)
+        config = load_config(write_config(tmp_path, scene_count=200, corruption_rate=0.2))
+        run_all(config)
+        assert len(alive) == 160
+        assert max(alive) <= 2
+
+    def test_each_stage_times_only_its_own_work(self, tmp_path, monkeypatch):
+        def slow(*args, _real=pipeline.execute, **kwargs):
+            time.sleep(0.005)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "execute", slow)
+        config = load_config(write_config(tmp_path, scene_count=40))
+        entry = {e["stage"]: e for e in run_all(config).stages}
+        assert entry["edit"]["duration_s"] < 0.2 <= entry["exec"]["duration_s"]
+
+    def test_a_strict_edit_abort_lets_exec_finish(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path, scene_count=50))
+        want = run_all(config)
+        traces = config.path("traces").read_bytes()
+        config.path("traces").unlink()
+        calls = Counter()
+
+        def tag_gaps(symbolic, _real=editing.tag_gaps):
+            calls["tag_gaps"] += 1
+            if calls["tag_gaps"] == 3:
+                raise RuntimeError("tag_gaps broke")
+            return _real(symbolic)
+
+        monkeypatch.setattr(editing, "tag_gaps", tag_gaps)
+        strict = config.with_overrides(strict=True)
+        with pytest.raises(StageError, match=r"\[edit row \d+\] tag_gaps broke"):
+            run_all(strict)
+        assert config.path("traces").read_bytes() == traces
+        saved = read_json(config.path("manifest"))
+        assert [e["stage"] for e in saved["stages"]] == ["scene_gen", "program_gen", "exec"]
+        assert saved["counts"] == {k: want.counts[k] for k in ("generated", "executed", "faithful_kept")}
+        exec_entry = next(e for e in want.stages if e["stage"] == "exec")
+        assert {**saved["stages"][-1], "duration_s": None} == {**exec_entry, "duration_s": None,
+                                                                "config_hash": strict.config_hash()}
+
+    def test_a_strict_exec_abort_writes_no_exec_or_edit_entry(self, tmp_path, monkeypatch):
+        config = load_config(write_config(tmp_path, scene_count=50, strict=True))
+        run_all(config)
+        traces = config.path("traces").read_bytes()
+        calls = Counter()
+
+        def execute(*args, _real=pipeline.execute, **kwargs):
+            calls["execute"] += 1
+            if calls["execute"] == 3:
+                raise RuntimeError("execute broke")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "execute", execute)
+        with pytest.raises(StageError, match=re.escape("[exec row 2] execute broke")):
+            run_all(config)
+        assert config.path("traces").read_bytes() == traces
+        saved = read_json(config.path("manifest"))
+        assert [e["stage"] for e in saved["stages"]] == ["scene_gen", "program_gen"]
+        assert set(saved["counts"]) == {"generated"}
+
+
 class TestEditToggles:
     def test_identity_edit_equals_rendered_raw_trace(self, tmp_path):
         config = load_config(write_config(tmp_path, corruption_rate=0.0))
@@ -911,6 +994,23 @@ class TestCli:
         assert report["error"] == "SchemaError"
         assert report["message"] == (f"{workdir / 'traces.jsonl'} row {len(lines)}: "
                                      f"duplicate query_id {repeated['query_id']!r}")
+
+    # A traces.jsonl row without a verdict once failed ablate with a
+    # message that named edit.
+    @pytest.mark.parametrize("verb", ["edit", "ablate"])
+    def test_a_trace_row_without_a_verdict_fails_the_verb_that_read_it(
+        self, built, tmp_path, capsys, verb
+    ):
+        workdir = tmp_path / "run"
+        shutil.copytree(built, workdir)
+        rows = list(read_jsonl(workdir / "traces.jsonl"))
+        del rows[-1]["reject_reason"]
+        write_jsonl(workdir / "traces.jsonl", rows)
+        capsys.readouterr()
+        assert cli.main(["--config", str(workdir / "config.json"), verb]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report == {"error": "StageError", "stage": verb,
+                          "message": f"[{verb}] traces.jsonl rows carry no reject_reason; rerun exec"}
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
