@@ -236,9 +236,8 @@ def record_to_line(record: SymbolicRecord) -> str:
         return f"looped {record.arguments['var']} over {record.arguments['items']} items"
     if op == "branch":
         return f"branch arm {record.arguments['arm']}"
-    if op == "returned":
-        return f"returned {record.arguments['value']}"
-    raise ValueError(f"unknown operation {op!r}")
+    # returned: ``_base_record`` makes no other operation
+    return f"returned {record.arguments['value']}"
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +257,11 @@ _VERBS = {
 
 
 def _display(value: str) -> str:
+    """A ``value_text`` as a sentence shows it: a string as the program
+    held it, without the quotes and escapes of its symbolic line."""
     if value.startswith("'") and value.endswith("'") and len(value) >= 2:
-        return value[1:-1]
+        # value_text escapes each backslash, then each quote: undo in reverse
+        return value[1:-1].replace("\\'", "'").replace("\\\\", "\\")
     return value
 
 
@@ -282,9 +284,8 @@ def render_sentence(record: SymbolicRecord) -> str:
         return f"Checked each of the {record.arguments['items']} items in turn."
     if op == "branch":
         return f"Took branch {record.arguments['arm']}."
-    if op == "returned":
-        return f"Therefore the answer is {_display(record.arguments['value'])}."
-    raise ValueError(f"unknown operation {op!r}")
+    # returned
+    return f"Therefore the answer is {_display(record.arguments['value'])}."
 
 
 def render(trace: SymbolicTrace) -> list[str]:
@@ -327,8 +328,6 @@ def tag_gaps(trace: SymbolicTrace) -> TaggedDraft:
     control-dependent on it. A record mentions the names and words its
     symbolic line shows."""
     sentences = render(trace)
-    if not sentences:
-        raise ValueError("tag_gaps needs at least one sentence")
     records = trace.records
     lines = [record_to_line(r) for r in records]
     mentions = [_line_tokens(line) for line in lines]

@@ -32,8 +32,9 @@ MAX_STR_LEN = 10_000
 SNAPSHOT_LIST_CAP = 64
 
 
-# Slotted: run-all holds each kept trace until edit takes it, and ``vars()``
-# in the row writer would give each event and invocation a ``__dict__``.
+# Slotted: run_ablation holds every kept trace, decoded, for its whole
+# grid, and ``vars()`` in the row writer would give each event and
+# invocation a ``__dict__``.
 @dataclass(slots=True)
 class Invocation:
     """The outermost call a statement evaluated: its callee, and snapshots
@@ -244,8 +245,6 @@ class _Interp:
         if node.kind == "For":
             self.exec_for(node, ctrl)
             return
-        if node.kind not in ("Assign", "Return", "ExprStmt"):
-            raise _Fault(node_id, f"cannot execute node kind {node.kind}")
         value, invocation = self.eval_top(node.children[0])
         if node.kind == "Assign":
             target = node.payload["target"]
@@ -358,10 +357,8 @@ class _Interp:
             value = self.eval_unary(node)
         elif kind == "Binary":
             value = self.eval_binary(node)
-        elif kind == "Call":
+        else:  # Call
             value = self.eval_call(node)
-        else:
-            raise _Fault(node_id, f"cannot evaluate node kind {kind}")
         return _bounded(node_id, value)
 
     def eval_unary(self, node: AstNode) -> Value:
@@ -428,11 +425,9 @@ class _Interp:
             return left - right
         if op == "*":
             return left * right
-        if op == "/":
-            if right == 0:
-                raise _Fault(node.id, "division by zero")
-            return left / right
-        raise _Fault(node.id, f"unknown operator {op!r}")
+        if right == 0:  # op is "/"
+            raise _Fault(node.id, "division by zero")
+        return left / right
 
     def eval_call(self, node: AstNode) -> Value:
         func = node.payload["func"]
@@ -479,11 +474,10 @@ class _Interp:
                 return min(pool, key=_sort_key) if func == "min" else max(pool, key=_sort_key)
             except TypeError:
                 raise _Fault(node.id, "values are not orderable")
-        if func == "distance":
-            if len(args) == 2 and isinstance(args[0], Patch) and isinstance(args[1], Patch):
-                return sw.tool_distance(args[0], args[1])
-            raise _Fault(node.id, "distance needs two patches")
-        raise _Fault(node.id, f"unknown builtin {func!r}")
+        # the parser admits no other function: this is distance
+        if len(args) == 2 and isinstance(args[0], Patch) and isinstance(args[1], Patch):
+            return sw.tool_distance(args[0], args[1])
+        raise _Fault(node.id, "distance needs two patches")
 
     def eval_method(self, node: AstNode) -> Value:
         receiver = self.eval_expr(node.children[0])
@@ -556,9 +550,10 @@ def execute(
 ) -> ExecutionTrace:
     """Run a program against a scene, producing an ExecutionTrace.
 
-    Never raises for program-level failures: name errors, type errors, bad
-    indexing, division by zero and the like yield status ``runtime_error``,
-    and exceeding ``max_steps`` yields ``step_limit``.
+    Never raises for a tree ``dsl.parse`` returned, which is the only
+    shape check: name errors, type errors, bad indexing, division by zero
+    and the like yield status ``runtime_error``, and exceeding
+    ``max_steps`` yields ``step_limit``.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")

@@ -592,12 +592,16 @@ RUN_ALL_ORDER = list(STAGES)
 @_collector_paused
 def run_all(config: PipelineConfig) -> RunManifest:
     """Run every stage in order, each handed the rows the earlier ones
-    produced; every stage still writes its file. The collector is paused
-    once, for the whole run, and each nested stage leaves it off."""
+    produced; every stage still writes its file. Train reads dataset.jsonl
+    and none of those rows, so they are dropped before it starts. The
+    collector is paused once, for the whole run, and each nested stage
+    leaves it off."""
     manifest = new_manifest(config)
     held: dict = {}
     try:
         for name in RUN_ALL_ORDER:
+            if name == "train":
+                held.clear()
             STAGES[name](config, manifest, held)
         manifest.check_funnel()
     finally:

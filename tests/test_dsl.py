@@ -1,12 +1,27 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tracedistill.codegen import generate_program
-from tracedistill.dsl import MAX_INT, parse
+from tracedistill.dsl import BUILTIN_CALLABLES, MAX_INT, TOOL_METHODS, parse
 from tracedistill.errors import DslSyntaxError, LexError
+from tracedistill.interp import execute
 from tracedistill.scenes import generate_queries, generate_scenes
+
+from .conftest import make_muffin_scene
+
+
+def assert_tree(ast):
+    """The shape the parser alone decides: each node's id is its index, the
+    root is the Entry node, and every other id is exactly one node's child."""
+    assert [n.id for n in ast.nodes] == list(range(len(ast.nodes)))
+    assert ast.node(ast.root).kind == "Entry"
+    children = sorted(c for n in ast.nodes for c in n.children)
+    assert children == sorted(set(range(len(ast.nodes))) - {ast.root})
 
 
 def sexpr(ast, node_id):
@@ -146,9 +161,7 @@ class TestParse:
         assert sexpr(ast, ret.children[0]) == tree
 
     def test_tree_shape(self):
-        ast = parse("x = 1\nif x == 1:\n    y = x + 2\nreturn y")
-        assert len(ast.edges) == len(ast.nodes) - 1
-        ast.validate()
+        assert_tree(parse("x = 1\nif x == 1:\n    y = x + 2\nreturn y"))
 
 
 def test_generator_determinism():
@@ -166,22 +179,28 @@ _ints = st.integers(min_value=0, max_value=999).map(str)
 _strings = st.sampled_from(["'a'", "'muffin'", "'b c'"])
 
 
+_operators = ["+", "-", "*", "/", "==", "!=", "<", "<=", ">", ">=", "and", "or", "in"]
+_attributes = ["depth", "left", "lower", "right", "upper", "width", "height",
+               "horizontal_center", "vertical_center"]
+
+
 def _exprs(depth: int) -> st.SearchStrategy[str]:
-    base = st.one_of(_names, _ints, _strings, st.sampled_from(["True", "False"]))
+    base = st.one_of(_names, _ints, _strings, st.sampled_from(["True", "False", "image"]))
     if depth <= 0:
         return base
     sub = _exprs(depth - 1)
+    args = st.lists(sub, min_size=0, max_size=2).map(", ".join)
     return st.one_of(
         base,
-        st.tuples(sub, st.sampled_from(["+", "-", "*", "==", "<", "and", "or", "in"]), sub).map(
-            lambda t: f"({t[0]} {t[1]} {t[2]})"
-        ),
+        st.tuples(sub, st.sampled_from(_operators), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
         st.tuples(st.sampled_from(["not ", "-"]), sub).map(lambda t: f"({t[0]}({t[1]}))"),
         st.lists(sub, min_size=0, max_size=3).map(lambda xs: "[" + ", ".join(xs) + "]"),
-        sub.map(lambda e: f"len([{e}])"),
+        st.tuples(st.sampled_from(sorted(BUILTIN_CALLABLES)), args).map(lambda t: f"{t[0]}({t[1]})"),
         st.tuples(sub, sub).map(lambda t: f"({t[0]})[{t[1]}]"),
-        sub.map(lambda e: f"({e}).depth"),
-        st.tuples(sub, sub).map(lambda t: f"({t[0]}).find({t[1]})"),
+        st.tuples(sub, st.sampled_from(_attributes)).map(lambda t: f"({t[0]}).{t[1]}"),
+        st.tuples(sub, st.sampled_from(sorted(TOOL_METHODS)), args).map(
+            lambda t: f"({t[0]}).{t[1]}({t[2]})"
+        ),
     )
 
 
@@ -203,6 +222,8 @@ def _programs(draw) -> str:
             inner = draw(_exprs(1))
             arm = f"if {expr}:\n    {name} = {inner}"
             if draw(st.booleans()):
+                arm += f"\nelif {draw(_exprs(1))}:\n    {name} = {inner}"
+            if draw(st.booleans()):
                 arm += f"\nelse:\n    {name} = {inner}"
             statements.append(arm)
     statements.append(f"return {draw(_exprs(1))}")
@@ -212,4 +233,19 @@ def _programs(draw) -> str:
 @given(_programs())
 @settings(max_examples=120, deadline=None)
 def test_parse_random_programs_into_valid_trees(source):
-    parse(source).validate()
+    """Any tree parse returns is a tree, and execute returns a trace for it
+    and never raises: the interpreter relies on the parser for every node
+    kind, operator and function name it meets."""
+    ast = parse(source)
+    assert_tree(ast)
+    trace = execute(ast, make_muffin_scene(3))
+    assert trace.status in ("ok", "runtime_error", "step_limit")
+
+
+def test_readme_lists_the_builtins_and_tools():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## The DSL\n", 1)[1].split("\n## ", 1)[0]
+    builtins, tools = section.split("Built-ins:", 1)[1].split("Patch tools:", 1)
+    tools = tools.split("plus patch attributes", 1)[0]
+    assert set(re.findall(r"`(\w+)`", builtins)) == BUILTIN_CALLABLES
+    assert set(re.findall(r"`(\w+)`", tools)) == TOOL_METHODS

@@ -297,6 +297,17 @@ class TestRenderGoldens:
         record = SymbolicRecord("assigned", {"num": "8"}, "len")
         assert render_sentence(record) == "Counting gives num = 8 (via len)."
 
+    def test_a_string_shows_as_the_program_held_it(self, muffins3):
+        held = "it's a \\ b"
+        _, trace = run(f"x = {held!r}\ny = 1\nz = x + '!'\nreturn z", muffins3)
+        draft = tag_gaps(raw_records(keep_all(trace)))
+        assert draft.sentences == [f"Set x = {held}.", "Set y = 1.", f"Set z = {held}!.",
+                                   f"Therefore the answer is {held}!."]
+        # the symbolic line keeps its escapes
+        assert draft.lines[0] == "assigned x:'it\\'s a \\\\ b'"
+        assert draft.joints[1] == GAP
+        assert DefaultBridger().fill(draft, 2) == f"Recall that x = {held}."
+
     def test_render_injective_on_corpus(self):
         for program, _, trace in corpus_traces(20, seed=81):
             sym = merge(prune(trace))

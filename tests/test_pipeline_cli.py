@@ -402,6 +402,29 @@ def alive_scenes(monkeypatch):
     return lambda: [ref() for ref in refs if ref() is not None]
 
 
+def test_run_all_trains_with_no_earlier_stages_row_alive(tmp_path, monkeypatch):
+    """Under run_all, train reads dataset.jsonl; the query, program,
+    rationale and scored rows the earlier stages held are freed before it
+    starts."""
+    refs = []
+    for cls in (sw.Query, codegen.Program, editing.CotRationale, students.ScoredRationale):
+        def tracked(self, *args, _real=cls.__init__, **kwargs):
+            _real(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(cls, "__init__", tracked)
+    alive = []
+
+    def train(*args, _real=distill.train, **kwargs):
+        alive.append(Counter(type(ref()).__name__ for ref in refs if ref() is not None))
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(distill, "train", train)
+    run_all(load_config(write_config(tmp_path, scene_count=200)))
+    assert len(refs) > 600
+    assert alive == [Counter()]
+
+
 class TestSceneStreaming:
     """Scene-gen writes each scene as it makes it, and exec reads scenes in
     step with the programs, holding a scene only until the last program row
