@@ -71,16 +71,8 @@ def _attribute_source(attr_class: str, name: str, corrupted: bool) -> str:
     )
 
 
-_SPATIAL_OPS = {
-    "left of": ("horizontal_center", "<"),
-    "right of": ("horizontal_center", ">"),
-    "above": ("vertical_center", ">"),
-    "below": ("vertical_center", "<"),
-}
-
-
 def _spatial_source(a: str, rel: str, b: str, corrupted: bool) -> str:
-    axis, op = _SPATIAL_OPS[rel]
+    axis, op = sw.SPATIAL_RELATIONS[rel]
     if corrupted:
         op = {"<": ">", ">": "<"}[op]
     return "\n".join(
@@ -146,9 +138,8 @@ def generate_programs(queries: list[Query], corruption_rate: float, seed: int) -
     """Batch generation with exactly ceil(corruption_rate * n) corrupted
     programs, chosen by seeded sampling."""
     n = len(queries)
-    k = math.ceil(corruption_rate * n) if corruption_rate > 0 else 0
     rng = random.Random(seed)
-    corrupted_idx = set(rng.sample(range(n), k)) if k else set()
+    corrupted_idx = set(rng.sample(range(n), math.ceil(corruption_rate * n)))
     return [generate_program(q, corrupted=(i in corrupted_idx)) for i, q in enumerate(queries)]
 
 
@@ -173,7 +164,9 @@ def external_generate(settings: dict, query: Query, summary: str) -> Program:
         payload = post_json(settings["endpoint"], request, settings["timeout"])
     except Exception as exc:
         raise GenerationError(f"external generator transport failure: {exc}") from exc
-    source = payload.get("source", "")
+    source = payload.get("source") if isinstance(payload, dict) else None
+    if not isinstance(source, str):
+        raise GenerationError("external generator returned no source")
     try:
         parse(source)
     except Exception as exc:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import random
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field
@@ -166,21 +167,17 @@ def _collector_paused(stage):
 @_collector_paused
 def stage_scene_gen(config: PipelineConfig, manifest: RunManifest,
                     held: dict | None = None) -> None:
-    """Generate each scene and its query in lockstep and write the scene as
-    soon as it is made; the queries, which are small, are written after.
-    Only under run_all are the scenes kept, for exec to consume."""
+    """Generate each scene, make its query, and write the scene as soon as
+    it is made; the queries, which are small, are written after. Only under
+    run_all are the scenes kept, for exec to consume."""
     started = time.monotonic()
     n = config["scene_count"]
     queries, scene_list = [], []
-    # query_stream takes each scene from ``slot`` just after it is made, so
-    # the two generators run in lockstep and no scene is held once written.
-    slot = []
-    query_stream = sw.query_stream(iter(slot.pop, None), config.seeds["query_gen"])
+    rng = random.Random(config.seeds["query_gen"])
 
     def generated():
-        for scene in sw.scene_stream(n, config.seeds["scene_gen"]):
-            slot.append(scene)
-            queries.append(next(query_stream))
+        for i, scene in enumerate(sw.scene_stream(n, config.seeds["scene_gen"])):
+            queries.append(sw.make_query(i, scene, rng))
             if held is not None:
                 scene_list.append(scene)
             yield scene

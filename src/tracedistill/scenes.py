@@ -37,6 +37,16 @@ ATTRIBUTE_CLASSES = {
 
 PREDICATES = ["on", "under", "near", "behind", "beside"]
 
+# Each spatial relation: the patch attribute it compares and the comparison
+# that makes "is the A <relation> the B" true. Strict, so two objects with
+# equal centers answer "no" to every relation.
+SPATIAL_RELATIONS = {
+    "left of": ("horizontal_center", "<"),
+    "right of": ("horizontal_center", ">"),
+    "above": ("vertical_center", ">"),
+    "below": ("vertical_center", "<"),
+}
+
 
 @dataclass(frozen=True)
 class SceneObject:
@@ -339,12 +349,13 @@ def tool_distance(a: Patch, b: Patch) -> float:
 # ---------------------------------------------------------------------------
 # question grammar and answer oracle
 
-# Each question form with its pattern; no question matches two of them.
+# Each question form with its pattern, in the cycle order query generation
+# offers them; no question matches two of them.
 _QUESTION_FORMS = {
-    "exists": re.compile(r"^is there an? ([a-z ]+)$"),
     "count": re.compile(r"^how many ([a-z ]+)$"),
-    "attribute": re.compile(r"^what (color|material|size) is the ([a-z ]+)$"),
-    "spatial": re.compile(r"^is the ([a-z ]+?) (left of|right of|above|below) the ([a-z ]+)$"),
+    "exists": re.compile(r"^is there an? ([a-z ]+)$"),
+    "attribute": re.compile(r"^what (" + "|".join(ATTRIBUTE_CLASSES) + r") is the ([a-z ]+)$"),
+    "spatial": re.compile(r"^is the ([a-z ]+?) (" + "|".join(SPATIAL_RELATIONS) + r") the ([a-z ]+)$"),
     "relation": re.compile(r"^what is the ([a-z ]+?) (" + "|".join(PREDICATES) + r")$"),
 }
 
@@ -410,15 +421,10 @@ def answer_oracle(scene: Scene, question: str) -> str:
         b = _first_named(scene, b_name)
         if a is None or b is None:
             return "unknown"
-        ax, ay = a.center
-        bx, by = b.center
-        if rel == "left of":
-            return "yes" if ax < bx else "no"
-        if rel == "right of":
-            return "yes" if ax > bx else "no"
-        if rel == "above":
-            return "yes" if ay > by else "no"
-        return "yes" if ay < by else "no"
+        axis, op = SPATIAL_RELATIONS[rel]
+        av = getattr(Patch(scene.scene_id, a.box), axis)
+        bv = getattr(Patch(scene.scene_id, b.box), axis)
+        return "yes" if (av < bv if op == "<" else av > bv) else "no"
 
     name, pred = parts
     subj = _first_named(scene, name)
@@ -434,10 +440,10 @@ def answer_oracle(scene: Scene, question: str) -> str:
 # query generation (pipeline plumbing: one query per scene)
 
 def _unique_names(scene: Scene) -> list[str]:
-    counts: dict[str, int] = {}
-    for o in scene.objects:
-        counts[o.name] = counts.get(o.name, 0) + 1
-    return sorted(n for n, c in counts.items() if c == 1)
+    # Not collections.Counter: its first isinstance(generator, Mapping) check
+    # adds ABC cache entries that outlive scene-gen amid its heap (peak RSS).
+    names = [o.name for o in scene.objects]
+    return sorted(n for n in set(names) if names.count(n) == 1)
 
 
 def generate_queries(scenes: Iterable[Scene], seed: int) -> list[Query]:
@@ -446,31 +452,34 @@ def generate_queries(scenes: Iterable[Scene], seed: int) -> list[Query]:
 
 
 def query_stream(scenes: Iterable[Scene], seed: int) -> Iterator[Query]:
-    """One well-posed query per scene, each made as soon as its scene is
-    taken from ``scenes``; expected answers come from the oracle
-    by construction. Scene i is offered the five question forms in cycle
-    order (count, exists, attribute, spatial, relation) starting at form
-    i mod 5, and takes the first that can plan a question for it. Attribute,
-    spatial and relation need objects with unique names, so they often fall
-    through to count or exists: at n = 500 with the default seeds the mix is
-    count 242, exists 100, attribute 74, relation 49, spatial 35."""
+    """``make_query`` for each scene as it is taken from ``scenes``."""
     rng = random.Random(seed)
-    forms = ["count", "exists", "attribute", "spatial", "relation"]
     for i, scene in enumerate(scenes):
-        order = forms[i % len(forms):] + forms[: i % len(forms)]
-        # "count" and "exists" always plan a question, so one form does.
-        question = next(q for q in (_plan_question(scene, form, rng) for form in order) if q)
-        yield Query(
-            query_id=f"q{i:04d}",
-            scene_id=scene.scene_id,
-            question=question,
-            expected_answer=answer_oracle(scene, question),
-        )
+        yield make_query(i, scene, rng)
 
 
-def _plan_question(scene: Scene, form: str, rng: random.Random) -> str | None:
+def make_query(i: int, scene: Scene, rng: random.Random) -> Query:
+    """Scene i's one well-posed query, drawn from the run's ``rng``; its
+    expected answer comes from the oracle by construction. The scene is
+    offered the question forms in ``_QUESTION_FORMS`` order, starting at
+    form i mod 5, and takes the first that can plan a question for it.
+    Attribute, spatial and relation need objects with unique names, so they
+    often fall through to count or exists: at n = 500 with the default
+    seeds the mix is count 242, exists 100, attribute 74, relation 49,
+    spatial 35."""
+    forms = list(_QUESTION_FORMS)
+    start = i % len(forms)
     names_present = sorted({o.name for o in scene.objects})
     unique = _unique_names(scene)
+    plans = (_plan_question(scene, form, rng, names_present, unique)
+             for form in forms[start:] + forms[:start])
+    # "count" and "exists" always plan a question, so one form does.
+    question = next(q for q in plans if q)
+    return Query(f"q{i:04d}", scene.scene_id, question, answer_oracle(scene, question))
+
+
+def _plan_question(scene: Scene, form: str, rng: random.Random,
+                   names_present: list[str], unique: list[str]) -> str | None:
     if form == "count":
         name = rng.choice(names_present)
         return f"how many {name}s"
@@ -490,7 +499,7 @@ def _plan_question(scene: Scene, form: str, rng: random.Random) -> str | None:
         if len(unique) < 2:
             return None
         a, b = rng.sample(unique, 2)
-        rel = rng.choice(["left of", "right of", "above", "below"])
+        rel = rng.choice(list(SPATIAL_RELATIONS))
         return f"is the {a} {rel} the {b}"
     if form == "relation":
         candidates = []

@@ -31,7 +31,13 @@ from tracedistill.editing import (
 from tracedistill.interp import execute, faithfulness_filter, plain_text
 from tracedistill.jsonlio import read_json, read_jsonl
 from tracedistill.pipeline import RUN_ALL_ORDER, run_ablation, run_all
-from tracedistill.scenes import Query, generate_queries, generate_scenes, parse_question
+from tracedistill.scenes import (
+    SPATIAL_RELATIONS,
+    Query,
+    generate_queries,
+    generate_scenes,
+    parse_question,
+)
 from tracedistill.students import (
     builtin_students,
     utility_score,
@@ -65,8 +71,9 @@ def faithful_corpus():
 def test_slice_soundness(faithful_corpus):
     rows, started = faithful_corpus
     assert len(rows) >= 500
-    forms = {parse_question(q.question)[0] for _, q, _, _ in rows}
-    assert forms == {"count", "exists", "attribute", "spatial", "relation"}
+    parsed = [parse_question(q.question) for _, q, _, _ in rows]
+    assert {form for form, _ in parsed} == {"count", "exists", "attribute", "spatial", "relation"}
+    assert {parts[1] for form, parts in parsed if form == "spatial"} == set(SPATIAL_RELATIONS)
     replayed = 0
     for program, query, scene, trace in rows:
         pruned = prune(trace)

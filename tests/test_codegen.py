@@ -102,12 +102,16 @@ class TestCorruption:
 
 class _StubHandler(BaseHTTPRequestHandler):
     response_source = "return 'yes'"
+    response = None  # a whole reply to send in place of {"source": response_source}
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         self.request_body = json.loads(self.rfile.read(length))
         type(self).last_request = self.request_body
-        payload = json.dumps({"source": type(self).response_source}).encode("utf-8")
+        reply = type(self).response
+        if reply is None:
+            reply = {"source": type(self).response_source}
+        payload = json.dumps(reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -148,6 +152,15 @@ class TestExternalGenerator:
         config = generator_at(stub_endpoint)
         query = Query("q", "table", "is there a dog", "no")
         with pytest.raises(GenerationError, match="unparseable"):
+            external_generate(config, query, scene_summary(table_scene))
+
+    @pytest.mark.parametrize("reply", [[], "x", {}, {"source": 5}])
+    def test_a_reply_without_a_string_source_rejected(self, table_scene, stub_endpoint,
+                                                       monkeypatch, reply):
+        monkeypatch.setattr(_StubHandler, "response", reply)
+        config = generator_at(stub_endpoint)
+        query = Query("q", "table", "is there a dog", "no")
+        with pytest.raises(GenerationError, match="^external generator returned no source$"):
             external_generate(config, query, scene_summary(table_scene))
 
     def test_transport_failure_reported(self, table_scene):

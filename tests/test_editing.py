@@ -72,6 +72,12 @@ class TestPrune:
         with pytest.raises(TraceDistillError):
             prune(trace)
 
+    def test_requires_a_return_event(self, muffins3):
+        _, trace = run("x = 1\nreturn x", muffins3)
+        trace.events.pop()
+        with pytest.raises(TraceDistillError, match="no return event"):
+            prune(trace)
+
     def test_slice_replay_corpus(self):
         for program, scene, trace in corpus_traces(60, seed=41):
             pruned = prune(trace)
@@ -297,6 +303,16 @@ class TestRenderGoldens:
         record = SymbolicRecord("assigned", {"num": "8"}, "len")
         assert render_sentence(record) == "Counting gives num = 8 (via len)."
 
+    def test_a_repeated_call_whose_value_is_dropped(self):
+        _, trace = run(
+            "ps = image.find('muffin')\nfor p in ps:\n    image.find('muffin')\nreturn 'a'",
+            make_muffin_scene(2),
+        )
+        assert (
+            "Called find('muffin') and got [patch(5,10,13,20),patch(15,10,23,20)] (2 times)."
+            in render(merge(keep_all(trace)))
+        )
+
     def test_a_string_shows_as_the_program_held_it(self, muffins3):
         held = "it's a \\ b"
         _, trace = run(f"x = {held!r}\ny = 1\nz = x + '!'\nreturn z", muffins3)
@@ -456,7 +472,8 @@ class TestBridge:
         assert rationale.sentences == tagged.sentences
         assert rationale.bridge_fallback is False
 
-    def test_http_bridger_round_trip(self):
+    @pytest.mark.parametrize("reply", [{"bridge_text": "And so the count follows."}, {}])
+    def test_http_bridger_round_trip(self, reply):
         import json
         import threading
         from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -467,7 +484,7 @@ class TestBridge:
             def do_POST(self):
                 body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
                 type(self).last_request = body
-                payload = json.dumps({"bridge_text": "And so the count follows."}).encode()
+                payload = json.dumps(reply).encode()
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
@@ -483,8 +500,12 @@ class TestBridge:
             assert tagged.joints.count(GAP) >= 1
             bridger = HttpBridger(f"http://127.0.0.1:{server.server_port}/")
             rationale = bridge(tagged, bridger, query_id="q")
-            assert "And so the count follows." in rationale.sentences
-            assert rationale.bridge_fallback is False
+            if reply:
+                assert "And so the count follows." in rationale.sentences
+                assert rationale.bridge_fallback is False
+            else:  # no bridge_text: the default bridger fills every gap
+                assert rationale.sentences == bridge(tagged, query_id="q").sentences
+                assert rationale.bridge_fallback is True
             assert set(Handler.last_request) == {"prev", "next", "facts"}
             assert Handler.last_request["facts"] == [record_to_line(r) for r in sym.records]
         finally:

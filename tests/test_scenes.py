@@ -4,6 +4,7 @@ import json
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,12 @@ from tracedistill.config import DEFAULTS
 from tracedistill.errors import SchemaError
 from tracedistill.jsonlio import write_rows
 from tracedistill.scenes import (
+    _QUESTION_FORMS,
     NOUNS,
+    SPATIAL_RELATIONS,
     Patch,
+    Scene,
+    SceneObject,
     answer_oracle,
     full_canvas_patch,
     generate_queries,
@@ -277,6 +282,26 @@ class TestParseQuestion:
     def test_forms(self, question, parsed):
         assert parse_question(question) == parsed
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_each_generated_question_matches_one_form(self, seed):
+        for query in generate_queries(generate_scenes(500, seed), seed + 10):
+            assert sum(bool(p.match(query.question)) for p in _QUESTION_FORMS.values()) == 1
+
+    @pytest.mark.parametrize("question,form", [
+        ("is there a cup left of the plate", "exists"),
+        ("how many cups above the plate", "count"),
+        ("what color is the cup on", "attribute"),
+        ("is the cup on the plate", None),
+    ])
+    def test_a_near_miss_matches_at_most_one_form(self, question, form):
+        matching = [f for f, p in _QUESTION_FORMS.items() if p.match(question)]
+        assert matching == ([form] if form else [])
+
+    def test_readme_states_the_cycle_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        order = re.search(r"cycle order\s+\(([a-z,\s]+)\)", readme).group(1)
+        assert re.split(r",\s+", order) == list(_QUESTION_FORMS)
+
 
 class TestAnswerOracle:
     def test_counting(self, muffins3):
@@ -299,6 +324,13 @@ class TestAnswerOracle:
     def test_relation(self, table_scene):
         assert answer_oracle(table_scene, "what is the cup on") == "plate"
         assert answer_oracle(table_scene, "what is the plate on") == "unknown"
+
+    def test_equal_centers_answer_no_to_every_relation(self):
+        cup = SceneObject("a", "cup", (40, 40, 60, 60), frozenset({"red"}), 1.0)
+        plate = SceneObject("b", "plate", (30, 30, 70, 70), frozenset({"blue"}), 2.0)
+        scene = Scene("same_center", (cup, plate), ())
+        for rel in SPATIAL_RELATIONS:
+            assert answer_oracle(scene, f"is the cup {rel} the plate") == "no"
 
     def test_out_of_grammar(self, table_scene):
         assert answer_oracle(table_scene, "describe the picture") == "unknown"
