@@ -637,8 +637,8 @@ def trace_to_record(trace: ExecutionTrace, query_id: str, reject_reason: str | N
 
 def trace_from_record(rec: dict) -> ExecutionTrace:
     """The trace a decoded traces.jsonl row holds, built by
-    ``jsonlio.build_row`` (which reads ``rec``'s values in place). A field
-    missing or not of its type raises a SchemaError naming it, as in
-    ``events[2] field 'uses' must be ...``."""
+    ``jsonlio.build_row``, which leaves ``rec`` as it was. A field missing
+    or not of its type raises a SchemaError naming it, as in ``events[2]
+    field 'uses' must be ...``."""
     return build_row(ExecutionTrace, {k: v for k, v in rec.items()
                                       if k not in ("query_id", "reject_reason")})

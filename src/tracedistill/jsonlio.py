@@ -33,7 +33,10 @@ def _plain(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-dumps_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_plain).encode
+# Rows are trees (a patch snapshot shared by two events is not a cycle), so
+# the encoder does not look for cycles.
+dumps_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_plain,
+                                   check_circular=False).encode
 
 
 @contextmanager
@@ -93,21 +96,13 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
 
 
 # ---------------------------------------------------------------------------
-# typed rows: a row dataclass's field annotations are its file's schema
+# typed rows: a row dataclass's field annotations are its file's schema.
+# Each row class gets one builder function, generated from its annotations
+# the first time a row of it is built, as ``dataclasses`` generates
+# ``__init__``.
 
 class _Mismatch(Exception):
     """A value not of its annotation's type."""
-
-
-def _mismatch():
-    raise _Mismatch
-
-
-def _object(cls: type, value):
-    try:
-        return build_row(cls, value) if type(value) is dict else _mismatch()
-    except SchemaError as exc:
-        raise SchemaError(f" {exc}") from None
 
 
 _NOUNS = {str: "string", int: "integer", bool: "boolean", dict: "object", list: "list",
@@ -115,97 +110,129 @@ _NOUNS = {str: "string", int: "integer", bool: "boolean", dict: "object", list: 
 _EXACT = (str, int, bool, dict, list)  # the types JSON gives as they are
 
 
-def _reader(tp) -> tuple[Callable, str, str]:
-    """How a JSON value is read as a ``tp`` (or _Mismatch raised), and how a
-    SchemaError names one ``tp`` and many: Any (any value, as it is), str,
-    int, bool, dict, list, float (an int becomes one), a dataclass,
-    X | None, or, from a JSON list, list[X], tuple[X, ...], tuple[X, Y, ...]
-    or frozenset[X] of distinct items."""
+def _nests_row(tp) -> bool:
+    return is_dataclass(tp) or any(map(_nests_row, typing.get_args(tp)))
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
+def _read(tp, src: str, dst: str, env: dict, depth: int) -> tuple[list[str], str, str]:
+    """Lines that read the JSON value in ``src`` as a ``tp`` into ``dst``,
+    or raise _Mismatch, and how a SchemaError names one ``tp`` and many.
+    ``tp`` is Any (any value, as it is), str, int, bool, dict, list, float
+    (an int becomes one), a dataclass, X | None, or, from a JSON list,
+    list[X], tuple[X, ...], tuple[X, Y, ...] or frozenset[X] of distinct
+    items. A nested row's SchemaError passes out with a space before its
+    message, and ``[j]`` before that from list item j, for the field's
+    name to complete the path. ``env`` collects the names the lines use."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is Any:
-        return (lambda value: value), "any value", "any values"
-    if origin is tuple and Ellipsis not in args and len({*args}) > 1:
-        reads, ones, _ = zip(*map(_reader, args))
-        what = ", ".join(ones[:-1]) + " and " + ones[-1]
-
-        def read_mixed(value):
-            if type(value) is not list or len(value) != len(reads):
-                raise _Mismatch
-            return tuple(read(x) for read, x in zip(reads, value))
-
-        return read_mixed, "a list of " + what, "lists of " + what
-    if origin is None:
+        return [f"{dst} = {src}"], "any value", "any values"
+    if origin is None and (tp in _NOUNS or is_dataclass(tp)):
         noun = "object" if is_dataclass(tp) else _NOUNS[tp]
+        one, many = ("an " if noun[0] in "aeiou" else "a ") + noun, noun + "s"
+        if tp in _EXACT:
+            return [f"if type({src}) is not {tp.__name__}: raise _Mismatch", f"{dst} = {src}"], one, many
         if tp is float:
-            read = lambda value: (float(value) if type(value) in (int, float)  # noqa: E731
-                                  and abs(value) <= sys.float_info.max else _mismatch())
-        elif is_dataclass(tp):
-            read = functools.partial(_object, tp)
-        else:
-            read = lambda value: value if type(value) is tp else _mismatch()  # noqa: E731
-        return read, ("an " if noun[0] in "aeiou" else "a ") + noun, noun + "s"
-    item, one, many = _reader(args[0])
+            return [f"if type({src}) not in (int, float) or not -_MAX <= {src} <= _MAX: raise _Mismatch",
+                    f"{dst} = float({src})"], one, many
+        build = f"_build{len(env)}"
+        env[build] = _builder(tp)
+        return [f"if type({src}) is not dict: raise _Mismatch",
+                "try:",
+                f"    {dst} = {build}({src})",
+                "except SchemaError as exc:",
+                "    raise SchemaError(f' {exc}') from None"], one, many
+    if origin is tuple and Ellipsis not in args:  # unpacked, each item read on its own
+        items = [f"t{depth}_{k}" for k in range(len(args))]
+        reads = [f"r{depth}_{k}" for k in range(len(args))]
+        lines = [f"if type({src}) is not list or len({src}) != {len(args)}: raise _Mismatch",
+                 f"{', '.join(items)}, = {src}"]
+        ones, manys = [], []
+        for arg, item, read in zip(args, items, reads):
+            item_lines, one, many = _read(arg, item, read, env, depth + 1)
+            lines += item_lines
+            ones.append(one)
+            manys.append(many)
+        what = (f"{len(args)} {manys[0]}" if len({*args}) == 1
+                else ", ".join(ones[:-1]) + " and " + ones[-1])
+        return lines + [f"{dst} = ({', '.join(reads)},)"], "a list of " + what, "lists of " + what
     if type(None) in args:
-        return (lambda value: None if value is None else item(value)), "null or " + one, "nulls or " + many
+        lines, one, many = _read(args[0], src, dst, env, depth)
+        return ([f"if {src} is None:", f"    {dst} = None", "else:", *_indent(lines)],
+                "null or " + one, "nulls or " + many)
     if origin not in (list, tuple, frozenset) or len({*args} - {Ellipsis}) != 1:
         raise TypeError(f"no row reader for {tp!r}")
-    size = len(args) if origin is tuple and Ellipsis not in args else None
+    item = args[0]
+    lines = [f"if type({src}) is not list: raise _Mismatch"]
+    if item is str:  # checked in C: join raises TypeError at the first item not a str
+        lines += ["try:", f"    ''.join({src})", "except TypeError:", "    raise _Mismatch from None"]
+        out, many = src, "strings"
+    elif item in _EXACT:
+        lines.append(f"if not {{*map(type, {src})}} <= {{{item.__name__}}}: raise _Mismatch")
+        out, many = src, _NOUNS[item] + "s"
+    else:
+        out, x, y, j = f"out{depth}", f"x{depth}", f"y{depth}", f"j{depth}"
+        item_lines, _, many = _read(item, x, y, env, depth + 1)
+        loop = [f"for {x} in {src}:", *_indent(item_lines), f"    {out}.append({y})"]
+        if _nests_row(item):  # the index the error names
+            loop = ["try:", f"    for {j}, {x} in enumerate({src}):", *_indent(loop[1:]),
+                    "except SchemaError as exc:",
+                    f"    raise SchemaError(f'[{{{j}}}]{{exc}}') from None"]
+        lines += [f"{out} = []", *loop]
+    what = ("distinct " if origin is frozenset else "") + many
+    if origin is list:
+        return lines + [f"{dst} = {out}"], "a list of " + what, "lists of " + what
+    lines.append(f"{dst} = {origin.__name__}({out})")
+    if origin is frozenset:  # a repeated item
+        lines.append(f"if len({dst}) != len({src}): raise _Mismatch")
+    return lines, "a list of " + what, "lists of " + what
 
-    def read(value):
-        if type(value) is not list or size is not None and len(value) != size:
-            raise _Mismatch
-        if args[0] in _EXACT:  # checked in C; join raises TypeError at an item not a str
-            try:
-                same = "".join(value) is not None if args[0] is str else {*map(type, value)} <= {args[0]}
-            except TypeError:
-                same = False
-            out = value if same else _mismatch()
-        else:
-            out = []
-            for j, x in enumerate(value):
-                try:
-                    out.append(item(x))
-                except SchemaError as exc:
-                    raise SchemaError(f"[{j}]{exc}") from None
-        out = out if origin is list else origin(out)
-        if len(out) != len(value):  # a repeated frozenset item
-            raise _Mismatch
-        return out
 
-    what = f"{size} {many}" if size else ("distinct " if origin is frozenset else "") + many
-    return read, "a list of " + what, "lists of " + what
+def _bad(name: str, noun: str, value) -> SchemaError:
+    return SchemaError(f"field {name!r} must be {noun}, got {value!r}")
+
+
+def _keys_error(row, names: frozenset) -> SchemaError:
+    keys = row.keys() if isinstance(row, dict) else frozenset()
+    missing = names - keys
+    return SchemaError(f"missing field {min(missing)!r}" if missing
+                       else f"unknown field {min(keys - names)!r}")
 
 
 @functools.lru_cache(maxsize=None)
-def _plan(cls: type) -> tuple[frozenset, tuple]:
-    """``cls``'s fields; each one's name, exact JSON type, reader and noun."""
+def _builder(cls: type) -> Callable:
+    """``cls``'s builder: a generated function that reads each field of a
+    decoded JSON object (see ``_read``) and passes them, in field order, to
+    ``cls``."""
     hints = typing.get_type_hints(cls)
     names = [f.name for f in fields(cls)]
-    return frozenset(names), tuple((name, hints[name] if hints[name] in _EXACT else None,
-                                    *_reader(hints[name])[:2]) for name in names)
+    env = {"SchemaError": SchemaError, "_Mismatch": _Mismatch, "_MAX": sys.float_info.max,
+           "_bad": _bad, "_keys_error": _keys_error, "_cls": cls, "_names": frozenset(names)}
+    body = ["if type(row) is not dict or row.keys() != _names:",
+            "    raise _keys_error(row, _names)"]
+    for k, name in enumerate(names):
+        lines, one, _ = _read(hints[name], "v", f"f{k}", env, 0)
+        body += [f"v = row[{name!r}]", "try:", *_indent(lines),
+                 "except _Mismatch:", f"    raise _bad({name!r}, {one!r}, v) from None"]
+        if _nests_row(hints[name]):
+            body += ["except SchemaError as exc:", f"    raise SchemaError(f'{name}{{exc}}') from None"]
+    body.append(f"return _cls({', '.join(f'f{k}' for k in range(len(names)))})")
+    exec("def build(row):\n" + "\n".join(_indent(body)), env)
+    build = env["build"]
+    build.__name__ = build.__qualname__ = f"build_{cls.__name__}"
+    return build
 
 
 def build_row(cls: type, row):
-    """The ``cls`` row a decoded JSON object holds, its values read in place
-    (see ``_reader``). Keys that are not exactly ``cls``'s fields, or a value
-    not of its field's type, raise a SchemaError naming the field by its
-    path, as in ``objects[0] field 'box' must be ...``."""
-    names, checks = _plan(cls)
-    if type(row) is not dict or row.keys() != names:
-        keys = row.keys() if isinstance(row, dict) else frozenset()
-        missing = names - keys
-        raise SchemaError(f"missing field {min(missing)!r}" if missing
-                          else f"unknown field {min(keys - names)!r}")
-    for name, exact, read, noun in checks:
-        value = row[name]
-        if type(value) is not exact:
-            try:
-                row[name] = read(value)
-            except _Mismatch:
-                raise SchemaError(f"field {name!r} must be {noun}, got {value!r}") from None
-            except SchemaError as exc:
-                raise SchemaError(f"{name}{exc}") from None
-    return cls(**row)
+    """The ``cls`` row a decoded JSON object holds, built by ``cls``'s
+    builder (see ``_read``), which leaves ``row`` as it was. Keys that are
+    not exactly ``cls``'s fields, or a value not of its field's type, raise
+    a SchemaError naming the field by its path, as in ``objects[0] field
+    'box' must be ...``."""
+    return _builder(cls)(row)
 
 
 def write_rows(path: str | Path, rows: Iterable, meta: dict | None = None) -> int:
@@ -220,7 +247,7 @@ def iter_rows(path: str | Path, cls: type, unique: str | None = None,
               check: Callable | None = None) -> Iterator:
     """Read a file ``write_rows`` wrote back into ``cls`` rows, one row at a
     time, skipping a first-line ``__meta__`` header. A row whose keys or
-    values do not fit ``cls``'s fields (see ``_reader``), that ``check``
+    values do not fit ``cls``'s fields (see ``build_row``), that ``check``
     rejects, or whose ``unique`` field repeats raises a SchemaError naming
     the file, the row (from 0, the header not counted) and the field."""
     seen = set()

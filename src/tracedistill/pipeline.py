@@ -3,17 +3,17 @@
 Every stage writes its JSONL/JSON stage file. A stage called on its own
 (a single-stage CLI verb) reads its inputs back from those files, so any
 stage can be rerun in isolation; ``run_all`` instead hands each stage the
-rows the earlier stages produced, in memory, and only train reads a file
-an earlier stage wrote. Scene-gen writes each scene as it makes it, and
-exec reads the scenes in step with the programs, holding each only until
-the programs that read it have run; under run_all exec consumes the
-scenes scene-gen held the same way. Exec has one row loop, a generator
-that writes each trace row to traces.jsonl and then yields it: called on
-its own, exec drains it; under run_all, edit pulls from it, so each trace
-passes to edit as soon as it is written and no stage holds a list of
-traces. Edit, called on its own, reads traces.jsonl one row at a time;
-either way edit takes one ``TraceRow`` per traces.jsonl row, and each
-stage's ``duration_s`` counts only its own work. Every per-row stage runs
+rows the earlier stages produced, in memory, and only exec and train read
+back a file an earlier stage wrote: scenes.jsonl and dataset.jsonl.
+Scene-gen writes each scene as it makes it and keeps none, and exec, under
+run_all too, reads scenes.jsonl in step with the programs, holding each
+scene only until the programs that read it have run. Exec has one row
+loop, a generator that writes each trace row to traces.jsonl and then
+yields it: called on its own, exec drains it; under run_all, edit pulls
+from it, so each trace passes to edit as soon as it is written and no
+stage holds a list of traces. Edit, called on its own, reads traces.jsonl
+one row at a time; either way edit takes one ``TraceRow`` per traces.jsonl
+row, and each stage's ``duration_s`` counts only its own work. Every per-row stage runs
 its rows in input order through one loop, ``_each_row``: a failed row is
 recorded with its index in the stage's input file, aborting the batch
 only under --strict. Every run appends stage entries to the manifest,
@@ -88,13 +88,16 @@ def new_manifest(config: PipelineConfig) -> RunManifest:
 
 
 def load_or_new_manifest(config: PipelineConfig) -> RunManifest:
-    """Continue an existing manifest (single-stage reruns append to it)."""
+    """Continue an existing manifest (single-stage reruns append to it). A
+    manifest that is not an object with a list ``stages`` and an object
+    ``counts`` raises a SchemaError naming it, before any stage runs."""
     manifest = new_manifest(config)
     path = config.path("manifest")
     if path.exists():
         raw = read_json(path)
-        manifest.stages = raw.get("stages", [])
-        manifest.counts = raw.get("counts", {})
+        if not (type(raw) is dict and type(raw.get("stages")) is list and type(raw.get("counts")) is dict):
+            raise SchemaError(f"{path}: must be an object with a list 'stages' and an object 'counts'")
+        manifest.stages, manifest.counts = raw["stages"], raw["counts"]
     return manifest
 
 
@@ -168,18 +171,16 @@ def _collector_paused(stage):
 def stage_scene_gen(config: PipelineConfig, manifest: RunManifest,
                     held: dict | None = None) -> None:
     """Generate each scene, make its query, and write the scene as soon as
-    it is made; the queries, which are small, are written after. Only under
-    run_all are the scenes kept, for exec to consume."""
+    it is made, keeping none; the queries, which are small, are written
+    after."""
     started = time.monotonic()
     n = config["scene_count"]
-    queries, scene_list = [], []
+    queries = []
     rng = random.Random(config.seeds["query_gen"])
 
     def generated():
         for i, scene in enumerate(sw.scene_stream(n, config.seeds["scene_gen"])):
             queries.append(sw.make_query(i, scene, rng))
-            if held is not None:
-                scene_list.append(scene)
             yield scene
 
     write_rows(config.path("scenes"), generated())
@@ -187,7 +188,7 @@ def stage_scene_gen(config: PipelineConfig, manifest: RunManifest,
     manifest.counts["generated"] = len(queries)
     manifest.record("scene_gen", started, rows_in=n, rows_out=len(queries))
     if held is not None:
-        held.update(scenes=scene_list, queries=queries)
+        held["queries"] = queries
 
 
 @_collector_paused
@@ -198,7 +199,7 @@ def stage_program_gen(config: PipelineConfig, manifest: RunManifest,
     errors: list[dict] = []
     external = config["external_generator"]
     if external["endpoint"]:
-        scenes_by_id = {s.scene_id: s for s in _input(config, held, "scenes", sw.load_scenes)}
+        scenes_by_id = {s.scene_id: s for s in sw.load_scenes(config.path("scenes"))}
 
         def run_row(i, query):
             summary = codegen.scene_summary(scenes_by_id[query.scene_id])
@@ -227,15 +228,6 @@ class TraceRow(NamedTuple):
     query_id: str | None
     program_id: str | None
     trace: ExecutionTrace | Exception | None
-
-
-def _handed_over(rows: list):
-    """A list run_all hands from one stage to the next, as a stream that
-    drops each row as the next stage takes it: scene-gen's scenes as
-    exec's."""
-    for i, row in enumerate(rows):
-        rows[i] = None
-        yield row
 
 
 def _in_step(programs: list, queries: dict, scenes, buffered: dict):
@@ -268,12 +260,12 @@ def _exec_rows(config: PipelineConfig, manifest: RunManifest, held: dict | None)
     """Exec's one row loop, run as its caller pulls rows: execute each
     program on its query's scene, give its trace the faithfulness filter's
     verdict, write it to traces.jsonl and yield the row's ``TraceRow``.
-    Scenes are read in step with the programs (see ``_in_step``):
-    scenes.jsonl, or, under run_all, the scenes scene-gen held, each freed
-    once its programs have run. When the programs run out, traces.jsonl
-    replaces the old file, and exec's counts and manifest entry are
-    recorded; its ``duration_s`` leaves out the time spent between rows in
-    the caller. A row that aborts the stage leaves the old file as it was."""
+    Scenes are read from scenes.jsonl in step with the programs (see
+    ``_in_step``), each freed once its programs have run. When the
+    programs run out, traces.jsonl replaces the old file, and exec's
+    counts and manifest entry are recorded; its ``duration_s`` leaves out
+    the time spent between rows in the caller. A row that aborts the stage
+    leaves the old file as it was."""
     started = time.monotonic()
     queries = {q.query_id: q for q in _input(config, held, "queries", sw.load_queries)}
     tools = ToolConfig(noise_p=config["noise_p"], noise_seed=config.seeds["scene_gen"])
@@ -296,8 +288,7 @@ def _exec_rows(config: PipelineConfig, manifest: RunManifest, held: dict | None)
                 TraceRow(query.query_id, program.program_id, None if reason else trace))
 
     rows = _input(config, held, "programs", read_rows, codegen.Program, "program_id")
-    scenes = (sw.iter_scenes(config.path("scenes")) if held is None
-              else _handed_over(held.pop("scenes")))
+    scenes = sw.iter_scenes(config.path("scenes"))
     errors: list[dict] = []
     executed = 0
     try:
@@ -352,14 +343,19 @@ def _bridger(config: PipelineConfig):
 def _trace_rows(path, stage: str):
     """Each traces.jsonl row at ``path``, read one at a time, as a
     ``TraceRow``. A row without a verdict fails ``stage``, the stage that
-    reads the file. A repeated ``query_id``, of a kept or a rejected row,
-    raises a SchemaError naming the file and the row, which fails the
-    stage, as ``read_rows`` does."""
+    reads the file. A row that is not an object, a ``query_id`` that is
+    not a string, or one repeated, of a kept or a rejected row, raises a
+    SchemaError naming the file and the row, which fails the stage, as
+    ``read_rows`` does."""
     seen = set()
     for i, rec in enumerate(read_jsonl(path)):
+        if type(rec) is not dict:
+            raise SchemaError(f"{path} row {i}: must be an object, got {rec!r}")
         if "reject_reason" not in rec:
             raise StageError(stage, "traces.jsonl rows carry no reject_reason; rerun exec")
         query_id = rec.get("query_id")
+        if "query_id" in rec and type(query_id) is not str:
+            raise SchemaError(f"{path} row {i}: field 'query_id' must be a string, got {query_id!r}")
         if query_id in seen:
             raise SchemaError(f"{path} row {i}: duplicate query_id {query_id!r}")
         seen.add(query_id)
@@ -589,8 +585,9 @@ RUN_ALL_ORDER = list(STAGES)
 @_collector_paused
 def run_all(config: PipelineConfig) -> RunManifest:
     """Run every stage in order, each handed the rows the earlier ones
-    produced; every stage still writes its file. Train reads dataset.jsonl
-    and none of those rows, so they are dropped before it starts. The
+    produced; every stage still writes its file. Exec reads the scenes back
+    from scenes.jsonl (see ``_exec_rows``). Train reads dataset.jsonl and
+    none of those rows, so they are dropped before it starts. The
     collector is paused once, for the whole run, and each nested stage
     leaves it off."""
     manifest = new_manifest(config)

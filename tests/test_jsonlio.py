@@ -4,13 +4,16 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tracedistill.codegen import Program
 from tracedistill.distill import DistillExample
 from tracedistill.editing import CotRationale
 from tracedistill.errors import SchemaError
 from tracedistill.interp import ExecutionTrace, Invocation, TraceEvent
-from tracedistill.jsonlio import read_json, read_jsonl, read_rows, write_json, write_jsonl, write_rows
+from tracedistill.jsonlio import (
+    build_row, dumps_canonical, read_json, read_jsonl, read_rows, write_json, write_jsonl, write_rows,
+)
 from tracedistill.scenes import Query, Scene, SceneObject
 from tracedistill.students import ScoredRationale, UtilityOutcome
 
@@ -145,6 +148,122 @@ class TestRowSchemaErrors:
             read_rows(path, ExecutionTrace)
 
 
+def valid(cls):
+    """The first of ``ROWS[cls]`` as its decoded JSON object."""
+    return json.loads(dumps_canonical(ROWS[cls][0]))
+
+
+def replaced(row, path, value):
+    """A copy of the JSON ``row`` with the value at ``path`` (keys and
+    indices) replaced by ``value``."""
+    if not path:
+        return value
+    out = dict(row) if type(row) is dict else list(row)
+    out[path[0]] = replaced(row[path[0]], path[1:], value)
+    return out
+
+
+class TestReaderMessages:
+    """One bad value per annotation kind the row reader reads, and the
+    exact SchemaError it gives, its path included."""
+
+    @pytest.mark.parametrize("cls, path, value, message", [
+        (Query, ["question"], 5, "field 'question' must be a string, got 5"),
+        (ScoredRationale, ["score"], "0", "field 'score' must be an integer, got '0'"),
+        (ScoredRationale, ["kept"], 1, "field 'kept' must be a boolean, got 1"),
+        (Scene, ["objects", 1, "depth"], True, "objects[1] field 'depth' must be a finite number, got True"),
+        (Scene, ["objects", 0, "depth"], json.loads("1e400"),
+         "objects[0] field 'depth' must be a finite number, got inf"),
+        (CotRationale, ["lineage"], [], "field 'lineage' must be an object, got []"),
+        (ExecutionTrace, ["events", 0, "invocation", "args"], {},
+         "events[0] invocation field 'args' must be a list, got {}"),
+        (DistillExample, ["rationale"], 5, "field 'rationale' must be null or a string, got 5"),
+        (CotRationale, ["sentences"], ["a", 1], "field 'sentences' must be a list of strings, got ['a', 1]"),
+        (Scene, ["objects", 0, "box"], [1, 2, 3],
+         "objects[0] field 'box' must be a list of 4 integers, got [1, 2, 3]"),
+        (Scene, ["objects", 0, "attributes"], ["red", "red"],
+         "objects[0] field 'attributes' must be a list of distinct strings, got ['red', 'red']"),
+        (ExecutionTrace, ["events", 1, "uses"], [[0, "ps"]],
+         "events[1] field 'uses' must be a list of lists of a string and an integer, got [[0, 'ps']]"),
+        (Scene, ["relations"], [["a", "on"]],
+         "field 'relations' must be a list of lists of 3 strings, got [['a', 'on']]"),
+        (ExecutionTrace, ["error"], [], "field 'error' must be null or an object, got []"),
+        (ScoredRationale, ["outcomes", 1, "student"], None,
+         "outcomes[1] field 'student' must be a string, got None"),
+    ], ids=["str", "int", "bool", "float_true", "float_inf", "dict", "list", "optional", "list_of_str",
+            "fixed_tuple", "frozenset_repeat", "mixed_tuple", "tuple_of_tuples", "optional_object",
+            "nested_list_item"])
+    def test_a_bad_value_names_its_path_and_kind(self, cls, path, value, message):
+        with pytest.raises(SchemaError) as info:
+            build_row(cls, replaced(valid(cls), path, value))
+        assert str(info.value) == message
+
+    def test_an_any_field_takes_every_value_but_must_be_there(self):
+        for value in (None, [[1]], {"a": {}}, "x", 1.5):
+            row = replaced(valid(ExecutionTrace), ["result"], value)
+            assert build_row(ExecutionTrace, row).result == value
+        row = valid(ExecutionTrace)
+        del row["events"][0]["invocation"]["result"]
+        with pytest.raises(SchemaError) as info:
+            build_row(ExecutionTrace, row)
+        assert str(info.value) == "events[0] invocation missing field 'result'"
+
+    def test_a_float_field_takes_an_integer_as_a_float(self):
+        obj = build_row(Scene, replaced(valid(Scene), ["objects", 0, "depth"], 2)).objects[0]
+        assert obj.depth == 2.0 and type(obj.depth) is float
+
+    def test_a_huge_integer_is_not_a_finite_number(self):
+        message = r"^objects\[0\] field 'depth' must be a finite number, got 1000"
+        with pytest.raises(SchemaError, match=message):
+            build_row(Scene, replaced(valid(Scene), ["objects", 0, "depth"], 10**400))
+
+
+def _paths(value, path=()):
+    """Every path (keys and indices) into the JSON ``value``."""
+    yield path
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.mark.parametrize("cls", [Scene, ExecutionTrace, ScoredRationale], ids=lambda cls: cls.__name__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_mutated_row_builds_or_raises_a_schema_error(cls, data):
+    """Replacing, deleting or adding a value anywhere in a valid row either
+    still builds or raises a SchemaError, never another exception."""
+    row = valid(cls)
+    path = data.draw(st.sampled_from(list(_paths(row))))
+    value = data.draw(_JSON)
+    edit = data.draw(st.sampled_from(["replace", "delete", "add"]))
+    if edit == "replace" or not path:
+        row = replaced(row, path, value)
+    else:
+        holder = row
+        for key in path[:-1]:
+            holder = holder[key]
+        if type(holder) is dict:
+            holder = dict(holder)
+            if edit == "delete":
+                del holder[path[-1]]
+            else:
+                holder[data.draw(st.text(max_size=3))] = value
+        else:
+            holder = holder[:path[-1]] + ([] if edit == "delete" else [value]) + holder[path[-1]:]
+        row = replaced(row, path[:-1], holder)
+    try:
+        build_row(cls, row)
+    except SchemaError:
+        pass
+
+
 class TestWriteJsonl:
     def test_a_failed_write_leaves_the_file_and_no_temp_file(self, tmp_path):
         path = tmp_path / "rows.jsonl"
@@ -157,6 +276,19 @@ class TestWriteJsonl:
 
         with pytest.raises(RuntimeError, match="row 1 failed"):
             write_jsonl(path, rows())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
+
+    def test_a_cyclic_value_fails_its_write_cleanly(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"a": 1}])
+        before = path.read_bytes()
+        cyclic = {"a": 1}
+        cyclic["self"] = cyclic
+        # rows are trees, so the encoder does not look for cycles: a cycle
+        # recurses until the interpreter's depth limit stops it
+        with pytest.raises((ValueError, RecursionError)):
+            write_jsonl(path, [{"a": 2}, cyclic])
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.jsonl"]
 

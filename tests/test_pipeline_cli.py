@@ -21,7 +21,7 @@ from tracedistill.config import DEFAULTS, STUDENT_DEFAULTS, apply_seed_override,
 from tracedistill.editing import keep_all, raw_records, render
 from tracedistill.errors import ConfigError, SchemaError, StageError
 from tracedistill.interp import trace_from_record
-from tracedistill.jsonlio import read_json, read_jsonl, write_jsonl
+from tracedistill.jsonlio import read_json, read_jsonl, write_json, write_jsonl
 from tracedistill.pipeline import new_manifest, run_ablation, run_all, stage_edit
 
 STAGE_FILES = [
@@ -288,15 +288,16 @@ class TestStageHandoff:
         assert rationales[dropped["query_id"]] is None
         assert manifest.stages[0]["extra"]["with_rationale"] == kept - 1
 
-    def test_run_all_reads_back_only_the_dataset(self, tmp_path, monkeypatch):
+    def test_run_all_reads_back_only_the_scenes_and_the_dataset(self, tmp_path, monkeypatch):
         config = load_config(write_config(tmp_path, scene_count=60))
         calls = count_calls(monkeypatch, [
             (interp, "trace_from_record"), (sw, "load_scenes"), (sw, "load_queries"),
             (jsonlio, "read_jsonl"), (jsonlio, "read_json"),
         ])
         run_all(config)
-        # each stage's rows reach the next in memory; train reads dataset.jsonl
-        assert calls == [("read_jsonl", config.path("dataset"))]
+        # each stage's rows reach the next in memory, but exec reads
+        # scenes.jsonl in step and train reads dataset.jsonl
+        assert calls == [("read_jsonl", config.path("scenes")), ("read_jsonl", config.path("dataset"))]
 
     def test_score_reports_verdicts_per_student(self, tmp_path):
         config = load_config(write_config(tmp_path, scene_count=16))
@@ -464,9 +465,8 @@ class TestSceneStreaming:
         seen = self.record_at_execute(monkeypatch, alive_scenes)
         run_all(config)
         assert len(seen) > 150
-        # scene-gen held every scene; exec drops each once its program ran
-        assert len(seen[0][1]) == 200
-        assert all(min(alive) == scene_id for scene_id, alive in seen)
+        # scene-gen keeps no scene, and exec reads scenes.jsonl as the verb does
+        assert max(len(alive) for _, alive in seen) <= 2
 
     def test_single_stage_scene_gen_holds_no_scene_once_written(
         self, tmp_path, monkeypatch, alive_scenes
@@ -1034,6 +1034,59 @@ class TestCli:
         report = json.loads(capsys.readouterr().err)
         assert report == {"error": "StageError", "stage": verb,
                           "message": f"[{verb}] traces.jsonl rows carry no reject_reason; rerun exec"}
+
+    # Such rows once escaped as a TypeError or AttributeError, and a bare
+    # string as "rows carry no reject_reason".
+    @pytest.mark.parametrize("verb", ["edit", "ablate"])
+    @pytest.mark.parametrize("line, message", [
+        ("5", "must be an object, got 5"),
+        ('["reject_reason"]', "must be an object, got ['reject_reason']"),
+        ('"x"', "must be an object, got 'x'"),
+        ('{"query_id": [1], "program_id": "p", "reject_reason": null}',
+         "field 'query_id' must be a string, got [1]"),
+    ], ids=["int", "list", "string", "unhashable_query_id"])
+    def test_a_malformed_trace_row_fails_edit_and_ablate_with_a_schema_error(
+        self, built, tmp_path, capsys, verb, line, message
+    ):
+        workdir = tmp_path / "run"
+        shutil.copytree(built, workdir)
+        lines = (workdir / "traces.jsonl").read_text().splitlines()
+        (workdir / "traces.jsonl").write_text("\n".join(lines[:1] + [line] + lines[1:]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["--config", str(workdir / "config.json"), verb]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report == {"error": "SchemaError", "stage": verb,
+                          "message": f"{workdir / 'traces.jsonl'} row 1: {message}"}
+
+    def test_a_kept_trace_row_without_a_query_id_stays_a_row_error(self, built, tmp_path, capsys):
+        workdir = tmp_path / "run"
+        shutil.copytree(built, workdir)
+        rows = list(read_jsonl(workdir / "traces.jsonl"))
+        kept = next(i for i, row in enumerate(rows) if row["reject_reason"] is None)
+        del rows[kept]["query_id"]
+        write_jsonl(workdir / "traces.jsonl", rows)
+        assert cli.main(["--config", str(workdir / "config.json"), "edit"]) == 0
+        entry = read_json(workdir / "manifest.json")["stages"][-1]
+        assert [(e["row"], e["error"]) for e in entry["row_errors"]] == [(kept, "'query_id'")]
+
+    # A list manifest once failed score after it ran; a manifest whose
+    # "stages" was not a list failed after scored.jsonl was rewritten.
+    @pytest.mark.parametrize("manifest", [
+        [], 5, {"stages": 5, "counts": {}}, {"stages": [], "counts": []}, {"counts": {}},
+    ], ids=["list", "number", "stages_not_a_list", "counts_not_an_object", "no_stages"])
+    def test_a_malformed_manifest_fails_before_the_stage_runs(self, built, tmp_path, capsys, manifest):
+        workdir = tmp_path / "run"
+        shutil.copytree(built, workdir)
+        (workdir / "scored.jsonl").write_text("stale\n")
+        write_json(workdir / "manifest.json", manifest)
+        before = {name: (workdir / name).read_bytes() for name in ("scored.jsonl", "manifest.json")}
+        capsys.readouterr()
+        assert cli.main(["--config", str(workdir / "config.json"), "score"]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report == {"error": "SchemaError", "stage": "score", "message":
+                          f"{workdir / 'manifest.json'}: must be an object with a list 'stages' "
+                          "and an object 'counts'"}
+        assert {name: (workdir / name).read_bytes() for name in before} == before
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "config.json"
